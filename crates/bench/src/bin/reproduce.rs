@@ -4,15 +4,14 @@
 //! reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID]
 //!           [--markdown] [--metrics PATH] [--threads N]
 //!           [--servers N] [--shards K] [--shard-workers W]
-//!           [--spill-dir PATH] [--keep-spills]
-//!           [--bench-json PATH] [--bench-baseline PATH] [--digest PATH]
+//!           [--spill-dir PATH] [--keep-spills] [--digest PATH]
 //! reproduce snapshot --out PATH [simulation flags]
 //! reproduce snapshot --in PATH [analysis flags]
 //! reproduce serve [--addr HOST:PORT] [--workers N] [--cache-entries N]
 //!                 [--catalog DIR] [--max-conns N] [--idle-timeout-ms N]
 //! reproduce replay [--scenario paper|medium|small] [--seed N] [--threads N]
 //!                  [--snapshot-in PATH] [--speed DAYS_PER_SEC] [--quiet]
-//!                  [--digest PATH] [--metrics PATH] [--bench-json PATH]
+//!                  [--digest PATH] [--metrics PATH]
 //! ```
 //!
 //! `reproduce serve` runs the `dcf-serve` HTTP query service instead of a
@@ -38,9 +37,9 @@
 //! the default, streams with no sleeps); the event sequence and its digest
 //! are byte-identical at every speed. `--quiet` suppresses the event lines
 //! (summary only), `--digest PATH` writes the 16-hex event-stream digest,
-//! and `--bench-json PATH` embeds a `replay` block in the benchmark
-//! summary. The same feed is served over chunked HTTP by
-//! `reproduce serve` at `GET /v1/replay/{scenario}?speed=N`.
+//! and `--metrics PATH` writes the run's `RunReport` (with the
+//! `replay.build` / `replay.stream` spans). The same feed is served over
+//! chunked HTTP by `reproduce serve` at `GET /v1/replay/{scenario}?speed=N`.
 //!
 //! `reproduce snapshot --out PATH` simulates once and persists the trace as
 //! a versioned binary snapshot (`dcf-trace::io::snapshot`); `--in PATH`
@@ -51,7 +50,7 @@
 //! `ID` is one of: `table1 table2 table3 table4 table5 table6 table7 table8
 //! fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 prediction backlog all`
 //! (default `all`), or `none` to skip the study entirely — engine-only
-//! bench and digest runs.
+//! digest runs.
 //! `--markdown` emits the EXPERIMENTS.md-style summary instead of the full
 //! figure dumps.
 //! `--metrics PATH` enables the `dcf-obs` instrumentation layer: the run's
@@ -77,20 +76,6 @@
 //! `--spill-dir PATH` puts the per-shard spill files under `PATH`
 //! (default: a process-unique temp directory); `--keep-spills` leaves
 //! them behind for inspection.
-//! `--bench-json PATH` writes a `BENCH_*.json` benchmark summary (engine
-//! phase wall-clock, servers/s, tickets/s, shard/memory gauges — see
-//! EXPERIMENTS.md); implies metrics collection.
-//! `--bench-baseline PATH` reads a prior run's `--metrics` RunReport JSON
-//! (*not* a `BENCH_*.json` summary) and embeds per-phase speedup factors
-//! against it into the `--bench-json` output. The baseline file is only
-//! read — never overwritten — so a pinned baseline can serve many runs:
-//!
-//! ```text
-//! reproduce --scenario paper --threads 1 --metrics /tmp/base.json
-//! reproduce --scenario paper --threads 8 --bench-json BENCH.json \
-//!           --bench-baseline /tmp/base.json   # BENCH.json gains "speedup"
-//! ```
-//!
 //! `--digest PATH` writes the 16-hex-digit FNV-1a digest of the trace's
 //! ticket CSV — the byte-identity fingerprint CI diffs across engine
 //! thread counts and shard counts.
@@ -98,7 +83,7 @@
 use std::process::ExitCode;
 
 use dcf_core::{paper, FailureStudy, StudyOptions, StudyReport};
-use dcf_obs::{BenchSummary, MetricsRegistry, RunReport};
+use dcf_obs::MetricsRegistry;
 use dcf_report::{experiments, pct, TextTable};
 use dcf_sim::{RunOptions, Scenario};
 use dcf_trace::{io, Trace};
@@ -117,8 +102,6 @@ struct Args {
     shard_workers: u32,
     spill_dir: Option<String>,
     keep_spills: bool,
-    bench_json: Option<String>,
-    bench_baseline: Option<String>,
     digest: Option<String>,
     snapshot_out: Option<String>,
     snapshot_in: Option<String>,
@@ -139,8 +122,6 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
         shard_workers: 0,
         spill_dir: None,
         keep_spills: false,
-        bench_json: None,
-        bench_baseline: None,
         digest: None,
         snapshot_out: None,
         snapshot_in: None,
@@ -207,12 +188,6 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
                 args.spill_dir = Some(it.next().ok_or("--spill-dir needs a value")?);
             }
             "--keep-spills" => args.keep_spills = true,
-            "--bench-json" => {
-                args.bench_json = Some(it.next().ok_or("--bench-json needs a value")?);
-            }
-            "--bench-baseline" => {
-                args.bench_baseline = Some(it.next().ok_or("--bench-baseline needs a value")?);
-            }
             "--digest" => {
                 args.digest = Some(it.next().ok_or("--digest needs a value")?);
             }
@@ -226,7 +201,7 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
                 return Err(if snapshot_mode {
                     "usage: reproduce snapshot (--out PATH | --in PATH) [reproduce flags]".into()
                 } else {
-                    "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none] [--markdown] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--keep-spills] [--bench-json PATH] [--bench-baseline PATH] [--digest PATH]".into()
+                    "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none] [--markdown] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--keep-spills] [--digest PATH]".into()
                 });
             }
             other => return Err(format!("unknown flag {other}")),
@@ -239,13 +214,6 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
         return Err("--out and --in are mutually exclusive".into());
     }
     Ok(args)
-}
-
-/// Fleet shape of the run, carried into the benchmark summary.
-#[derive(Clone, Copy)]
-struct RunShape {
-    servers: u64,
-    window_days: u64,
 }
 
 /// Writes the JSON `RunReport` to `args.metrics` (no-op when the flag is
@@ -262,46 +230,6 @@ fn write_metrics(args: &Args, registry: &MetricsRegistry) -> Result<(), String> 
     std::fs::write(path, report.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
     eprintln!("{}", dcf_report::run_report_markdown(&report));
     eprintln!("metrics written to {path}");
-    Ok(())
-}
-
-/// Writes the `BENCH_*.json` summary to `args.bench_json` (no-op when the
-/// flag is absent), embedding speedups against `args.bench_baseline` when
-/// given.
-fn write_bench(
-    args: &Args,
-    registry: &MetricsRegistry,
-    run: RunShape,
-    fots: u64,
-) -> Result<(), String> {
-    let Some(path) = &args.bench_json else {
-        return Ok(());
-    };
-    let label = format!(
-        "reproduce --scenario {} --seed {} --threads {}",
-        args.scenario, args.seed, args.threads
-    );
-    let report = registry.report(&label);
-    let mut summary = BenchSummary::from_report(
-        &report,
-        &args.scenario,
-        args.seed,
-        run.servers,
-        run.window_days,
-        fots,
-    );
-    if let Some(base_path) = &args.bench_baseline {
-        let text = std::fs::read_to_string(base_path)
-            .map_err(|e| format!("cannot read {base_path}: {e}"))?;
-        let base = RunReport::from_json(&text)
-            .map_err(|e| format!("bad baseline report {base_path}: {e}"))?;
-        summary = summary.with_baseline(&base);
-    }
-    std::fs::write(path, summary.to_json()).map_err(|e| format!("cannot write {path}: {e}"))?;
-    eprintln!(
-        "bench summary written to {path} ({:.0} servers/s, {:.0} tickets/s)",
-        summary.servers_per_sec, summary.tickets_per_sec
-    );
     Ok(())
 }
 
@@ -547,7 +475,6 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
     let mut snapshot_in: Option<String> = None;
     let mut digest_path: Option<String> = None;
     let mut metrics_path: Option<String> = None;
-    let mut bench_json: Option<String> = None;
     let mut quiet = false;
     while let Some(flag) = it.next() {
         let parsed = match flag.as_str() {
@@ -565,10 +492,6 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
             }),
             "--metrics" => it.next().map(|v| {
                 metrics_path = Some(v);
-                Ok(())
-            }),
-            "--bench-json" => it.next().map(|v| {
-                bench_json = Some(v);
                 Ok(())
             }),
             "--seed" => it
@@ -590,7 +513,7 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: reproduce replay [--scenario paper|medium|small] [--seed N] [--threads N] [--snapshot-in PATH] [--speed DAYS_PER_SEC] [--quiet] [--digest PATH] [--metrics PATH] [--bench-json PATH]"
+                    "usage: reproduce replay [--scenario paper|medium|small] [--seed N] [--threads N] [--snapshot-in PATH] [--speed DAYS_PER_SEC] [--quiet] [--digest PATH] [--metrics PATH]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -612,7 +535,7 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
         }
     }
 
-    let registry = if metrics_path.is_some() || bench_json.is_some() {
+    let registry = if metrics_path.is_some() {
         MetricsRegistry::new()
     } else {
         MetricsRegistry::disabled()
@@ -740,41 +663,6 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
         }
         eprintln!("metrics written to {path}");
     }
-    if let Some(path) = &bench_json {
-        let report = registry.report(&format!(
-            "reproduce replay --scenario {scenario} --seed {seed} --speed {speed}"
-        ));
-        let duration_ms = stream_elapsed.as_secs_f64() * 1000.0;
-        let total_events = outcome.events.len() as u64 + 1;
-        let summary = BenchSummary::from_report(
-            &report,
-            &scenario,
-            seed,
-            trace.servers().len() as u64,
-            trace.info().days,
-            trace.len() as u64,
-        )
-        .with_replay(dcf_obs::ReplayBench {
-            tickets: s.tickets as u64,
-            detections: s.detections as u64,
-            event_digest: format!("{:016x}", s.event_digest),
-            speed,
-            duration_ms,
-            events_per_sec: if duration_ms > 0.0 {
-                total_events as f64 * 1000.0 / duration_ms
-            } else {
-                0.0
-            },
-            sigma_f1: s.sigma.f1(),
-            burst_f1: s.burst.f1(),
-            predictor_f1: s.predictor.f1(),
-        });
-        if let Err(e) = std::fs::write(path, summary.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("bench summary written to {path}");
-    }
     ExitCode::SUCCESS
 }
 
@@ -800,7 +688,7 @@ fn main() -> ExitCode {
         args.scenario = "snapshot".into();
     }
 
-    let registry = if args.metrics.is_some() || args.bench_json.is_some() {
+    let registry = if args.metrics.is_some() {
         MetricsRegistry::new()
     } else {
         MetricsRegistry::disabled()
@@ -850,12 +738,8 @@ fn main() -> ExitCode {
                 Ok((Some(trace), _)) => trace,
                 // Digest-only run: everything is done, flush and exit.
                 Ok((None, tickets)) => {
-                    let run = RunShape {
-                        servers: scenario.config.fleet.servers as u64,
-                        window_days: scenario.config.fleet.window_days,
-                    };
                     registry.set_gauge("trace.fots", tickets as f64);
-                    return finish(&args, &registry, run, tickets);
+                    return finish(&args, &registry);
                 }
                 Err(msg) => {
                     eprintln!("{msg}");
@@ -878,10 +762,6 @@ fn main() -> ExitCode {
         );
         trace
     };
-    let run = RunShape {
-        servers: trace.servers().len() as u64,
-        window_days: trace.info().days,
-    };
     if let Err(msg) = write_digest(&args, &trace) {
         eprintln!("{msg}");
         return ExitCode::FAILURE;
@@ -899,12 +779,12 @@ fn main() -> ExitCode {
             trace.len(),
             io::fots_digest(trace.fots())
         );
-        return finish(&args, &registry, run, trace.len() as u64);
+        return finish(&args, &registry);
     }
     registry.set_gauge("trace.fots", trace.len() as f64);
     if args.experiment == "none" {
-        // Engine-only run: skip the study entirely (bench / digest runs).
-        return finish(&args, &registry, run, trace.len() as u64);
+        // Engine-only run: skip the study entirely (digest runs).
+        return finish(&args, &registry);
     }
     let study = FailureStudy::new(&trace);
     let analysis_span = registry.phase("analysis");
@@ -957,7 +837,7 @@ fn main() -> ExitCode {
     drop(render_span);
     println!("{text}");
     drop(analysis_span);
-    finish(&args, &registry, run, trace.len() as u64)
+    finish(&args, &registry)
 }
 
 /// The `--score` report: every headline metric against the paper, and
@@ -984,17 +864,15 @@ fn score_text(trace: &Trace) -> String {
     )
 }
 
-/// Flushes the optional metrics and bench-summary files; failures to write
-/// either are fatal so scripted runs notice.
-fn finish(args: &Args, registry: &MetricsRegistry, run: RunShape, fots: u64) -> ExitCode {
+/// Flushes the optional metrics file; a failure to write it is fatal so
+/// scripted runs notice.
+fn finish(args: &Args, registry: &MetricsRegistry) -> ExitCode {
     // Snapshot the high-water mark once everything has run; the sharded
     // engine also records it, but unsharded runs only get it here.
     if let Some(rss) = dcf_obs::peak_rss_bytes() {
         registry.set_gauge("mem.peak_rss_bytes", rss as f64);
     }
-    let result =
-        write_metrics(args, registry).and_then(|()| write_bench(args, registry, run, fots));
-    match result {
+    match write_metrics(args, registry) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");

@@ -5,8 +5,8 @@
 //! * `src/bin/reproduce.rs` — regenerates every paper table and figure
 //!   from a simulated trace and prints paper-vs-measured; also runs the
 //!   snapshot, replay and serve subcommands.
-//! * [`loadgen`] — HTTP response parsing and accounting shared by the
-//!   `serve_loadgen` example and the `perfbench` benchmark.
+//! * [`loadgen`] — HTTP response framing and outcome classification for
+//!   the `perfbench` benchmark's load generator.
 
 #![warn(missing_docs)]
 

@@ -1,16 +1,9 @@
-//! Client-side accounting for the `dcf-serve` load generator.
+//! Client-side accounting for the `perfbench` load generator.
 //!
-//! The `serve_loadgen` example owns the sockets and the readiness loop;
-//! this module owns the arithmetic it reports: HTTP/1.1 response framing
-//! ([`parse_response`]), the shed-vs-error outcome taxonomy
-//! ([`classify`]), and the latency/throughput roll-up ([`LoadStats`])
-//! that becomes the `"serve"` block of `BENCH_*.json`. Keeping the
-//! numbers in the library makes them unit-testable without opening a
-//! single connection.
-
-use std::time::Duration;
-
-use dcf_obs::ServeBench;
+//! perfbench owns the sockets and the readiness loop; this module owns
+//! the HTTP/1.1 response framing ([`parse_response`]) and the
+//! shed-vs-error outcome taxonomy ([`classify`]). Keeping them in the
+//! library makes them unit-testable without opening a single connection.
 
 /// How one completed HTTP exchange counts toward the run totals.
 ///
@@ -37,114 +30,10 @@ pub fn classify(status: u16) -> Outcome {
     }
 }
 
-/// Client-side measurements of one load run.
-#[derive(Debug, Default)]
-pub struct LoadStats {
-    /// Connections opened for the fleet.
-    pub connections: u64,
-    /// `200` responses received.
-    pub ok: u64,
-    /// `503` (shed) responses received.
-    pub shed: u64,
-    /// Failed requests: non-200/503 status, I/O error, or a connection
-    /// dropped before/mid-response.
-    pub errors: u64,
-    /// Responses served on a reused keep-alive connection (every
-    /// response after a connection's first).
-    pub reused: u64,
-    /// Wall-clock of the measured window (ramp excluded).
-    pub duration: Duration,
-    /// Server event-loop count, when known (in-process target); `1`
-    /// otherwise.
-    pub loops: u64,
-    /// Requests per server event loop, in loop order, when known.
-    pub loop_requests: Vec<u64>,
-    /// 200-response latencies in milliseconds. [`Self::record`] appends
-    /// unsorted; [`Self::finish`] sorts before quantiles are read.
-    pub latencies_ms: Vec<f64>,
-}
-
-impl LoadStats {
-    /// A zeroed accumulator for a fleet of `connections` connections.
-    pub fn new(connections: u64) -> Self {
-        Self {
-            connections,
-            loops: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Counts one completed exchange: classifies `status` and, for a
-    /// `200`, records its client-observed latency.
-    pub fn record(&mut self, status: u16, latency_ms: f64) {
-        match classify(status) {
-            Outcome::Ok => {
-                self.ok += 1;
-                self.latencies_ms.push(latency_ms);
-            }
-            Outcome::Shed => self.shed += 1,
-            Outcome::Error => self.errors += 1,
-        }
-    }
-
-    /// Counts a connection dropped without (or mid-) response.
-    pub fn record_drop(&mut self) {
-        self.errors += 1;
-    }
-
-    /// Seals the run: stamps the window duration and sorts latencies so
-    /// the quantile reads are meaningful.
-    pub fn finish(&mut self, duration: Duration) {
-        self.duration = duration;
-        self.latencies_ms.sort_by(f64::total_cmp);
-    }
-
-    /// The `q`-quantile (nearest-rank on the sorted latencies) in
-    /// milliseconds; `0.0` when no request succeeded.
-    pub fn percentile(&self, q: f64) -> f64 {
-        if self.latencies_ms.is_empty() {
-            return 0.0;
-        }
-        let rank = ((self.latencies_ms.len() - 1) as f64 * q).round() as usize;
-        self.latencies_ms[rank]
-    }
-
-    /// Rolls the run up into the `"serve"` block of the bench schema.
-    /// Throughput counts *completed* requests (200s and 503s — both are
-    /// the service behaving as specified); errors are excluded.
-    pub fn to_bench(&self) -> ServeBench {
-        let completed = self.ok + self.shed;
-        let secs = self.duration.as_secs_f64();
-        ServeBench {
-            connections: self.connections,
-            requests: self.ok,
-            shed: self.shed,
-            errors: self.errors,
-            keepalive_reused: self.reused,
-            loops: self.loops,
-            loop_requests: self.loop_requests.clone(),
-            duration_ms: secs * 1e3,
-            requests_per_sec: if secs > 0.0 {
-                completed as f64 / secs
-            } else {
-                0.0
-            },
-            shed_rate: if completed > 0 {
-                self.shed as f64 / completed as f64
-            } else {
-                0.0
-            },
-            latency_p50_ms: self.percentile(0.50),
-            latency_p99_ms: self.percentile(0.99),
-            latency_max_ms: self.latencies_ms.last().copied().unwrap_or(0.0),
-        }
-    }
-}
-
 /// A complete HTTP response pulled off a connection buffer:
 /// `(status, connection-close, total bytes consumed)` — or `None` while
-/// more bytes are needed. Framing is `content-length` only: the load
-/// generator requests no chunked routes and sends no `Accept-Encoding`.
+/// more bytes are needed. Framing is `content-length` only; a caller that
+/// requests a chunked route decodes that body itself.
 pub fn parse_response(buf: &[u8]) -> Result<Option<(u16, bool, usize)>, String> {
     let Some(head_end) = buf.windows(4).position(|w| w == b"\r\n\r\n") else {
         return Ok(None);
@@ -189,70 +78,6 @@ mod tests {
         for status in [400, 404, 413, 500, 502] {
             assert_eq!(classify(status), Outcome::Error, "status {status}");
         }
-    }
-
-    #[test]
-    fn record_routes_counts_and_latencies() {
-        let mut stats = LoadStats::new(4);
-        stats.record(200, 1.0);
-        stats.record(200, 9.0);
-        stats.record(503, 123.0); // shed latency must NOT enter quantiles
-        stats.record(404, 456.0);
-        stats.record_drop();
-        assert_eq!((stats.ok, stats.shed, stats.errors), (2, 1, 2));
-        assert_eq!(stats.latencies_ms, vec![1.0, 9.0]);
-    }
-
-    #[test]
-    fn percentiles_use_nearest_rank_on_sorted_samples() {
-        let mut stats = LoadStats::new(1);
-        // Deliberately unsorted: finish() must sort before quantiles.
-        for ms in [5.0, 1.0, 4.0, 2.0, 3.0] {
-            stats.record(200, ms);
-        }
-        stats.finish(Duration::from_secs(1));
-        assert_eq!(stats.percentile(0.50), 3.0);
-        // Nearest rank of q=0.99 over 5 samples is index round(4 × .99) = 4.
-        assert_eq!(stats.percentile(0.99), 5.0);
-        assert_eq!(stats.percentile(0.0), 1.0);
-        assert_eq!(stats.percentile(1.0), 5.0);
-    }
-
-    #[test]
-    fn empty_run_yields_zero_latencies() {
-        let mut stats = LoadStats::new(1);
-        stats.finish(Duration::from_millis(10));
-        assert_eq!(stats.percentile(0.5), 0.0);
-        let bench = stats.to_bench();
-        assert_eq!(bench.latency_max_ms, 0.0);
-        assert_eq!(bench.requests_per_sec, 0.0);
-        assert_eq!(bench.shed_rate, 0.0);
-    }
-
-    #[test]
-    fn to_bench_counts_completed_not_errored_throughput() {
-        let mut stats = LoadStats::new(8);
-        for _ in 0..6 {
-            stats.record(200, 2.0);
-        }
-        stats.record(503, 0.0);
-        stats.record(503, 0.0);
-        stats.record(500, 0.0);
-        stats.reused = 5;
-        stats.loops = 2;
-        stats.loop_requests = vec![4, 4];
-        stats.finish(Duration::from_secs(2));
-        let bench = stats.to_bench();
-        assert_eq!(bench.requests, 6);
-        assert_eq!(bench.shed, 2);
-        assert_eq!(bench.errors, 1);
-        // 8 completed (6 ok + 2 shed) over 2 s; the error is excluded.
-        assert_eq!(bench.requests_per_sec, 4.0);
-        assert_eq!(bench.shed_rate, 0.25);
-        assert_eq!(bench.loops, 2);
-        assert_eq!(bench.loop_requests, vec![4, 4]);
-        assert_eq!(bench.latency_p50_ms, 2.0);
-        assert_eq!(bench.latency_max_ms, 2.0);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl Default for DetectionModel {
 impl DetectionModel {
     /// A model where detection is workload-independent (the "active failure
     /// probing" mechanism §III-A says the failure management team is
-    /// building). Used by the `ablation_active_probing` bench.
+    /// building). Used by the `active-probing` row of `examples/ablations.rs`.
     pub fn active_probing() -> Self {
         Self {
             syslog_share_disks: 0.0,

@@ -47,14 +47,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod bench;
 pub mod json;
 mod mem;
 mod metrics;
 mod report;
 mod timer;
 
-pub use bench::{BenchSummary, ReplayBench, ServeBench};
 pub use mem::peak_rss_bytes;
 pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use report::{ReportError, RunReport};

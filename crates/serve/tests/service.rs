@@ -1,7 +1,8 @@
 //! End-to-end tests for the query service: cache byte-identity under
 //! concurrency, keep-alive pipelining, catalog serving + reload,
 //! idle-timeout reaping, bounded-queue backpressure (including the shed ×
-//! keep-alive interaction), and graceful drain.
+//! keep-alive interaction), a 64-connection keep-alive fleet on one and
+//! two loops, and graceful drain.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -1024,8 +1025,8 @@ fn gzip_sections_decode_byte_identical_across_two_loops() {
         );
     }
     // The small-scenario overview is tiny (~850 bytes); the big ratio
-    // wins are measured on paper-scale bodies in BENCH_PR10.json. Here
-    // gzip just has to shrink the payload.
+    // wins are on paper-scale bodies (perfbench's `serve.gzip_ratio`).
+    // Here gzip just has to shrink the payload.
     assert!(
         compressed[0].len() < identity.body.len(),
         "gzip must shrink the JSON section ({} vs {})",
@@ -1239,6 +1240,83 @@ fn two_loop_server_balances_accepts_and_drains_gracefully() {
         .sum();
     assert_eq!(
         Some(per_loop_requests),
+        report.counter("serve.requests"),
+        "per-loop request counters must sum to the global counter"
+    );
+}
+
+/// Holds a fleet of keep-alive connections open at once against a
+/// `loops`-loop server and cycles each through several requests, with at
+/// most `WINDOW` requests in flight so the bounded queue never sheds.
+/// Every response must be a `200`, and every request after a
+/// connection's first must count as a keep-alive reuse.
+fn keep_alive_fleet(loops: usize) -> dcf_obs::RunReport {
+    const CONNS: usize = 64;
+    const ROUNDS: usize = 3;
+    const WINDOW: usize = 16;
+    let metrics = MetricsRegistry::new();
+    let server = Server::start(
+        ServeConfig::default()
+            .addr("127.0.0.1:0")
+            .workers(2)
+            .loops(loops)
+            .reuseport(false)
+            .metrics(&metrics),
+    )
+    .expect("server starts");
+    let addr = server.local_addr();
+    let primed = post(addr, "/v1/simulate", r#"{"scenario":"small","seed":42}"#);
+    assert_eq!(primed.status, 200, "simulate failed: {}", primed.body);
+
+    let request = get_keep_alive("/v1/report/overview?scenario=small&seed=42");
+    let mut fleet: Vec<Client> = (0..CONNS).map(|_| Client::connect(addr)).collect();
+    let mut ok = 0;
+    for round in 0..ROUNDS {
+        for wave in fleet.chunks_mut(WINDOW) {
+            for client in wave.iter_mut() {
+                client.send(&request);
+            }
+            for client in wave.iter_mut() {
+                let reply = client.read_reply();
+                assert_eq!(reply.status, 200, "round {round}: {}", reply.body);
+                assert_eq!(reply.header("connection"), Some("keep-alive"));
+                ok += 1;
+            }
+        }
+    }
+    assert_eq!(ok, CONNS * ROUNDS);
+    drop(fleet);
+
+    let report = server.shutdown();
+    assert_eq!(
+        report.counter("serve.keepalive.reused"),
+        Some((CONNS * (ROUNDS - 1)) as u64),
+        "every request after a connection's first is a keep-alive reuse"
+    );
+    report
+}
+
+#[test]
+fn keep_alive_fleet_is_served_without_errors_on_one_loop() {
+    keep_alive_fleet(1);
+}
+
+#[test]
+fn keep_alive_fleet_spreads_across_two_loops() {
+    let report = keep_alive_fleet(2);
+    let per_loop: Vec<u64> = (0..2)
+        .map(|lp| {
+            report
+                .counter(&format!("serve.loop.{lp}.requests"))
+                .unwrap_or(0)
+        })
+        .collect();
+    assert!(
+        per_loop.iter().all(|&n| n >= 1),
+        "both loops must serve: {per_loop:?}"
+    );
+    assert_eq!(
+        Some(per_loop.iter().sum()),
         report.counter("serve.requests"),
         "per-loop request counters must sum to the global counter"
     );

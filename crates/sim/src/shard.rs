@@ -28,8 +28,8 @@
 //! threads), one `engine.shard.open` span per spill, one
 //! `engine.shard.merge` span, plus the `engine.shards` and
 //! `engine.shard_workers` gauges, the `shard.bytes_spilled` counter, and
-//! the `mem.peak_rss_bytes` gauge ([`dcf_obs::BenchSummary`] picks all of
-//! them up).
+//! the `mem.peak_rss_bytes` gauge, all in the run's
+//! [`dcf_obs::RunReport`].
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};

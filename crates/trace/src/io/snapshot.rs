@@ -611,11 +611,15 @@ mod tests {
     #[test]
     fn truncation_is_a_typed_error() {
         let bytes = snapshot_to_bytes(&sample_trace());
-        for cut in [0, 4, MAGIC.len() + 3, bytes.len() - 9, bytes.len() - 1] {
-            assert!(matches!(
-                snapshot_from_bytes(&bytes[..cut]),
-                Err(TraceError::Snapshot { .. })
-            ));
+        for cut in 0..bytes.len() {
+            assert!(
+                matches!(
+                    snapshot_from_bytes(&bytes[..cut]),
+                    Err(TraceError::Snapshot { .. })
+                ),
+                "cut at {cut} of {}",
+                bytes.len()
+            );
         }
     }
 

@@ -513,3 +513,141 @@ fn gzip_compresses_repetitive_payloads() {
         assert_eq!(gunzip(&compressed).expect("inflates"), data);
     });
 }
+
+/// The fields of one decoded request the service acts on: method, path,
+/// query pairs, body, keep-alive and gzip acceptance.
+type Decoded = (String, String, Vec<(String, String)>, Vec<u8>, bool, bool);
+
+/// A seeded pipelined request stream mixing GETs with a query, POSTs with
+/// a `content-length` body, `Connection: close`, HTTP/1.0 and
+/// `Accept-Encoding` lists (some refusing gzip with `q=0`), plus the
+/// decoding each request must produce.
+fn request_stream(rng: &mut StdRng) -> (Vec<u8>, Vec<Decoded>) {
+    const ENCODINGS: [(&str, bool); 6] = [
+        ("gzip", true),
+        ("gzip;q=0", false),
+        ("br, gzip;q=0.5", true),
+        ("*;q=0", false),
+        ("identity", false),
+        ("GZIP; Q=0, *", true),
+    ];
+    let mut stream = Vec::new();
+    let mut expected = Vec::new();
+    for _ in 0..rng.random_range(1usize..6) {
+        let http_10 = rng.random_bool(0.25);
+        let close = rng.random_bool(0.25);
+        let eol = if rng.random_bool(0.2) { "\n" } else { "\r\n" };
+        let (method, path, query, body) = if rng.random_bool(0.5) {
+            let seed = rng.random_range(0u64..1000).to_string();
+            let query = vec![
+                ("scenario".to_string(), "small".to_string()),
+                ("seed".to_string(), seed),
+            ];
+            ("GET", "/v1/report/overview", query, Vec::new())
+        } else {
+            let body = format!(
+                r#"{{"scenario":"small","seed":{}}}"#,
+                rng.random_range(0u64..1000)
+            );
+            ("POST", "/v1/simulate", Vec::new(), body.into_bytes())
+        };
+        let target = match query.as_slice() {
+            [] => path.to_string(),
+            pairs => {
+                let joined: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}={v}")).collect();
+                format!("{path}?{}", joined.join("&"))
+            }
+        };
+        let version = if http_10 { "HTTP/1.0" } else { "HTTP/1.1" };
+        let mut head = format!("{method} {target} {version}{eol}Host: t{eol}");
+        if close {
+            head.push_str(&format!("Connection: close{eol}"));
+        }
+        let mut accept_gzip = false;
+        if rng.random_bool(0.6) {
+            let (list, gzip) = ENCODINGS[rng.random_range(0..ENCODINGS.len())];
+            head.push_str(&format!("Accept-Encoding: {list}{eol}"));
+            accept_gzip = gzip;
+        }
+        if !body.is_empty() {
+            head.push_str(&format!("Content-Length: {}{eol}", body.len()));
+        }
+        head.push_str(eol);
+        stream.extend_from_slice(head.as_bytes());
+        stream.extend_from_slice(&body);
+        let keep_alive = !http_10 && !close;
+        expected.push((
+            method.into(),
+            path.into(),
+            query,
+            body,
+            keep_alive,
+            accept_gzip,
+        ));
+    }
+    (stream, expected)
+}
+
+/// Feeds `pieces` to `parse_request` the way the event loop does: append
+/// each piece to the connection buffer, then parse and drain `consumed`
+/// until the parser wants more bytes. Returns the decoded requests, and
+/// whether the parser rejected the buffer (which ends the connection).
+fn decode_pieces(pieces: &[&[u8]]) -> (Vec<Decoded>, bool) {
+    use dcf_serve::http::parse_request;
+    let mut buf = Vec::new();
+    let mut decoded = Vec::new();
+    for piece in pieces {
+        buf.extend_from_slice(piece);
+        loop {
+            match parse_request(&buf) {
+                Ok(Some(parsed)) => {
+                    assert!(parsed.consumed > 0, "a parsed request must consume bytes");
+                    buf.drain(..parsed.consumed);
+                    let r = parsed.request;
+                    decoded.push((
+                        r.method,
+                        r.path,
+                        r.query,
+                        r.body,
+                        parsed.keep_alive,
+                        r.accept_gzip,
+                    ));
+                }
+                Ok(None) => break,
+                Err(_) => return (decoded, true),
+            }
+        }
+    }
+    (decoded, false)
+}
+
+/// A pipelined request stream decodes the same whether it arrives whole
+/// or in two pieces cut at any byte offset, and a stream with any one
+/// byte flipped returns `Ok` or `Err` without panicking, every parsed
+/// request consuming at least one byte.
+#[test]
+fn http_stream_parses_the_same_split_at_every_offset() {
+    cases::check(
+        "http_stream_parses_the_same_split_at_every_offset",
+        64,
+        |rng| {
+            let (stream, expected) = request_stream(rng);
+            let (whole, rejected) = decode_pieces(&[&stream]);
+            assert!(!rejected, "a well-formed stream was rejected");
+            assert_eq!(whole, expected, "unsplit decode");
+            for cut in 0..=stream.len() {
+                let (head, tail) = stream.split_at(cut);
+                assert_eq!(
+                    decode_pieces(&[head, tail]),
+                    (whole.clone(), false),
+                    "cut at {cut}"
+                );
+            }
+            for at in 0..stream.len() {
+                let mut flipped = stream.clone();
+                flipped[at] ^= rng.random_range(1u8..=255);
+                decode_pieces(&[&flipped]);
+            }
+        },
+    );
+}
