@@ -4,7 +4,7 @@
 //! reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID]
 //!           [--markdown] [--metrics PATH] [--threads N]
 //!           [--servers N] [--shards K] [--shard-workers W]
-//!           [--spill-dir PATH] [--keep-spills] [--digest PATH]
+//!           [--spill-dir PATH] [--digest PATH]
 //! reproduce snapshot --out PATH [simulation flags]
 //! reproduce snapshot --in PATH [analysis flags]
 //! reproduce serve [--addr HOST:PORT] [--workers N] [--cache-entries N]
@@ -62,20 +62,21 @@
 //! machine). Traces and reports are byte-identical across thread counts.
 //! `--servers N` overrides the scenario's fleet size (the rest of the
 //! layout — DCs, racks, product lines — rescales around it).
-//! `--shards K` runs the sharded bounded-memory engine (SCALING.md):
-//! the fleet is split into K contiguous server ranges, each simulated and
-//! spilled to disk independently, then k-way merged. The resulting trace
-//! and digest are byte-identical to `--shards 1` and to the unsharded
-//! engine. With `--experiment none` the merged trace is never
-//! materialized — the run streams straight to the digest, which is how
-//! multi-million-server fleets fit in bounded memory.
+//! `--shards K` (default 1) splits the fleet into K contiguous server
+//! ranges (SCALING.md). One shard merges the engine's per-thread chunks
+//! in memory and writes no spill file; with K ≥ 2 each shard is simulated
+//! and spilled to disk independently, then k-way merged, which bounds
+//! memory. The trace and digest are byte-identical at any K. With
+//! `--experiment none` and no markdown, score or snapshot output, the
+//! trace is never materialized — the run streams straight to the digest,
+//! which is how multi-million-server fleets fit in bounded memory.
 //! `--shard-workers W` caps the pipelined shard worker pool: up to `W`
 //! shards simulate and spill concurrently while completed spills merge
 //! (`0`, the default, auto-detects from the machine). Traces and digests
 //! are byte-identical at any worker count.
 //! `--spill-dir PATH` puts the per-shard spill files under `PATH`
-//! (default: a process-unique temp directory); `--keep-spills` leaves
-//! them behind for inspection.
+//! (default: a process-unique temp directory); the run removes every
+//! spill it wrote when it ends.
 //! `--digest PATH` writes the 16-hex-digit FNV-1a digest of the trace's
 //! ticket CSV — the byte-identity fingerprint CI diffs across engine
 //! thread counts and shard counts.
@@ -98,10 +99,9 @@ struct Args {
     metrics: Option<String>,
     threads: usize,
     servers: Option<usize>,
-    shards: Option<u32>,
+    shards: u32,
     shard_workers: u32,
     spill_dir: Option<String>,
-    keep_spills: bool,
     digest: Option<String>,
     snapshot_out: Option<String>,
     snapshot_in: Option<String>,
@@ -118,10 +118,9 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
         metrics: None,
         threads: 0,
         servers: None,
-        shards: None,
+        shards: 1,
         shard_workers: 0,
         spill_dir: None,
-        keep_spills: false,
         digest: None,
         snapshot_out: None,
         snapshot_in: None,
@@ -175,7 +174,7 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
                 if k == 0 {
                     return Err("--shards must be at least 1".into());
                 }
-                args.shards = Some(k);
+                args.shards = k;
             }
             "--shard-workers" => {
                 args.shard_workers = it
@@ -187,7 +186,6 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
             "--spill-dir" => {
                 args.spill_dir = Some(it.next().ok_or("--spill-dir needs a value")?);
             }
-            "--keep-spills" => args.keep_spills = true,
             "--digest" => {
                 args.digest = Some(it.next().ok_or("--digest needs a value")?);
             }
@@ -201,7 +199,7 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
                 return Err(if snapshot_mode {
                     "usage: reproduce snapshot (--out PATH | --in PATH) [reproduce flags]".into()
                 } else {
-                    "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none] [--markdown] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--keep-spills] [--digest PATH]".into()
+                    "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none] [--markdown] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--digest PATH]".into()
                 });
             }
             other => return Err(format!("unknown flag {other}")),
@@ -243,7 +241,7 @@ fn write_digest(args: &Args, trace: &Trace) -> Result<(), String> {
     write_digest_value(path, io::fots_digest(trace.fots()))
 }
 
-/// Writes an already-computed ticket-CSV digest to `path` — the sharded
+/// Writes an already-computed ticket-CSV digest to `path` — the
 /// digest-only path streams the merge into the digest without ever holding
 /// a trace.
 fn write_digest_value(path: &str, digest: u64) -> Result<(), String> {
@@ -253,13 +251,13 @@ fn write_digest_value(path: &str, digest: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the consolidated [`RunOptions`] for a sharded run from the CLI
-/// flags (`--shards`, `--shard-workers`, `--spill-dir`, `--keep-spills`).
-fn sharded_options(args: &Args, shards: u32, registry: &MetricsRegistry) -> RunOptions {
+/// Builds the [`RunOptions`] of a run from the CLI flags (`--threads`,
+/// `--shards`, `--shard-workers`, `--spill-dir`).
+fn run_options(args: &Args, registry: &MetricsRegistry) -> RunOptions {
     let mut options = RunOptions::new()
         .metrics(registry)
-        .shards(shards)
-        .keep_spills(args.keep_spills)
+        .threads(args.threads)
+        .shards(args.shards)
         .shard_workers(args.shard_workers);
     if let Some(dir) = &args.spill_dir {
         options = options.spill_dir(dir);
@@ -267,53 +265,15 @@ fn sharded_options(args: &Args, shards: u32, registry: &MetricsRegistry) -> RunO
     options
 }
 
-/// Runs the sharded bounded-memory engine.
-///
-/// Returns `Ok((Some(trace), tickets))` when downstream analyses need the
-/// merged trace (`dcf_sim::simulate` with `RunOptions::shards` assembles
-/// it), or `Ok((None, tickets))` after a digest-only run (`--experiment
-/// none` with no markdown/score/snapshot output) that streamed the k-way
-/// merge straight into the digest without materializing a FOT vector
-/// (`dcf_sim::simulate_sharded`).
-fn simulate_sharded_run(
-    args: &Args,
-    scenario: &Scenario,
-    shards: u32,
-    registry: &MetricsRegistry,
-    t0: std::time::Instant,
-) -> Result<(Option<Trace>, u64), String> {
-    let digest_only = args.experiment == "none"
+/// Whether the run needs nothing but the digest (`--experiment none` with
+/// no markdown, score or snapshot output), so it can stream the merged
+/// tickets into the digest without materializing a trace.
+fn digest_only(args: &Args) -> bool {
+    args.experiment == "none"
         && args.snapshot_out.is_none()
         && !args.markdown
         && !args.markdown_full
-        && !args.score;
-    let options = sharded_options(args, shards, registry);
-    if digest_only {
-        let run = dcf_sim::simulate_sharded(&scenario.config, &options)
-            .map_err(|e| format!("sharded simulation failed: {e}"))?;
-        eprintln!(
-            "sharded run: {} tickets from {} shards in {:?} ({} spill bytes, digest {:016x})",
-            run.tickets,
-            run.shards,
-            t0.elapsed(),
-            run.bytes_spilled,
-            run.digest,
-        );
-        if let Some(path) = &args.digest {
-            write_digest_value(path, run.digest)?;
-        }
-        return Ok((None, run.tickets));
-    }
-    let trace = dcf_sim::simulate(&scenario.config, &options)
-        .map_err(|e| format!("sharded simulation failed: {e}"))?;
-    eprintln!(
-        "sharded run: {} tickets from {} shards in {:?}",
-        trace.len(),
-        shards,
-        t0.elapsed(),
-    );
-    let tickets = trace.len() as u64;
-    Ok((Some(trace), tickets))
+        && !args.score
 }
 
 /// Parses and runs the `serve` subcommand: a long-lived `dcf-serve`
@@ -563,8 +523,10 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let sc = sc.seed(seed).engine_threads(threads);
-        match sc.simulate(&RunOptions::new().metrics(&registry)) {
+        match sc
+            .seed(seed)
+            .simulate(&RunOptions::new().metrics(&registry).threads(threads))
+        {
             Ok(t) => t,
             Err(e) => {
                 eprintln!("simulation failed: {e}");
@@ -731,28 +693,39 @@ fn main() -> ExitCode {
             scenario.config.fleet.servers,
             scenario.config.fleet.window_days
         );
-        let scenario = scenario.seed(args.seed).engine_threads(args.threads);
+        let config = scenario.seed(args.seed).config;
         let t0 = std::time::Instant::now();
-        let trace = if let Some(shards) = args.shards {
-            match simulate_sharded_run(&args, &scenario, shards, &registry, t0) {
-                Ok((Some(trace), _)) => trace,
-                // Digest-only run: everything is done, flush and exit.
-                Ok((None, tickets)) => {
-                    registry.set_gauge("trace.fots", tickets as f64);
-                    return finish(&args, &registry);
-                }
-                Err(msg) => {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else {
-            match scenario.simulate(&RunOptions::new().metrics(&registry)) {
-                Ok(t) => t,
+        let options = run_options(&args, &registry);
+        if digest_only(&args) {
+            let run = match dcf_sim::simulate_sharded(&config, &options) {
+                Ok(run) => run,
                 Err(e) => {
                     eprintln!("simulation failed: {e}");
                     return ExitCode::FAILURE;
                 }
+            };
+            eprintln!(
+                "streamed {} tickets from {} shard(s) in {:?} ({} spill bytes, digest {:016x})",
+                run.tickets,
+                run.shards,
+                t0.elapsed(),
+                run.bytes_spilled,
+                run.digest,
+            );
+            if let Some(path) = &args.digest {
+                if let Err(msg) = write_digest_value(path, run.digest) {
+                    eprintln!("{msg}");
+                    return ExitCode::FAILURE;
+                }
+            }
+            registry.set_gauge("trace.fots", run.tickets as f64);
+            return finish(&args, &registry);
+        }
+        let trace = match dcf_sim::simulate(&config, &options) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("simulation failed: {e}");
+                return ExitCode::FAILURE;
             }
         };
         eprintln!(
@@ -867,8 +840,8 @@ fn score_text(trace: &Trace) -> String {
 /// Flushes the optional metrics file; a failure to write it is fatal so
 /// scripted runs notice.
 fn finish(args: &Args, registry: &MetricsRegistry) -> ExitCode {
-    // Snapshot the high-water mark once everything has run; the sharded
-    // engine also records it, but unsharded runs only get it here.
+    // Snapshot the high-water mark once everything has run; a multi-shard
+    // engine run also records it, but one-shard runs only get it here.
     if let Some(rss) = dcf_obs::peak_rss_bytes() {
         registry.set_gauge("mem.peak_rss_bytes", rss as f64);
     }

@@ -123,16 +123,24 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses one JSON value, rejecting trailing garbage and duplicate object
-/// keys.
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so the bound keeps hostile input such as
+/// 10,000 `[` from overflowing the stack; 64 is far above anything the
+/// repo writes.
+pub const MAX_DEPTH: usize = 64;
+
+/// Parses one JSON value (RFC 8259 grammar), rejecting trailing garbage,
+/// duplicate object keys, and nesting deeper than [`MAX_DEPTH`].
 ///
 /// # Errors
 ///
 /// Returns a [`ParseError`] with the byte offset of the first problem.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -144,8 +152,11 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -177,8 +188,8 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{') => self.nested(Self::parse_object),
+            Some(b'[') => self.nested(Self::parse_array),
             Some(b'"') => Ok(Value::String(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", Value::Bool(true)),
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
@@ -186,6 +197,30 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object one level deeper, failing past
+    /// [`MAX_DEPTH`] before recursing.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Value, ParseError>,
+    ) -> Result<Value, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
+    }
+
+    /// Consumes a run of ASCII digits and returns how many there were.
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
     }
 
     fn parse_literal(&mut self, literal: &str, value: Value) -> Result<Value, ParseError> {
@@ -197,18 +232,28 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
     fn parse_number(&mut self) -> Result<Value, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
+        match self.peek() {
+            Some(b'0') => {
+                self.pos += 1;
+                if matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
+                    return Err(self.error("leading zero in number"));
+                }
+            }
+            Some(c) if c.is_ascii_digit() => {
+                self.digits();
+            }
+            _ => return Err(self.error("malformed number: expected a digit")),
         }
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.error("malformed number: expected a fraction digit"));
             }
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
@@ -216,17 +261,11 @@ impl<'a> Parser<'a> {
             if matches!(self.peek(), Some(b'+' | b'-')) {
                 self.pos += 1;
             }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
+            if self.digits() == 0 {
+                return Err(self.error("malformed number: expected an exponent digit"));
             }
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number tokens are ASCII")
-            .to_string();
-        if raw.is_empty() || raw == "-" {
-            return Err(self.error("malformed number"));
-        }
-        Ok(Value::Number(raw))
+        Ok(Value::Number(self.text[start..self.pos].to_string()))
     }
 
     fn parse_string(&mut self) -> Result<String, ParseError> {
@@ -251,13 +290,17 @@ impl<'a> Parser<'a> {
                         Some(b'b') => out.push('\u{0008}'),
                         Some(b'f') => out.push('\u{000c}'),
                         Some(b'u') => {
-                            if self.pos + 4 >= self.bytes.len() {
-                                return Err(self.error("truncated \\u escape"));
+                            let hex = self
+                                .bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.error("truncated \\u escape"))?;
+                            // Exactly four hex digits: `from_str_radix` alone
+                            // would also take a sign.
+                            if !hex.iter().all(u8::is_ascii_hexdigit) {
+                                return Err(self.error("bad \\u escape"));
                             }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos + 1..self.pos + 5])
-                                .map_err(|_| self.error("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("bad \\u escape"))?;
+                            let hex = std::str::from_utf8(hex).expect("hex digits are ASCII");
+                            let code = u32::from_str_radix(hex, 16).expect("four hex digits");
                             // Surrogate pairs are not produced by our writer;
                             // map lone surrogates to the replacement char.
                             out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
@@ -268,11 +311,12 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.error("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty rest");
+                    // Consume one UTF-8 scalar: the input is a &str and
+                    // `pos` sits on a char boundary, so this is O(1).
+                    let c = self.text[self.pos..]
+                        .chars()
+                        .next()
+                        .expect("non-empty rest");
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -333,5 +377,41 @@ impl<'a> Parser<'a> {
                 _ => return Err(self.error("expected ',' or '}'")),
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for ok in [
+            "0", "-0", "7", "-12", "1.5", "0.25", "1e3", "1E+3", "2.5e-7",
+        ] {
+            assert_eq!(parse(ok), Ok(Value::Number(ok.to_string())), "{ok}");
+        }
+        for bad in [
+            "1e", "1e+", "-.", "1.", "01", "-", "-01", ".5", "+1", "1.e3",
+        ] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041""#), Ok(Value::String("A".into())));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u04""#, r#""\u004g""#] {
+            assert!(parse(bad).is_err(), "{bad} parsed");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let e = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(e.message.contains("nesting"), "{e}");
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
     }
 }

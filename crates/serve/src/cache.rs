@@ -1,5 +1,5 @@
-//! The response cache: one entry per `(scenario-hash, seed, engine_threads)`
-//! run, LRU-bounded, with single-flight computation.
+//! The response cache: one entry per `(scenario-hash, seed, threads)` run,
+//! LRU-bounded, with single-flight computation.
 //!
 //! Runs are pure functions of their key (see `dcf-sim`'s determinism
 //! contract), so a cached artifact never goes stale — the only reason to
@@ -15,15 +15,15 @@ use dcf_core::{FailureStudy, StudyOptions, StudyReport};
 use dcf_sim::SimConfig;
 use dcf_trace::Trace;
 
-/// Cache key: scenario-hash (seed/threads zeroed out of the config),
-/// seed, and the engine thread override.
+/// Cache key: scenario-hash (seed zeroed out of the config), seed, and the
+/// engine thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CacheKey {
-    /// FNV-1a over the scenario config with `seed`/`engine_threads` zeroed.
+    /// FNV-1a over the scenario config with `seed` zeroed.
     pub scenario_hash: u64,
     /// RNG seed of the run.
     pub seed: u64,
-    /// Engine worker-thread override (`0` = engine default).
+    /// Engine worker-thread count (`0` = auto).
     pub threads: usize,
 }
 
@@ -36,12 +36,10 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Hashes a scenario config into the cache key's scenario component:
-/// `seed` and `engine_threads` are zeroed first because they are separate
-/// key fields (seed) or pure execution knobs (threads).
+/// `seed` is zeroed first because it is a separate key field.
 pub fn scenario_hash(config: &SimConfig) -> u64 {
     let mut config = config.clone();
     config.seed = 0;
-    config.engine_threads = 0;
     fnv1a(format!("{config:?}").as_bytes())
 }
 
@@ -94,7 +92,7 @@ pub struct RunEntry {
     pub scenario: String,
     /// RNG seed.
     pub seed: u64,
-    /// Engine worker-thread override (`0` = engine default).
+    /// Engine worker-thread count (`0` = auto).
     pub threads: usize,
     /// Single-flight simulation result: the trace and digest, or the
     /// simulation error message.
@@ -318,9 +316,9 @@ mod tests {
     }
 
     #[test]
-    fn scenario_hash_ignores_seed_and_threads() {
+    fn scenario_hash_ignores_seed() {
         let a = dcf_sim::Scenario::small().seed(1).config;
-        let b = dcf_sim::Scenario::small().seed(9).engine_threads(8).config;
+        let b = dcf_sim::Scenario::small().seed(9).config;
         assert_eq!(scenario_hash(&a), scenario_hash(&b));
         let c = dcf_sim::Scenario::medium().seed(1).config;
         assert_ne!(scenario_hash(&a), scenario_hash(&c));

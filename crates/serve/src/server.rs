@@ -571,6 +571,9 @@ struct RawParams {
 }
 
 impl RawParams {
+    /// Reads the triple from a JSON object body. An absent field takes
+    /// its default; a present one of the wrong type is a 400 with the
+    /// query path's message, never a silent default.
     fn from_body(body: &[u8]) -> Result<Self, Response> {
         if body.is_empty() {
             return Ok(Self {
@@ -583,17 +586,23 @@ impl RawParams {
             std::str::from_utf8(body).map_err(|_| Response::error(400, "body is not UTF-8"))?;
         let value = dcf_obs::json::parse(text)
             .map_err(|e| Response::error(400, &format!("invalid JSON body: {e}")))?;
-        let scenario = value
-            .get("scenario")
-            .and_then(|v| v.as_str())
-            .unwrap_or("small")
-            .to_string();
-        let seed = value.get("seed").and_then(|v| v.as_u64()).unwrap_or(0);
-        let threads = value.get("threads").and_then(|v| v.as_u64()).unwrap_or(0) as usize;
+        if value.entries().is_none() {
+            return Err(Response::error(400, "body must be a JSON object"));
+        }
+        let scenario = match value.get("scenario") {
+            None => "small",
+            Some(v) => v
+                .as_str()
+                .ok_or_else(|| Response::error(400, "scenario must be a string"))?,
+        };
+        let uint = |name: &str, message: &str| match value.get(name) {
+            None => Ok(0),
+            Some(v) => v.as_u64().ok_or_else(|| Response::error(400, message)),
+        };
         Ok(Self {
-            scenario,
-            seed,
-            threads,
+            scenario: scenario.to_string(),
+            seed: uint("seed", "seed must be an unsigned integer")?,
+            threads: uint("threads", "threads must be an unsigned integer")? as usize,
         })
     }
 

@@ -1,8 +1,8 @@
 //! End-to-end tests for the query service: cache byte-identity under
 //! concurrency, keep-alive pipelining, catalog serving + reload,
 //! idle-timeout reaping, bounded-queue backpressure (including the shed ×
-//! keep-alive interaction), a 64-connection keep-alive fleet on one and
-//! two loops, and graceful drain.
+//! keep-alive interaction), hostile simulate bodies, a 64-connection
+//! keep-alive fleet on one and two loops, and graceful drain.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -789,6 +789,35 @@ fn preloaded_snapshot_serves_without_simulating() {
         "snapshot load must be instrumented"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn hostile_simulate_bodies_get_a_400_and_the_server_keeps_serving() {
+    let server = Server::start(ServeConfig::default().addr("127.0.0.1:0").workers(2))
+        .expect("server starts");
+    let addr = server.local_addr();
+
+    // Deep nesting must not overflow the parsing thread's stack.
+    let deep = post(addr, "/v1/simulate", &"[".repeat(10_000));
+    assert_eq!(deep.status, 400, "{}", deep.body);
+    assert!(deep.body.contains("nesting"), "{}", deep.body);
+    // Present but invalid fields are refused, not defaulted.
+    for (body, message) in [
+        (r#"{"seed": -1}"#, "seed must be an unsigned integer"),
+        (r#"{"seed": "7"}"#, "seed must be an unsigned integer"),
+        (r#"{"threads": 1.5}"#, "threads must be an unsigned integer"),
+        (r#"{"scenario": 3}"#, "scenario must be a string"),
+        (r#"{"seed": 1e}"#, "invalid JSON body"),
+        ("[]", "body must be a JSON object"),
+    ] {
+        let reply = post(addr, "/v1/simulate", body);
+        assert_eq!(reply.status, 400, "{body}: {}", reply.body);
+        assert!(reply.body.contains(message), "{body}: {}", reply.body);
+    }
+
+    let next = post(addr, "/v1/simulate", r#"{"scenario":"small","seed":1}"#);
+    assert_eq!(next.status, 200, "{}", next.body);
+    server.shutdown();
 }
 
 #[test]

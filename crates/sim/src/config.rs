@@ -33,10 +33,6 @@ pub struct SimConfig {
     pub monitoring: MonitoringModel,
     /// Master RNG seed.
     pub seed: u64,
-    /// Worker threads for the per-server engine phase: `0` (the default)
-    /// means auto-detect, other values are clamped to `[1, 16]`. Purely an
-    /// execution knob — the trace is byte-identical at any setting.
-    pub engine_threads: usize,
     /// Free-text description recorded into the trace.
     pub description: String,
 }
@@ -56,19 +52,7 @@ impl SimConfig {
             false_alarm: FalseAlarmModel::default(),
             monitoring: MonitoringModel::full(),
             seed: 0,
-            engine_threads: 0,
             description: description.into(),
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engine_threads_defaults_to_auto() {
-        let cfg = SimConfig::with_fleet(FleetConfig::small(), "test");
-        assert_eq!(cfg.engine_threads, 0, "default is auto");
     }
 }

@@ -1,41 +1,38 @@
-//! The discrete-event engine: turns a [`SimConfig`] into a validated
-//! [`Trace`].
+//! The simulation model: the global phase and the per-server phase that
+//! turn a [`SimConfig`] and a fleet into sorted pre-id ticket records.
 //!
 //! # Pipeline
 //!
-//! 1. Build the fleet (deterministic in the seed).
-//! 2. **Global phase** (one RNG stream): generate batch events and assign
-//!    affected servers and report times; schedule synchronous-repeat
-//!    groups. The resulting direct occurrences are packed into a CSR-style
-//!    [`DirectOccurrences`] (flat buffer + per-server offsets).
-//! 3. **Per-server phase** (one RNG stream per server, so the result is
-//!    independent of thread count): sample background faults from the
-//!    lifecycle hazards, expand repeats, run detection, roll correlated
-//!    companions/causal propagations and false alarms, apply warranty
-//!    categorization and decommissioning, and sample operator responses.
-//!    Each worker reuses one [`ServerScratch`] across all servers in its
-//!    chunk and pre-sorts its ticket specs before handing them back.
-//! 4. Assemble: k-way merge the pre-sorted chunks on the same
-//!    `(error_time, server, class, slot)` key, assign ticket ids in merge
-//!    order, validate into a [`Trace`].
+//! 1. **Global phase** (one RNG stream, [`run_global_phase`]): generate
+//!    batch events and assign affected servers and report times; schedule
+//!    synchronous-repeat groups. The resulting direct occurrences are
+//!    packed into a CSR-style [`DirectOccurrences`] (flat buffer +
+//!    per-server offsets).
+//! 2. **Per-server phase** (one RNG stream per server, so the result is
+//!    independent of thread count, [`per_server_records`]): sample
+//!    background faults from the lifecycle hazards, expand repeats, run
+//!    detection, roll correlated companions/causal propagations and false
+//!    alarms, apply warranty categorization and decommissioning, and sample
+//!    operator responses. Each worker reuses one [`ServerScratch`] across
+//!    all servers in its chunk and sorts its [`SpillRecord`]s by
+//!    [`SpillRecord::key`] before handing them back.
 //!
-//! The per-server phase is parallelized with `std::thread::scope`; the
-//! worker count comes from [`SimConfig::engine_threads`] (`0` = auto).
+//! The driver in `shard.rs` merges the sorted chunks and assigns ticket
+//! ids. The per-server phase runs on `std::thread::scope` workers, as many
+//! as [`crate::RunOptions::threads`] asks for (`0` = auto).
 
 use dcf_stats::rng::{Rng, StdRng};
 
 use dcf_failmodel::{sample_type, HazardTable};
-use dcf_fleet::{Fleet, FleetBuilder, UtilizationProfile};
-use dcf_fms::{Detection, FmsMetrics, OperatorModel, TicketFactory};
+use dcf_fleet::{Fleet, UtilizationProfile};
+use dcf_fms::{FmsMetrics, OperatorModel};
 use dcf_obs::MetricsRegistry;
+use dcf_trace::io::spill::SpillRecord;
 use dcf_trace::{
-    ComponentClass, FailureType, FotCategory, OperatorResponse, ServerId, Severity, SimDuration,
-    SimTime, Trace, TraceInfo,
+    ComponentClass, FailureType, FotCategory, ServerId, Severity, SimDuration, SimTime,
 };
 
 use crate::config::SimConfig;
-use crate::error::SimError;
-use crate::options::RunOptions;
 
 /// Samples a fatal-severity failure type of `class` (None if the class has
 /// no fatal types, which does not happen for hardware classes).
@@ -68,26 +65,8 @@ fn class_rate_multiplier(class: ComponentClass, count: u32, spatial: f64) -> f64
     }
 }
 
-/// A ticket before id assignment.
-#[derive(Debug, Clone)]
-pub(crate) struct TicketSpec {
-    pub(crate) server: ServerId,
-    pub(crate) class: ComponentClass,
-    pub(crate) slot: u8,
-    pub(crate) ftype: FailureType,
-    pub(crate) error_time: SimTime,
-    pub(crate) category: FotCategory,
-    pub(crate) response: Option<OperatorResponse>,
-}
-
-/// The assembly ordering key: tickets are issued in time order, with
-/// deterministic server/class/slot tie-breaks.
-fn spec_key(s: &TicketSpec) -> (SimTime, u32, usize, u8) {
-    (s.error_time, s.server.raw(), s.class.index(), s.slot)
-}
-
-/// Packs [`spec_key`] into one `u64` so the per-chunk pre-sort compares
-/// a single integer instead of a four-field tuple.
+/// Packs [`SpillRecord::key`] into one `u64` so the per-chunk sort
+/// compares a single integer instead of a four-field tuple.
 ///
 /// Bit layout, most-significant first: `time | server | class(4) |
 /// slot(8)`. The server field is sized to the run's highest server id
@@ -118,7 +97,7 @@ impl SpecKeyPacker {
 
     /// The packed key for `s`; caller guarantees `s` is within the
     /// bounds `new` was given.
-    pub(crate) fn pack(&self, s: &TicketSpec) -> u64 {
+    pub(crate) fn pack(&self, s: &SpillRecord) -> u64 {
         debug_assert_eq!(s.server.raw() >> self.server_bits, 0);
         (s.error_time.as_secs() << (self.server_bits + 12))
             | (u64::from(s.server.raw()) << 12)
@@ -236,11 +215,16 @@ impl ServerCounts {
         self.tickets_error += other.tickets_error;
         self.tickets_false_alarm += other.tickets_false_alarm;
     }
+
+    /// Tickets issued, all categories.
+    pub(crate) fn tickets(&self) -> u64 {
+        self.tickets_fixing + self.tickets_error + self.tickets_false_alarm
+    }
 }
 
 /// Resolves the engine worker count: `0` means auto (the machine's
 /// available parallelism); any value is clamped to `[1, 16]`.
-pub(crate) fn resolve_engine_threads(requested: usize) -> usize {
+pub(crate) fn resolve_threads(requested: usize) -> usize {
     let n = if requested == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
@@ -249,83 +233,6 @@ pub(crate) fn resolve_engine_threads(requested: usize) -> usize {
         requested
     };
     n.clamp(1, 16)
-}
-
-/// Runs the simulation — the single entry point, with every execution knob
-/// (metrics registry, thread override, sharding) consolidated in
-/// [`RunOptions`].
-///
-/// Instrumentation is observational only: counters tally events the engine
-/// already produces and never consume RNG draws; the thread override and
-/// the shard knobs are purely execution strategies — so the returned trace
-/// is a byte-identical pure function of `(config, config.seed)` for every
-/// [`RunOptions`] value. With [`RunOptions::shards`] ≥ 2 the run goes
-/// through the sharded bounded-memory driver (spill + k-way merge,
-/// SCALING.md) and assembles the merged trace.
-///
-/// # Examples
-///
-/// ```
-/// use dcf_sim::{simulate, RunOptions, Scenario};
-///
-/// let scenario = Scenario::small().seed(11);
-/// let trace = simulate(&scenario.config, &RunOptions::default()).unwrap();
-/// assert!(!trace.is_empty());
-/// assert_eq!(trace.info().seed, 11);
-/// ```
-///
-/// # Errors
-///
-/// Returns [`SimError::Fleet`] for invalid fleet configurations and
-/// [`SimError::Trace`] if assembly invariants fail (a bug, not a user
-/// error — surfaced rather than panicking).
-pub fn simulate(config: &SimConfig, options: &RunOptions) -> Result<Trace, SimError> {
-    if options.is_sharded() {
-        let (_, trace) = crate::shard::sharded_run(config, options, true)?;
-        return Ok(trace.expect("materialization was requested"));
-    }
-    let metrics = &options.metrics;
-    // Wall-clock for the whole run, fleet build included; benchmarks
-    // read this span for throughput so sharded and unsharded runs (whose
-    // phase sets differ) stay comparable.
-    let total_span = metrics.phase("engine.total");
-    let span = metrics.phase("engine.fleet_build");
-    let fleet = FleetBuilder::new(config.fleet.clone())
-        .seed(config.seed)
-        .metrics(metrics.clone())
-        .build()?;
-    drop(span);
-    let run = simulate_on_fleet(config, &fleet, options);
-    drop(total_span);
-    run
-}
-
-/// [`simulate`] on an already-built fleet (lets callers reuse one fleet
-/// across scenario variants). Records the `engine.global`,
-/// `engine.per_server` and `engine.assembly` phase spans, the
-/// `engine.threads` gauge, and the `sim.*` / `fms.*` counters when
-/// `options.metrics` is enabled.
-///
-/// # Errors
-///
-/// Same contract as [`simulate`].
-pub fn simulate_on_fleet(
-    config: &SimConfig,
-    fleet: &Fleet,
-    options: &RunOptions,
-) -> Result<Trace, SimError> {
-    if options.is_sharded() {
-        let (_, trace) = crate::shard::sharded_run_on_fleet(config, fleet, options, true)?;
-        return Ok(trace.expect("materialization was requested"));
-    }
-    match options.threads {
-        Some(threads) if threads != config.engine_threads => {
-            let mut config = config.clone();
-            config.engine_threads = threads;
-            engine_on_fleet(&config, fleet, &options.metrics)
-        }
-        _ => engine_on_fleet(config, fleet, &options.metrics),
-    }
 }
 
 /// Everything the global phase produces that the per-server phase needs:
@@ -388,32 +295,32 @@ pub(crate) fn run_global_phase(
 
 /// Runs the per-server phase over `servers` (the whole fleet, or one
 /// shard's contiguous range) across `n_threads` workers. Returns the
-/// per-thread spec chunks — each sorted by [`spec_key`] — and the merged
-/// event tallies.
+/// per-thread record chunks, in fleet order and each sorted by
+/// [`SpillRecord::key`], and the merged event tallies.
 ///
 /// Each server's RNG stream is seeded from `(config.seed, server id)`
-/// alone, so the specs are independent of both the thread count and how
-/// `servers` slices the fleet.
-pub(crate) fn per_server_specs(
+/// alone, so the records are independent of both the thread count and
+/// how `servers` slices the fleet.
+pub(crate) fn per_server_records(
     config: &SimConfig,
     fleet: &Fleet,
     global: &GlobalPhase,
     servers: &[dcf_trace::ServerMeta],
     n_threads: usize,
-) -> (Vec<Vec<TicketSpec>>, ServerCounts) {
+) -> (Vec<Vec<SpillRecord>>, ServerCounts) {
     let chunk = servers.len().div_ceil(n_threads).max(1);
     let direct_ref = &global.direct;
     let operator_ref = &global.operator;
     let hazards_ref = &global.hazards;
     let (start, end) = (global.start, global.end);
-    // Windowing guarantees every spec's `error_time` is below `end`
+    // Windowing guarantees every record's `error_time` is below `end`
     // (see the retain in `simulate_server`), so the packed key covers
-    // every spec this run can produce; the tuple sort stays as the
+    // every record this run can produce; the tuple sort stays as the
     // out-of-range fallback.
     let max_server = servers.iter().map(|s| s.id.raw()).max().unwrap_or(0);
     let packer = SpecKeyPacker::new(max_server, end.as_secs());
     let packer_ref = packer.as_ref();
-    let mut spec_chunks: Vec<Vec<TicketSpec>> = Vec::new();
+    let mut chunks: Vec<Vec<SpillRecord>> = Vec::new();
     let mut counts = ServerCounts::default();
 
     std::thread::scope(|scope| {
@@ -421,7 +328,7 @@ pub(crate) fn per_server_specs(
             .chunks(chunk)
             .map(|servers| {
                 scope.spawn(move || {
-                    let mut specs = Vec::new();
+                    let mut records = Vec::new();
                     let mut scratch = ServerScratch::default();
                     let mut counts = ServerCounts::default();
                     for server in servers {
@@ -435,30 +342,30 @@ pub(crate) fn per_server_specs(
                             start,
                             end,
                             &mut scratch,
-                            &mut specs,
+                            &mut records,
                             &mut counts,
                         );
                     }
-                    // Pre-sort this chunk in parallel; assembly then only
+                    // Sort this chunk in parallel; the driver then only
                     // has to merge. The packed key is injective over the
                     // tuple key, so the unstable sort cannot reorder
                     // distinct keys — and equal keys denote tickets the
                     // merge tie-break already treats as interchangeable.
                     match packer_ref {
-                        Some(p) => specs.sort_unstable_by_key(|s| p.pack(s)),
-                        None => specs.sort_by_key(spec_key),
+                        Some(p) => records.sort_unstable_by_key(|r| p.pack(r)),
+                        None => records.sort_by_key(SpillRecord::key),
                     }
-                    (specs, counts)
+                    (records, counts)
                 })
             })
             .collect();
         for h in handles {
-            let (specs, chunk_counts) = h.join().expect("simulation worker panicked");
-            spec_chunks.push(specs);
+            let (records, chunk_counts) = h.join().expect("simulation worker panicked");
+            chunks.push(records);
             counts.merge(&chunk_counts);
         }
     });
-    (spec_chunks, counts)
+    (chunks, counts)
 }
 
 /// Publishes the per-server phase's event tallies to the registry — once
@@ -488,104 +395,6 @@ pub(crate) fn publish_server_counts(
     fms.unmonitored_dropped.add(counts.dropped_unmonitored);
     fms.decommissioned.add(counts.decommissioned);
     fms.responses_sampled.add(counts.responses);
-}
-
-/// Issues the next ticket id and builds the [`dcf_trace::Fot`] for `spec`
-/// — the single spec→ticket conversion shared by in-memory assembly and
-/// the sharded spill merge.
-pub(crate) fn make_fot_from_spec(
-    factory: &mut TicketFactory,
-    fleet: &Fleet,
-    spec: &TicketSpec,
-) -> dcf_trace::Fot {
-    factory.make_fot(
-        Detection {
-            server: spec.server.raw(),
-            class: spec.class,
-            slot: spec.slot,
-            failure_type: spec.ftype,
-            time: spec.error_time,
-        },
-        fleet.server(spec.server),
-        spec.category,
-        spec.response,
-    )
-}
-
-/// Builds the run's [`TraceInfo`] header.
-pub(crate) fn trace_info(config: &SimConfig, start: SimTime) -> TraceInfo {
-    TraceInfo {
-        start,
-        days: config.fleet.window_days,
-        seed: config.seed,
-        description: config.description.clone(),
-    }
-}
-
-/// The engine proper: global phase, per-server phase, assembly.
-fn engine_on_fleet(
-    config: &SimConfig,
-    fleet: &Fleet,
-    metrics: &MetricsRegistry,
-) -> Result<Trace, SimError> {
-    let fms = FmsMetrics::from_registry(metrics);
-    let global = run_global_phase(config, fleet, metrics);
-
-    // -------- Per-server phase (parallel) --------
-    let per_server_span = metrics.phase("engine.per_server");
-    let n_threads = resolve_engine_threads(config.engine_threads);
-    metrics.set_gauge("engine.threads", n_threads as f64);
-    let (spec_chunks, counts) =
-        per_server_specs(config, fleet, &global, fleet.servers(), n_threads);
-    drop(per_server_span);
-    publish_server_counts(metrics, &fms, &counts);
-
-    // -------- Assembly --------
-    let assembly_span = metrics.phase("engine.assembly");
-    let total: usize = spec_chunks.iter().map(Vec::len).sum();
-    metrics.add("sim.tickets.total", total as u64);
-
-    // Chunks arrive sorted; a k-way merge with ties going to the lowest
-    // chunk index reproduces exactly what the former global stable sort of
-    // the concatenated chunks produced, so ticket ids are unchanged.
-    let mut factory = TicketFactory::new();
-    let mut fots = Vec::with_capacity(total);
-    merge_sorted_specs(spec_chunks, |s| {
-        fots.push(make_fot_from_spec(&mut factory, fleet, &s));
-    });
-    fms.tickets_issued.add(factory.issued());
-
-    let (servers, dcs, lines) = fleet.snapshot();
-    let trace = Trace::new(trace_info(config, global.start), servers, dcs, lines, fots)
-        .map_err(SimError::Trace);
-    drop(assembly_span);
-    trace
-}
-
-/// Merges spec chunks — each already sorted by [`spec_key`] — emitting
-/// specs in globally sorted order. Ties pick the lowest chunk index;
-/// because chunks are collected in fleet order and each is sorted stably,
-/// the emitted order equals a stable sort of the concatenation.
-pub(crate) fn merge_sorted_specs(chunks: Vec<Vec<TicketSpec>>, mut emit: impl FnMut(TicketSpec)) {
-    let mut iters: Vec<std::vec::IntoIter<TicketSpec>> =
-        chunks.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<TicketSpec>> = iters.iter_mut().map(Iterator::next).collect();
-    loop {
-        let mut best: Option<(usize, (SimTime, u32, usize, u8))> = None;
-        for (i, head) in heads.iter().enumerate() {
-            if let Some(h) = head {
-                let k = spec_key(h);
-                // Strict `<` keeps the earliest chunk on ties.
-                if best.is_none_or(|(_, bk)| k < bk) {
-                    best = Some((i, k));
-                }
-            }
-        }
-        let Some((i, _)) = best else { break };
-        let spec = heads[i].take().expect("best head exists");
-        heads[i] = iters[i].next();
-        emit(spec);
-    }
 }
 
 /// Expected number of *background* failures (lifecycle hazards only — no
@@ -818,7 +627,7 @@ fn simulate_server(
     start: SimTime,
     end: SimTime,
     scratch: &mut ServerScratch,
-    out: &mut Vec<TicketSpec>,
+    out: &mut Vec<SpillRecord>,
     counts: &mut ServerCounts,
 ) {
     let ServerScratch {
@@ -1014,7 +823,7 @@ fn simulate_server(
         if response.is_some() {
             counts.responses += 1;
         }
-        out.push(TicketSpec {
+        out.push(SpillRecord {
             server: sid,
             class: occ.class,
             slot: occ.slot,
@@ -1050,7 +859,7 @@ fn simulate_server(
                 if fa_response.is_some() {
                     counts.responses += 1;
                 }
-                out.push(TicketSpec {
+                out.push(SpillRecord {
                     server: sid,
                     class: fa_class,
                     slot: rng.random_range(0..slots),

@@ -9,10 +9,9 @@ use dcf_trace::TraceError;
 pub enum SimError {
     /// The fleet configuration failed validation.
     Fleet(FleetError),
-    /// A non-fleet configuration problem (free-form description).
-    Config(String),
-    /// Trace assembly rejected the generated tickets (an engine bug,
-    /// surfaced instead of panicking).
+    /// A spill file could not be written or read back, or trace assembly
+    /// rejected the generated tickets (an engine bug, surfaced instead of
+    /// panicking).
     Trace(TraceError),
 }
 
@@ -20,8 +19,7 @@ impl std::fmt::Display for SimError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             SimError::Fleet(e) => write!(f, "invalid fleet config: {e}"),
-            SimError::Config(msg) => write!(f, "invalid simulation config: {msg}"),
-            SimError::Trace(e) => write!(f, "trace assembly failed: {e}"),
+            SimError::Trace(e) => write!(f, "spill I/O or trace assembly failed: {e}"),
         }
     }
 }
@@ -31,7 +29,6 @@ impl std::error::Error for SimError {
         match self {
             SimError::Fleet(e) => Some(e),
             SimError::Trace(e) => Some(e),
-            SimError::Config(_) => None,
         }
     }
 }
@@ -48,9 +45,6 @@ mod tests {
 
     #[test]
     fn display_and_source() {
-        let e = SimError::Config("bad".into());
-        assert!(e.to_string().contains("bad"));
-        assert!(std::error::Error::source(&e).is_none());
         let e: SimError = FleetError::EmptyWindow.into();
         assert!(e.to_string().contains("window_days"));
         assert!(std::error::Error::source(&e).is_some());

@@ -27,11 +27,13 @@ mod scenario;
 mod shard;
 
 pub use config::SimConfig;
-pub use engine::{expected_background_failures, simulate, simulate_on_fleet};
+pub use engine::expected_background_failures;
 pub use error::SimError;
 pub use options::RunOptions;
 pub use scenario::Scenario;
-pub use shard::{simulate_sharded, simulate_sharded_on_fleet, ShardPlan, ShardedRun};
+pub use shard::{
+    simulate, simulate_on_fleet, simulate_sharded, simulate_sharded_on_fleet, ShardPlan, ShardedRun,
+};
 
 #[cfg(test)]
 mod tests {
@@ -174,6 +176,17 @@ mod tests {
         ] {
             assert!(report.phase_ms(phase).is_some(), "missing span {phase}");
         }
+        // A one-shard run merges in memory: no shard phase runs.
+        let shard_spans: Vec<_> = report
+            .phases
+            .iter()
+            .filter(|p| p.name.starts_with("engine.shard."))
+            .map(|p| p.name.clone())
+            .collect();
+        assert!(
+            shard_spans.is_empty(),
+            "one-shard run recorded {shard_spans:?}"
+        );
     }
 
     #[test]

@@ -4,19 +4,20 @@ use std::path::PathBuf;
 
 use dcf_obs::MetricsRegistry;
 
-/// Execution options for [`crate::simulate`] / [`crate::Scenario::simulate`].
+/// Execution options for [`crate::simulate`] / [`crate::Scenario::simulate`]
+/// and [`crate::simulate_sharded`].
 ///
 /// One struct gathers every run-time knob that is *not* part of the
-/// simulated world: the metrics registry, the engine worker-thread
-/// override, and the sharded-execution knobs (shard count, shard worker
-/// pool, spill dir). None of the fields affect the generated trace —
-/// a run is a pure function of `(SimConfig, seed)`.
+/// simulated world: the metrics registry, the engine worker-thread count,
+/// and the sharding knobs (shard count, shard worker pool, spill dir).
+/// None of the fields affect the generated trace — a run is a pure
+/// function of `(SimConfig, seed)`.
 ///
-/// With [`RunOptions::shards`] ≥ 2, [`crate::simulate`] routes through the
-/// sharded bounded-memory driver (SCALING.md) and assembles the merged
-/// trace; the result is byte-identical to an unsharded run. For streaming
-/// digest-only runs that never materialize a trace, use
-/// [`crate::simulate_sharded`].
+/// Every run is a [`crate::ShardPlan`]. One shard (the default) merges
+/// the per-thread chunks in memory and writes no spill file; with
+/// [`RunOptions::shards`] ≥ 2 the fleet is split into contiguous server
+/// ranges, each spilled to disk and k-way merged (SCALING.md), which
+/// bounds memory. The result is byte-identical either way.
 ///
 /// # Examples
 ///
@@ -24,7 +25,7 @@ use dcf_obs::MetricsRegistry;
 /// use dcf_obs::MetricsRegistry;
 /// use dcf_sim::{RunOptions, Scenario};
 ///
-/// // The default is uninstrumented, unsharded, with threads from the config.
+/// // The default is uninstrumented, one shard, auto thread count.
 /// let trace = Scenario::small().seed(3).simulate(&RunOptions::default()).unwrap();
 ///
 /// // Instrumented run on two engine workers: byte-identical trace.
@@ -47,32 +48,31 @@ pub struct RunOptions {
     /// never consume RNG draws, so instrumented and plain runs produce
     /// bit-identical traces.
     pub metrics: MetricsRegistry,
-    /// Engine worker-thread override: `Some(n)` takes precedence over
-    /// [`crate::SimConfig::engine_threads`] (`0` = auto-detect, clamped to
-    /// `[1, 16]`), `None` leaves the config's setting in charge. Purely an
-    /// execution knob — the trace is byte-identical at any value.
-    pub threads: Option<usize>,
-    /// Shard count for the bounded-memory driver. `0` or `1` (the
-    /// default) runs the in-memory engine; ≥ 2 partitions the fleet into
-    /// contiguous server-id ranges, spills each shard to disk, and k-way
-    /// merges ([`crate::ShardPlan`]). Clamped to the fleet size. The trace
-    /// is byte-identical at any shard count.
+    /// Worker threads for the per-server engine phase: `0` (the default)
+    /// means auto-detect, other values are clamped to `[1, 16]`. A
+    /// multi-shard run splits them across its shard workers. The trace is
+    /// byte-identical at any value.
+    pub threads: usize,
+    /// Shard count. `0` or `1` (the default) runs one shard, merged in
+    /// memory with no spill; ≥ 2 partitions the fleet into contiguous
+    /// server-id ranges, spills each shard to disk, and k-way merges
+    /// ([`crate::ShardPlan`]). Clamped to the fleet size. The trace is
+    /// byte-identical at any shard count.
     pub shards: u32,
-    /// Worker threads simulating shards concurrently (sharded runs only).
-    /// `0` resolves to the machine's available parallelism (capped at 16);
-    /// any value is clamped to the shard count. Peak memory grows by one
-    /// in-flight shard's tickets per extra worker; the digest never moves.
+    /// Worker threads simulating shards concurrently (multi-shard runs
+    /// only). `0` resolves to the machine's available parallelism (capped
+    /// at 16); any value is clamped to the shard count. Peak memory grows
+    /// by one in-flight shard's tickets per extra worker; the digest never
+    /// moves.
     pub shard_workers: u32,
-    /// Directory for the per-shard spill files. `None` uses a
-    /// run-unique directory under the system temp dir.
+    /// Directory for the per-shard spill files (multi-shard runs only).
+    /// `None` uses a run-unique directory under the system temp dir. The
+    /// run removes every spill it wrote when it ends.
     pub spill_dir: Option<PathBuf>,
-    /// Keep the spill files after the merge instead of deleting them.
-    pub keep_spills: bool,
 }
 
 impl RunOptions {
-    /// Default options: no instrumentation, unsharded, threads from the
-    /// config.
+    /// Default options: no instrumentation, one shard, auto thread count.
     pub fn new() -> Self {
         Self::default()
     }
@@ -83,13 +83,13 @@ impl RunOptions {
         self
     }
 
-    /// Overrides the engine worker-thread count (`0` = auto-detect).
+    /// Sets the engine worker-thread count (`0` = auto-detect).
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads);
+        self.threads = threads;
         self
     }
 
-    /// Sets the shard count (`0`/`1` = unsharded in-memory engine).
+    /// Sets the shard count (`0`/`1` = one shard, no spill).
     pub fn shards(mut self, shards: u32) -> Self {
         self.shards = shards;
         self
@@ -101,21 +101,10 @@ impl RunOptions {
         self
     }
 
-    /// Sets the spill directory for sharded runs.
+    /// Sets the spill directory for multi-shard runs.
     pub fn spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = Some(dir.into());
         self
-    }
-
-    /// Keeps spill files after the merge.
-    pub fn keep_spills(mut self, keep: bool) -> Self {
-        self.keep_spills = keep;
-        self
-    }
-
-    /// Whether the options request the sharded bounded-memory driver.
-    pub fn is_sharded(&self) -> bool {
-        self.shards >= 2
     }
 }
 
@@ -124,14 +113,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_uninstrumented_and_deferential() {
+    fn default_is_uninstrumented_one_shard_auto_threads() {
         let options = RunOptions::default();
         assert!(!options.metrics.is_enabled());
-        assert_eq!(options.threads, None);
+        assert_eq!(options.threads, 0);
         assert_eq!(options.shards, 0);
-        assert!(!options.is_sharded());
         assert_eq!(options.spill_dir, None);
-        assert!(!options.keep_spills);
     }
 
     #[test]
@@ -142,17 +129,14 @@ mod tests {
             .threads(4)
             .shards(8)
             .shard_workers(2)
-            .spill_dir("/tmp/spills")
-            .keep_spills(true);
+            .spill_dir("/tmp/spills");
         assert!(options.metrics.is_enabled());
-        assert_eq!(options.threads, Some(4));
+        assert_eq!(options.threads, 4);
         assert_eq!(options.shards, 8);
-        assert!(options.is_sharded());
         assert_eq!(options.shard_workers, 2);
         assert_eq!(
             options.spill_dir.as_deref(),
             Some(std::path::Path::new("/tmp/spills"))
         );
-        assert!(options.keep_spills);
     }
 }

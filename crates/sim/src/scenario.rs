@@ -6,7 +6,6 @@ use dcf_fleet::FleetConfig;
 use dcf_trace::Trace;
 
 use crate::config::SimConfig;
-use crate::engine;
 use crate::error::SimError;
 use crate::options::RunOptions;
 
@@ -107,22 +106,15 @@ impl Scenario {
         self
     }
 
-    /// Sets the engine worker-thread count (`0` = auto). Execution knob
-    /// only: the trace is byte-identical at any setting.
-    pub fn engine_threads(mut self, threads: usize) -> Self {
-        self.config.engine_threads = threads;
-        self
-    }
-
-    /// Runs the scenario under `options` (metrics sink, thread override —
-    /// see [`RunOptions`]). The trace is a pure function of the scenario
+    /// Runs the scenario under `options` (metrics sink, thread count,
+    /// sharding — see [`RunOptions`]). The trace is a pure function of the scenario
     /// config and seed: options never perturb it.
     ///
     /// # Errors
     ///
     /// Propagates configuration and assembly errors from the engine.
     pub fn simulate(&self, options: &RunOptions) -> Result<Trace, SimError> {
-        engine::simulate(&self.config, options)
+        crate::simulate(&self.config, options)
     }
 }
 
@@ -150,12 +142,5 @@ mod tests {
     fn seed_is_recorded() {
         let s = Scenario::small().seed(99);
         assert_eq!(s.config.seed, 99);
-    }
-
-    #[test]
-    fn engine_threads_is_recorded() {
-        let s = Scenario::small().engine_threads(3);
-        assert_eq!(s.config.engine_threads, 3);
-        assert_eq!(Scenario::small().config.engine_threads, 0, "auto default");
     }
 }

@@ -1,35 +1,26 @@
-//! The sharded, bounded-memory, pipelined engine driver.
+//! The engine driver: every run is a [`ShardPlan`].
 //!
-//! [`simulate_sharded`] partitions the fleet into contiguous server-id
-//! ranges (a [`ShardPlan`]) and hands them to a pool of up to
-//! [`RunOptions::shard_workers`] worker threads — each reusing the
-//! unsharded engine's per-server workers verbatim — which stream every
-//! shard's sorted ticket records into a [`dcf_trace::io::spill`] file
-//! instead of holding a global ticket vector. The coordinating thread
-//! opens and prefetches each spill *the moment its shard completes*, so
-//! its header check and first-chunk decode overlap the shards still
-//! simulating; once the last shard lands, a k-way merge replays the
-//! spills in global order, assigns ticket ids, and computes the trace
-//! digest as a stream. Peak memory is bounded by `fleet metadata +
-//! in-flight shards' tickets + one merge chunk per shard` regardless of
-//! fleet size.
+//! A run builds the fleet (unless the caller passes one), runs the global
+//! phase once over the whole fleet, runs the per-server phase over each
+//! shard of the plan (one shard unless [`RunOptions::shards`] asks for
+//! more), and k-way merges the sorted records with [`merge_cursors`] into
+//! one sink: [`Fot`]s for [`simulate`], or the Fot-free digest rows of
+//! [`simulate_sharded`]. Ticket ids are assigned in merge order.
 //!
-//! Because per-server RNG streams are seeded from `(seed, server id)`
-//! alone and the global phase runs once over the full fleet, the merged
-//! stream is **byte-identical** to an unsharded run at any shard count,
-//! worker count, and thread count — shards are simulated in whatever
-//! order workers pick them up, but the merge re-serializes them by key.
-//! `SCALING.md` documents the argument, and `tests/engine_identity.rs`
-//! gates it in CI.
+//! One shard has nothing to merge across shards: its per-thread chunks
+//! merge in memory, with no spill file, under the `engine.per_server` and
+//! `engine.assembly` spans. Two or more shards bound memory: a pool of up
+//! to [`RunOptions::shard_workers`] threads simulates shards and spills
+//! each one's merged records to a [`dcf_trace::io::spill`] file, which the
+//! coordinating thread opens and prefetches the moment its shard lands,
+//! overlapping the shards still simulating; the spills then merge into the
+//! sink, and every spill the run wrote is removed, on error paths too.
+//! SCALING.md lists the `engine.shard.*` spans and gauges of such a run.
 //!
-//! Phases recorded on the run's registry: one `engine.total` wall-clock
-//! span (from fleet build to merge end), one `engine.shard.simulate` and
-//! `engine.shard.spill` span per shard (detached, recorded from worker
-//! threads), one `engine.shard.open` span per spill, one
-//! `engine.shard.merge` span, plus the `engine.shards` and
-//! `engine.shard_workers` gauges, the `shard.bytes_spilled` counter, and
-//! the `mem.peak_rss_bytes` gauge, all in the run's
-//! [`dcf_obs::RunReport`].
+//! Per-server RNG streams are seeded from `(seed, server id)` alone and
+//! the global phase runs once, so the merged stream is **byte-identical**
+//! at any shard, worker, and thread count; `tests/engine_identity.rs`
+//! gates it.
 
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -38,18 +29,18 @@ use std::sync::mpsc;
 
 use dcf_failmodel::types::detail_str;
 use dcf_fleet::{Fleet, FleetBuilder};
-use dcf_fms::{FmsMetrics, TicketFactory};
+use dcf_fms::{Detection, FmsMetrics, TicketFactory};
 use dcf_obs::MetricsRegistry;
 use dcf_trace::io::spill::{
     merge_cursors, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
 };
 use dcf_trace::io::{DigestRow, FotsDigester};
-use dcf_trace::{columns::category_tag, Fot, Trace, TraceError};
+use dcf_trace::{columns::category_tag, Fot, Trace, TraceError, TraceInfo};
 
 use crate::config::SimConfig;
 use crate::engine::{
-    make_fot_from_spec, merge_sorted_specs, per_server_specs, publish_server_counts,
-    resolve_engine_threads, run_global_phase, trace_info, ServerCounts,
+    per_server_records, publish_server_counts, resolve_threads, run_global_phase, GlobalPhase,
+    ServerCounts,
 };
 use crate::error::SimError;
 use crate::options::RunOptions;
@@ -120,14 +111,15 @@ impl ShardPlan {
     }
 }
 
-/// What a sharded run produces: streamed aggregates, never a materialized
-/// trace (for an assembled, byte-identical trace run [`crate::simulate`]
-/// with [`RunOptions::shards`] ≥ 2).
+/// What [`simulate_sharded`] produces: streamed aggregates, never a
+/// materialized trace (for an assembled, byte-identical trace run
+/// [`simulate`] with the same options).
 #[derive(Debug)]
 #[non_exhaustive]
 pub struct ShardedRun {
     /// [`dcf_trace::io::fots_digest`] of the merged ticket stream —
-    /// byte-identical to an unsharded run of the same `(config, seed)`.
+    /// byte-identical to the trace [`simulate`] assembles for the same
+    /// `(config, seed)`.
     pub digest: u64,
     /// Total tickets issued.
     pub tickets: u64,
@@ -136,21 +128,59 @@ pub struct ShardedRun {
     pub category_counts: [u64; 3],
     /// Shards actually run (after clamping to the fleet size).
     pub shards: u32,
-    /// Bytes written across all spill files.
+    /// Bytes written across all spill files (`0` for a one-shard run,
+    /// which writes none).
     pub bytes_spilled: u64,
 }
 
-/// Runs the simulation sharded and **streams** the merged ticket sequence
-/// straight into the digest and tallies, without ever materializing a
-/// ticket vector — how multi-million-server fleets fit in bounded memory.
-/// The shard knobs ([`RunOptions::shards`], [`RunOptions::shard_workers`],
-/// spill dir) all come from `options`; `shards` ≤ 1 still runs the
-/// sharded driver with a single shard.
+/// Runs the simulation and assembles its [`Trace`], with every execution
+/// knob (metrics registry, thread count, sharding) in [`RunOptions`].
 ///
-/// For a materialized trace use [`crate::simulate`], which routes through
-/// this same driver when `options.shards` ≥ 2 and assembles the merge —
-/// the sharded driver is a pure execution strategy, never a different
-/// simulation.
+/// Instrumentation is observational only: counters tally events the engine
+/// already produces and never consume RNG draws; the thread count and the
+/// shard knobs are purely execution strategies — so the returned trace is
+/// a byte-identical pure function of `(config, config.seed)` for every
+/// [`RunOptions`] value.
+///
+/// # Examples
+///
+/// ```
+/// use dcf_sim::{simulate, RunOptions, Scenario};
+///
+/// let scenario = Scenario::small().seed(11);
+/// let trace = simulate(&scenario.config, &RunOptions::default()).unwrap();
+/// assert!(!trace.is_empty());
+/// assert_eq!(trace.info().seed, 11);
+/// ```
+///
+/// # Errors
+///
+/// [`SimError::Fleet`] for invalid fleet configurations, [`SimError::Trace`]
+/// for spill I/O failures and for assembly invariants that fail (a bug,
+/// not a user error — surfaced rather than panicking).
+pub fn simulate(config: &SimConfig, options: &RunOptions) -> Result<Trace, SimError> {
+    run::<FotSink>(config, None, options)
+}
+
+/// [`simulate`] on an already-built fleet (lets callers reuse one fleet
+/// across scenario variants). Records no `engine.total` or
+/// `engine.fleet_build` span, since the caller built the fleet.
+///
+/// # Errors
+///
+/// Same contract as [`simulate`].
+pub fn simulate_on_fleet(
+    config: &SimConfig,
+    fleet: &Fleet,
+    options: &RunOptions,
+) -> Result<Trace, SimError> {
+    run::<FotSink>(config, Some(fleet), options)
+}
+
+/// Runs the simulation and **streams** the merged ticket sequence straight
+/// into the digest and tallies, without ever materializing a [`Fot`] —
+/// with [`RunOptions::shards`] ≥ 2, how multi-million-server fleets fit in
+/// bounded memory.
 ///
 /// # Examples
 ///
@@ -159,18 +189,18 @@ pub struct ShardedRun {
 /// use dcf_trace::io::fots_digest;
 ///
 /// let scenario = Scenario::small().seed(9);
-/// let unsharded = simulate(&scenario.config, &RunOptions::default()).unwrap();
+/// let trace = simulate(&scenario.config, &RunOptions::default()).unwrap();
 /// let sharded = simulate_sharded(&scenario.config, &RunOptions::new().shards(4)).unwrap();
-/// assert_eq!(sharded.digest, fots_digest(unsharded.fots()));
-/// assert_eq!(sharded.tickets, unsharded.len() as u64);
+/// assert_eq!(sharded.digest, fots_digest(trace.fots()));
+/// assert_eq!(sharded.tickets, trace.len() as u64);
 /// ```
 ///
 /// # Errors
 ///
 /// [`SimError::Fleet`] for invalid fleet configurations, [`SimError::Trace`]
-/// for spill IO failures.
+/// for spill I/O failures.
 pub fn simulate_sharded(config: &SimConfig, options: &RunOptions) -> Result<ShardedRun, SimError> {
-    sharded_run(config, options, false).map(|(run, _)| run)
+    run::<DigestSink>(config, None, options)
 }
 
 /// [`simulate_sharded`] on an already-built fleet.
@@ -183,153 +213,205 @@ pub fn simulate_sharded_on_fleet(
     fleet: &Fleet,
     options: &RunOptions,
 ) -> Result<ShardedRun, SimError> {
-    sharded_run_on_fleet(config, fleet, options, false).map(|(run, _)| run)
+    run::<DigestSink>(config, Some(fleet), options)
 }
 
-/// The sharded driver proper: builds the fleet, then
-/// [`sharded_run_on_fleet`]. `materialize` asks for an assembled [`Trace`]
-/// alongside the streamed aggregates.
-pub(crate) fn sharded_run(
-    config: &SimConfig,
-    options: &RunOptions,
-    materialize: bool,
-) -> Result<(ShardedRun, Option<Trace>), SimError> {
-    let metrics = &options.metrics;
-    // Wall-clock for the whole run: with concurrent shard workers the
-    // per-phase spans overlap and their sum exceeds elapsed time, so
-    // benchmarks read this span for throughput.
-    let total_span = metrics.phase("engine.total");
-    let span = metrics.phase("engine.fleet_build");
-    let fleet = FleetBuilder::new(config.fleet.clone())
-        .seed(config.seed)
-        .metrics(metrics.clone())
-        .build()?;
-    drop(span);
-    let run = sharded_run_on_fleet(config, &fleet, options, materialize);
-    drop(total_span);
-    run
+/// What the merge produced, for a sink's [`Sink::finish`].
+struct Merged {
+    tickets: u64,
+    shards: u32,
+    bytes_spilled: u64,
 }
 
-/// [`sharded_run`] on an already-built fleet.
-pub(crate) fn sharded_run_on_fleet(
-    config: &SimConfig,
-    fleet: &Fleet,
-    options: &RunOptions,
-    materialize: bool,
-) -> Result<(ShardedRun, Option<Trace>), SimError> {
-    match options.threads {
-        Some(threads) if threads != config.engine_threads => {
-            let mut config = config.clone();
-            config.engine_threads = threads;
-            sharded_engine(&config, fleet, options, materialize)
+/// The consumer of a run's globally ordered ticket records.
+trait Sink {
+    type Output;
+    /// An empty sink for `tickets` records over `fleet`.
+    fn new(fleet: &Fleet, tickets: u64) -> Self;
+    /// Takes the next record; ids follow push order.
+    fn push(&mut self, fleet: &Fleet, rec: SpillRecord);
+    /// The run's result.
+    fn finish(
+        self,
+        fleet: &Fleet,
+        info: TraceInfo,
+        merged: Merged,
+    ) -> Result<Self::Output, SimError>;
+}
+
+/// Materializes every ticket into a [`Trace`].
+struct FotSink {
+    factory: TicketFactory,
+    fots: Vec<Fot>,
+}
+
+impl Sink for FotSink {
+    type Output = Trace;
+
+    fn new(_: &Fleet, tickets: u64) -> Self {
+        Self {
+            factory: TicketFactory::new(),
+            fots: Vec::with_capacity(tickets as usize),
         }
-        _ => sharded_engine(config, fleet, options, materialize),
+    }
+
+    fn push(&mut self, fleet: &Fleet, rec: SpillRecord) {
+        let detection = Detection {
+            server: rec.server.raw(),
+            class: rec.class,
+            slot: rec.slot,
+            failure_type: rec.ftype,
+            time: rec.error_time,
+        };
+        let server = fleet.server(rec.server);
+        self.fots.push(
+            self.factory
+                .make_fot(detection, server, rec.category, rec.response),
+        );
+    }
+
+    fn finish(self, fleet: &Fleet, info: TraceInfo, _: Merged) -> Result<Trace, SimError> {
+        let (servers, dcs, lines) = fleet.snapshot();
+        Trace::new(info, servers, dcs, lines, self.fots).map_err(SimError::Trace)
     }
 }
 
-/// How many shard workers a request resolves to: `0` asks for the
-/// machine's available parallelism (capped at 16, like engine threads);
-/// everything is clamped to the shard count so idle workers never spawn.
-fn resolve_shard_workers(requested: u32, shards: u32) -> u32 {
-    let cap = shards.max(1);
-    if requested == 0 {
-        let auto = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
-        auto.clamp(1, cap.min(16))
-    } else {
-        requested.clamp(1, cap)
+/// Streams the digest and category tallies without assembling a [`Fot`]:
+/// ids are consecutive and every fleet-derived field comes straight from
+/// server metadata, so each digest row is built with no detail `String`
+/// per ticket. `tests/engine_identity.rs` pins it to the digest of the
+/// trace [`FotSink`] assembles.
+struct DigestSink {
+    /// Merge order is time order, so server lookups are random across the
+    /// fleet; a 6-byte-per-server side table keeps each lookup to one warm
+    /// cache line instead of a ~100-byte `ServerMeta`.
+    packed: Vec<(u16, u16, u8)>,
+    digester: FotsDigester,
+    next_id: u64,
+    category_counts: [u64; 3],
+}
+
+impl Sink for DigestSink {
+    type Output = ShardedRun;
+
+    fn new(fleet: &Fleet, _: u64) -> Self {
+        Self {
+            packed: fleet
+                .servers()
+                .iter()
+                .map(|s| (s.data_center.raw(), s.product_line.raw(), s.position.raw()))
+                .collect(),
+            digester: FotsDigester::new(),
+            next_id: 0,
+            category_counts: [0; 3],
+        }
     }
-}
 
-/// What one worker hands back per finished shard.
-struct ShardDone {
-    path: PathBuf,
-    counts: ServerCounts,
-    bytes: u64,
-}
-
-/// A spill directory under the system temp dir that no other run shares:
-/// the pid separates processes, and a process-wide sequence separates
-/// concurrent runs inside one process, which would otherwise overwrite
-/// and delete each other's shard files.
-fn default_spill_dir() -> PathBuf {
-    static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
-    let run = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("dcf-spill-{}-{run}", std::process::id()))
-}
-
-/// Simulates one shard and spills it: the unit of work a pool worker
-/// loops over. Spans are detached so any number of workers can record
-/// them concurrently.
-#[allow(clippy::too_many_arguments)]
-fn run_one_shard(
-    config: &SimConfig,
-    fleet: &Fleet,
-    global: &crate::engine::GlobalPhase,
-    plan: &ShardPlan,
-    shard: u32,
-    spill_dir: &Path,
-    threads: usize,
-    metrics: &MetricsRegistry,
-) -> Result<ShardDone, SimError> {
-    let range = plan.range(shard);
-    let sim_span = metrics.worker_phase("engine.shard.simulate");
-    let servers = &fleet.servers()[range.start as usize..range.end as usize];
-    let (spec_chunks, counts) = per_server_specs(config, fleet, global, servers, threads);
-    drop(sim_span);
-
-    let spill_span = metrics.worker_phase("engine.shard.spill");
-    let path = spill_dir.join(format!("shard-{shard:04}.dcfspill"));
-    let mut writer = ShardSpillWriter::new(&path, shard, plan.shards(), range.start, range.end);
-    // Same merge discipline as unsharded assembly: the spill file holds
-    // this shard's records in final global order.
-    merge_sorted_specs(spec_chunks, |s| {
-        writer.push(&SpillRecord {
-            server: s.server,
-            class: s.class,
-            slot: s.slot,
-            ftype: s.ftype,
-            error_time: s.error_time,
-            category: s.category,
-            response: s.response,
+    fn push(&mut self, _: &Fleet, r: SpillRecord) {
+        let (dc, line, pos) = self.packed[r.server.raw() as usize];
+        self.digester.push_row(&DigestRow {
+            id: self.next_id,
+            server: r.server.raw(),
+            data_center: dc,
+            product_line: line,
+            device: r.class,
+            device_slot: r.slot,
+            failure_type: r.ftype,
+            error_secs: r.error_time.as_secs(),
+            rack_position: pos,
+            category: r.category,
+            response: r
+                .response
+                .map(|resp| (resp.op_time.as_secs(), resp.operator.raw(), resp.action)),
+            detail: detail_str(r.ftype),
         });
-    });
-    let bytes = writer.finish().map_err(SimError::Trace)?;
-    drop(spill_span);
-    Ok(ShardDone {
-        path,
-        counts,
-        bytes,
-    })
+        self.next_id += 1;
+        self.category_counts[category_tag(r.category) as usize] += 1;
+    }
+
+    fn finish(self, _: &Fleet, _: TraceInfo, merged: Merged) -> Result<ShardedRun, SimError> {
+        Ok(ShardedRun {
+            digest: self.digester.digest(),
+            tickets: merged.tickets,
+            category_counts: self.category_counts,
+            shards: merged.shards,
+            bytes_spilled: merged.bytes_spilled,
+        })
+    }
 }
 
-fn sharded_engine(
+/// The engine driver behind all four entry points: builds the fleet when
+/// `fleet` is `None`, runs the global phase once, then the per-server
+/// phase over each shard of the plan, merging every record into `S`.
+fn run<S: Sink>(
     config: &SimConfig,
-    fleet: &Fleet,
+    fleet: Option<&Fleet>,
     options: &RunOptions,
-    materialize: bool,
-) -> Result<(ShardedRun, Option<Trace>), SimError> {
+) -> Result<S::Output, SimError> {
     let metrics = &options.metrics;
+    // Wall clock for the whole run, fleet build included: with concurrent
+    // shard workers the per-phase spans overlap and their sum exceeds
+    // elapsed time, so benchmarks read this span for throughput.
+    let _total_span = fleet.is_none().then(|| metrics.phase("engine.total"));
+    let built;
+    let fleet = match fleet {
+        Some(fleet) => fleet,
+        None => {
+            let _span = metrics.phase("engine.fleet_build");
+            built = FleetBuilder::new(config.fleet.clone())
+                .seed(config.seed)
+                .metrics(metrics.clone())
+                .build()?;
+            &built
+        }
+    };
     let fms = FmsMetrics::from_registry(metrics);
-    let n_threads = resolve_engine_threads(config.engine_threads);
+    let n_threads = resolve_threads(options.threads);
+    metrics.set_gauge("engine.threads", n_threads as f64);
     let plan = ShardPlan::new(fleet.servers().len() as u32, options.shards);
+
+    // The global phase runs ONCE over the full fleet: batch/sync
+    // scheduling consumes one RNG stream whose draws must not depend on
+    // the shard count.
+    let global = run_global_phase(config, fleet, metrics);
+    let info = TraceInfo {
+        start: global.start,
+        days: config.fleet.window_days,
+        seed: config.seed,
+        description: config.description.clone(),
+    };
+
+    if plan.shards() == 1 {
+        let span = metrics.phase("engine.per_server");
+        let (chunks, counts) =
+            per_server_records(config, fleet, &global, fleet.servers(), n_threads);
+        drop(span);
+        publish_server_counts(metrics, &fms, &counts);
+        let _span = metrics.phase("engine.assembly");
+        let mut sink = S::new(fleet, counts.tickets());
+        let tickets = merge_into(sorted_cursors(chunks), fleet, &mut sink, metrics, &fms)?;
+        let merged = Merged {
+            tickets,
+            shards: 1,
+            bytes_spilled: 0,
+        };
+        return sink.finish(fleet, info, merged);
+    }
+
     let workers = resolve_shard_workers(options.shard_workers, plan.shards());
     // Split the engine's thread budget across concurrent workers so the
     // total stays near n_threads whatever the worker count.
     let threads_per_worker = (n_threads / workers as usize).max(1);
-    metrics.set_gauge("engine.threads", n_threads as f64);
     metrics.set_gauge("engine.shards", plan.shards() as f64);
     metrics.set_gauge("engine.shard_workers", workers as f64);
 
-    // Global phase runs ONCE over the full fleet, exactly as unsharded:
-    // batch/sync scheduling consumes one RNG stream whose draws must not
-    // depend on the shard count.
-    let global = run_global_phase(config, fleet, metrics);
-
-    let spill_dir = match &options.spill_dir {
-        Some(dir) => dir.clone(),
-        None => default_spill_dir(),
+    let dir = options.spill_dir.clone().unwrap_or_else(default_spill_dir);
+    std::fs::create_dir_all(&dir).map_err(|e| SimError::Trace(TraceError::from(e)))?;
+    let mut files = SpillFiles {
+        owns_dir: options.spill_dir.is_none(),
+        dir,
+        paths: Vec::with_capacity(plan.shards() as usize),
     };
-    std::fs::create_dir_all(&spill_dir).map_err(|e| SimError::Trace(TraceError::from(e)))?;
 
     // -------- Pipelined per-shard simulate + spill --------
     //
@@ -342,12 +424,12 @@ fn sharded_engine(
     let next_shard = AtomicU32::new(0);
     let abort = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<Result<ShardDone, SimError>>();
-    let pooled: Result<(Vec<SpillCursor>, ServerCounts, u64, Vec<PathBuf>), SimError> =
+    let pooled: Result<(Vec<SpillCursor>, ServerCounts, u64), SimError> =
         std::thread::scope(|scope| {
             let (next_shard, abort) = (&next_shard, &abort);
             for _ in 0..workers {
                 let tx = tx.clone();
-                let (global, plan, spill_dir) = (&global, &plan, &spill_dir);
+                let (global, plan, spill_dir) = (&global, &plan, &files.dir);
                 scope.spawn(move || loop {
                     if abort.load(Ordering::Relaxed) {
                         break;
@@ -377,10 +459,12 @@ fn sharded_engine(
             let mut cursors = Vec::with_capacity(plan.shards() as usize);
             let mut counts = ServerCounts::default();
             let mut bytes_spilled = 0u64;
-            let mut paths = Vec::with_capacity(plan.shards() as usize);
             let mut first_err: Option<SimError> = None;
             for msg in rx {
                 match msg {
+                    // Record every spill written, even after a failure,
+                    // so that `files` removes it.
+                    Ok(done) if first_err.is_some() => files.paths.push(done.path),
                     Ok(done) => {
                         counts.merge(&done.counts);
                         bytes_spilled += done.bytes;
@@ -389,12 +473,12 @@ fn sharded_engine(
                             .map(SpillCursor::new)
                             .and_then(|mut c| c.prefetch().map(|()| c));
                         drop(open_span);
-                        paths.push(done.path);
+                        files.paths.push(done.path);
                         match opened {
                             Ok(c) => cursors.push(c),
                             Err(e) => {
                                 abort.store(true, Ordering::Relaxed);
-                                first_err.get_or_insert(SimError::Trace(e));
+                                first_err = Some(SimError::Trace(e));
                             }
                         }
                     }
@@ -406,115 +490,136 @@ fn sharded_engine(
             }
             match first_err {
                 Some(e) => Err(e),
-                None => Ok((cursors, counts, bytes_spilled, paths)),
+                None => Ok((cursors, counts, bytes_spilled)),
             }
         });
-    let (cursors, counts, bytes_spilled, paths) = pooled?;
+    let (cursors, counts, bytes_spilled) = pooled?;
     publish_server_counts(metrics, &fms, &counts);
     metrics.add("shard.bytes_spilled", bytes_spilled);
 
     // -------- Streaming merge --------
     let merge_span = metrics.phase("engine.shard.merge");
-    let mut factory = TicketFactory::new();
-    let mut digester = FotsDigester::new();
-    let mut category_counts = [0u64; 3];
-    let mut fots: Option<Vec<Fot>> = materialize.then(Vec::new);
-    let total = if let Some(v) = {
-        // Split borrows: the closure captures `v` while `factory` and
-        // `digester` stay separately borrowed.
-        fots.as_mut()
-    } {
-        merge_cursors(cursors, |r| {
-            let spec = crate::engine::TicketSpec {
-                server: r.server,
-                class: r.class,
-                slot: r.slot,
-                ftype: r.ftype,
-                error_time: r.error_time,
-                category: r.category,
-                response: r.response,
-            };
-            let fot = make_fot_from_spec(&mut factory, fleet, &spec);
-            digester.push(&fot);
-            category_counts[category_tag(fot.category) as usize] += 1;
-            v.push(fot);
-        })
-        .map_err(SimError::Trace)?
-    } else {
-        // Digest-only fast path: ids are consecutive and every
-        // fleet-derived field comes straight from server metadata, so the
-        // digest row is built without assembling a `Fot` (no detail
-        // `String` per ticket). `digest_only_path_matches_fot_path`
-        // pins the equivalence.
-        //
-        // Merge order is time order, so server lookups are random across
-        // the fleet; a 6-byte-per-server side table keeps each lookup to
-        // one warm cache line instead of a ~100-byte `ServerMeta`.
-        let packed: Vec<(u16, u16, u8)> = fleet
-            .servers()
-            .iter()
-            .map(|s| (s.data_center.raw(), s.product_line.raw(), s.position.raw()))
-            .collect();
-        let mut next_id = 0u64;
-        merge_cursors(cursors, |r| {
-            let (dc, line, pos) = packed[r.server.raw() as usize];
-            digester.push_row(&DigestRow {
-                id: next_id,
-                server: r.server.raw(),
-                data_center: dc,
-                product_line: line,
-                device: r.class,
-                device_slot: r.slot,
-                failure_type: r.ftype,
-                error_secs: r.error_time.as_secs(),
-                rack_position: pos,
-                category: r.category,
-                response: r
-                    .response
-                    .map(|resp| (resp.op_time.as_secs(), resp.operator.raw(), resp.action)),
-                detail: detail_str(r.ftype),
-            });
-            next_id += 1;
-            category_counts[category_tag(r.category) as usize] += 1;
-        })
-        .map_err(SimError::Trace)?
-    };
-    metrics.add("sim.tickets.total", total);
-    fms.tickets_issued.add(total);
+    let mut sink = S::new(fleet, counts.tickets());
+    let tickets = merge_into(cursors, fleet, &mut sink, metrics, &fms)?;
     drop(merge_span);
-
-    if !options.keep_spills {
-        for p in &paths {
-            std::fs::remove_file(p).ok();
-        }
-        if options.spill_dir.is_none() {
-            std::fs::remove_dir(&spill_dir).ok();
-        }
-    }
+    drop(files);
     if let Some(peak) = dcf_obs::peak_rss_bytes() {
         metrics.set_gauge("mem.peak_rss_bytes", peak as f64);
     }
-
-    let trace = match fots {
-        Some(fots) => {
-            let (servers, dcs, lines) = fleet.snapshot();
-            Some(
-                Trace::new(trace_info(config, global.start), servers, dcs, lines, fots)
-                    .map_err(SimError::Trace)?,
-            )
-        }
-        None => None,
+    let merged = Merged {
+        tickets,
+        shards: plan.shards(),
+        bytes_spilled,
     };
-    Ok((
-        ShardedRun {
-            digest: digester.digest(),
-            tickets: total,
-            category_counts,
-            shards: plan.shards(),
-            bytes_spilled,
-        },
-        trace,
-    ))
+    sink.finish(fleet, info, merged)
+}
+
+/// Wraps per-thread chunks, each sorted, as merge cursors in chunk order,
+/// so ties go to the lowest chunk: the order a stable sort of the
+/// concatenation would give.
+fn sorted_cursors(chunks: Vec<Vec<SpillRecord>>) -> Vec<SpillCursor> {
+    (0..)
+        .zip(chunks)
+        .map(|(i, chunk)| SpillCursor::from_sorted(i, chunk))
+        .collect()
+}
+
+/// Merges `cursors` into `sink` and records the ticket totals.
+fn merge_into<S: Sink>(
+    cursors: Vec<SpillCursor>,
+    fleet: &Fleet,
+    sink: &mut S,
+    metrics: &MetricsRegistry,
+    fms: &FmsMetrics,
+) -> Result<u64, SimError> {
+    let tickets = merge_cursors(cursors, |r| sink.push(fleet, r)).map_err(SimError::Trace)?;
+    metrics.add("sim.tickets.total", tickets);
+    fms.tickets_issued.add(tickets);
+    Ok(tickets)
+}
+
+/// How many shard workers a request resolves to: `0` asks for the
+/// machine's available parallelism (capped at 16, like engine threads);
+/// everything is clamped to the shard count so idle workers never spawn.
+fn resolve_shard_workers(requested: u32, shards: u32) -> u32 {
+    let cap = shards.max(1);
+    if requested == 0 {
+        let auto = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
+        auto.clamp(1, cap.min(16))
+    } else {
+        requested.clamp(1, cap)
+    }
+}
+
+/// What one worker hands back per finished shard.
+struct ShardDone {
+    path: PathBuf,
+    counts: ServerCounts,
+    bytes: u64,
+}
+
+/// The spill files one run has written, removed when the run ends: after
+/// the merge, and on every early error return too.
+struct SpillFiles {
+    dir: PathBuf,
+    /// Whether `dir` is the run's own default directory, removed with it.
+    owns_dir: bool,
+    paths: Vec<PathBuf>,
+}
+
+impl Drop for SpillFiles {
+    fn drop(&mut self) {
+        for path in &self.paths {
+            std::fs::remove_file(path).ok();
+        }
+        if self.owns_dir {
+            std::fs::remove_dir(&self.dir).ok();
+        }
+    }
+}
+
+/// A spill directory under the system temp dir that no other run shares:
+/// the pid separates processes, and a process-wide sequence separates
+/// concurrent runs inside one process, which would otherwise overwrite
+/// and delete each other's shard files.
+fn default_spill_dir() -> PathBuf {
+    static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
+    let run = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
+    std::env::temp_dir().join(format!("dcf-spill-{}-{run}", std::process::id()))
+}
+
+/// Simulates one shard and spills it: the unit of work a pool worker
+/// loops over. Spans are detached so any number of workers can record
+/// them concurrently.
+#[allow(clippy::too_many_arguments)]
+fn run_one_shard(
+    config: &SimConfig,
+    fleet: &Fleet,
+    global: &GlobalPhase,
+    plan: &ShardPlan,
+    shard: u32,
+    spill_dir: &Path,
+    threads: usize,
+    metrics: &MetricsRegistry,
+) -> Result<ShardDone, SimError> {
+    let range = plan.range(shard);
+    let sim_span = metrics.worker_phase("engine.shard.simulate");
+    let servers = &fleet.servers()[range.start as usize..range.end as usize];
+    let (chunks, counts) = per_server_records(config, fleet, global, servers, threads);
+    drop(sim_span);
+
+    let spill_span = metrics.worker_phase("engine.shard.spill");
+    let path = spill_dir.join(format!("shard-{shard:04}.dcfspill"));
+    let mut writer = ShardSpillWriter::new(&path, shard, plan.shards(), range.start, range.end);
+    // The spill file holds this shard's records in final global order.
+    merge_cursors(sorted_cursors(chunks), |r| writer.push(&r)).map_err(SimError::Trace)?;
+    let bytes = writer.finish().map_err(SimError::Trace)?;
+    drop(spill_span);
+    Ok(ShardDone {
+        path,
+        counts,
+        bytes,
+    })
 }
 
 #[cfg(test)]
@@ -547,7 +652,7 @@ mod tests {
     #[test]
     fn sharded_digest_matches_unsharded_trace() {
         let scenario = Scenario::small().seed(21);
-        let unsharded = crate::simulate(&scenario.config, &RunOptions::default()).unwrap();
+        let unsharded = simulate(&scenario.config, &RunOptions::default()).unwrap();
         let expect = fots_digest(unsharded.fots());
         for shards in [1u32, 3] {
             let run =
@@ -558,15 +663,16 @@ mod tests {
                 run.category_counts,
                 unsharded.category_counts().map(|c| c as u64)
             );
-            assert!(run.bytes_spilled > 0);
+            // A one-shard run merges in memory and spills nothing.
+            assert_eq!(run.bytes_spilled > 0, shards > 1, "{shards} shards");
         }
     }
 
     #[test]
     fn sharded_simulate_is_byte_identical() {
         let scenario = Scenario::small().seed(5);
-        let unsharded = crate::simulate(&scenario.config, &RunOptions::default()).unwrap();
-        let trace = crate::simulate(&scenario.config, &RunOptions::new().shards(4)).unwrap();
+        let unsharded = simulate(&scenario.config, &RunOptions::default()).unwrap();
+        let trace = simulate(&scenario.config, &RunOptions::new().shards(4)).unwrap();
         assert_eq!(trace.fots(), unsharded.fots());
         assert_eq!(trace.info(), unsharded.info());
     }
@@ -613,27 +719,21 @@ mod tests {
     }
 
     #[test]
-    fn keep_spills_leaves_verifiable_files() {
-        let dir = std::env::temp_dir().join(format!("dcf-shard-keep-{}", std::process::id()));
-        let scenario = Scenario::small().seed(13);
-        let run = simulate_sharded(
-            &scenario.config,
-            &RunOptions::new()
-                .shards(2)
-                .spill_dir(&dir)
-                .keep_spills(true),
-        )
-        .unwrap();
-        let mut rows = 0;
-        for shard in 0..2 {
-            let reader = dcf_trace::io::spill::ShardSpillReader::open(
-                dir.join(format!("shard-{shard:04}.dcfspill")),
-            )
-            .unwrap();
-            assert_eq!(reader.shard_count(), 2);
-            rows += reader.rows();
-        }
+    fn failed_runs_remove_the_spills_they_wrote() {
+        let dir = std::env::temp_dir().join(format!("dcf-shard-fail-{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(rows, run.tickets);
+        // A directory where shard 1's spill belongs makes that shard fail
+        // after shard 0 has spilled (one worker runs them in order).
+        let blocker = dir.join("shard-0001.dcfspill");
+        std::fs::create_dir_all(&blocker).unwrap();
+        let options = RunOptions::new().shards(2).shard_workers(1).spill_dir(&dir);
+        let err = simulate_sharded(&Scenario::small().config, &options).unwrap_err();
+        assert!(matches!(err, SimError::Trace(TraceError::Io(_))), "{err}");
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(left, vec![blocker.file_name().unwrap().to_owned()]);
     }
 }

@@ -4,8 +4,8 @@
 //! every shard's tickets in memory at once. Each shard instead *spills*
 //! its (already sorted) pre-id ticket records into a compact container,
 //! and a streaming k-way merge replays all shards in global order so
-//! ticket ids — and therefore the trace bytes — come out identical to an
-//! unsharded run.
+//! ticket ids — and therefore the trace bytes — come out identical to a
+//! one-shard run.
 //!
 //! A spill file is a 36-byte header (magic 8 · version u32 · shard_index
 //! u32 · shard_count u32 · server_lo u32 · server_hi u32 · rows u64, all
@@ -35,8 +35,10 @@
 //! [`merge_spills`] (or [`merge_cursors`] over eagerly opened
 //! [`SpillCursor`]s) holds one chunk per shard and emits records in
 //! `(error_time, server, class, slot)` order with ties going to the
-//! lowest shard index — the same discipline the in-memory engine uses
-//! for its per-thread chunks.
+//! lowest shard index. A [`SpillCursor`] can also wrap an already sorted
+//! in-memory chunk ([`SpillCursor::from_sorted`]), which is how the
+//! engine merges its per-thread chunks: [`merge_cursors`] is the one
+//! k-way merge, and the one owner of its tie-break rule.
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -273,7 +275,8 @@ impl ShardSpillWriter {
     }
 
     /// Writes the spill file and returns the bytes written (header +
-    /// record section + footer).
+    /// record section + footer). A write that fails after the file was
+    /// created removes the partial file, so an error leaves nothing behind.
     ///
     /// # Errors
     ///
@@ -292,10 +295,16 @@ impl ShardSpillWriter {
         hash.absorb(&header);
         hash.absorb(&self.frames);
         let mut w = BufWriter::new(File::create(&self.path)?);
-        w.write_all(&header)?;
-        w.write_all(&self.frames)?;
-        w.write_all(&hash.finish().to_le_bytes())?;
-        w.flush()?;
+        let written = w
+            .write_all(&header)
+            .and_then(|()| w.write_all(&self.frames))
+            .and_then(|()| w.write_all(&hash.finish().to_le_bytes()))
+            .and_then(|()| w.flush());
+        if let Err(e) = written {
+            drop(w);
+            std::fs::remove_file(&self.path).ok();
+            return Err(e.into());
+        }
         Ok(HEADER_LEN + self.frames.len() as u64 + 8)
     }
 }
@@ -556,15 +565,17 @@ fn read_exact_typed(file: &mut BufReader<File>, buf: &mut [u8]) -> Result<(), Tr
 /// memory is one such chunk per shard, independent of total rows.
 pub const MERGE_CHUNK_ROWS: usize = 8 * 1024;
 
-/// A reader plus its buffered head chunk, ready to take part in
-/// [`merge_cursors`].
+/// A sorted record source taking part in [`merge_cursors`]: a spill
+/// reader plus its buffered head chunk, or an in-memory chunk that is
+/// already sorted.
 ///
 /// The pipelined sharded engine opens a cursor the moment a shard's
 /// spill lands and calls [`prefetch`](SpillCursor::prefetch) so the
 /// first chunk's decode overlaps the shards still simulating.
 #[derive(Debug)]
 pub struct SpillCursor {
-    reader: ShardSpillReader,
+    shard_index: u32,
+    reader: Option<ShardSpillReader>,
     buf: Vec<SpillRecord>,
     pos: usize,
 }
@@ -573,15 +584,33 @@ impl SpillCursor {
     /// Wraps an opened reader with an empty head buffer.
     pub fn new(reader: ShardSpillReader) -> Self {
         Self {
-            reader,
+            shard_index: reader.shard_index(),
+            reader: Some(reader),
             buf: Vec::new(),
             pos: 0,
         }
     }
 
-    /// Which shard this cursor drains.
+    /// Wraps `records`, already sorted by [`SpillRecord::key`], as the
+    /// source with merge index `index` (ties go to the lowest index, as
+    /// with shard indices).
+    pub fn from_sorted(index: u32, records: Vec<SpillRecord>) -> Self {
+        debug_assert!(
+            records.windows(2).all(|w| w[0].key() <= w[1].key()),
+            "in-memory merge chunks must be sorted by key"
+        );
+        Self {
+            shard_index: index,
+            reader: None,
+            buf: records,
+            pos: 0,
+        }
+    }
+
+    /// The merge index: the shard index for a spill, or the index given
+    /// to [`SpillCursor::from_sorted`].
     pub fn shard_index(&self) -> u32 {
-        self.reader.shard_index()
+        self.shard_index
     }
 
     /// Loads the first chunk if nothing is buffered yet, so the merge's
@@ -591,17 +620,15 @@ impl SpillCursor {
     ///
     /// Propagates reader errors.
     pub fn prefetch(&mut self) -> Result<(), TraceError> {
-        if self.buf.is_empty() {
-            self.buf = self.reader.read_chunk(MERGE_CHUNK_ROWS)?;
-            self.pos = 0;
-        }
-        Ok(())
+        self.head().map(|_| ())
     }
 
     fn head(&mut self) -> Result<Option<&SpillRecord>, TraceError> {
         if self.pos == self.buf.len() {
-            self.buf = self.reader.read_chunk(MERGE_CHUNK_ROWS)?;
-            self.pos = 0;
+            if let Some(reader) = &mut self.reader {
+                self.buf = reader.read_chunk(MERGE_CHUNK_ROWS)?;
+                self.pos = 0;
+            }
         }
         Ok(self.buf.get(self.pos))
     }
@@ -611,10 +638,9 @@ impl SpillCursor {
 ///
 /// Readers are processed in ascending `shard_index`; records come out
 /// sorted by [`SpillRecord::key`] with ties going to the lowest shard
-/// index — the exact discipline the in-memory engine uses across its
-/// per-thread chunks, so feeding the stream through a ticket-id factory
-/// reproduces an unsharded run byte for byte. Peak memory is one
-/// [`MERGE_CHUNK_ROWS`] chunk per shard, independent of total rows.
+/// index, so feeding the stream through a ticket-id factory reproduces a
+/// one-shard run byte for byte. Peak memory is one [`MERGE_CHUNK_ROWS`]
+/// chunk per shard, independent of total rows.
 ///
 /// Returns the number of records emitted.
 ///
@@ -673,7 +699,8 @@ pub fn merge_spills(
 }
 
 /// [`merge_spills`] over cursors that may already hold prefetched chunks
-/// — the entry point for the pipelined engine, which opens and prefetches
+/// or wrap sorted in-memory chunks — the entry point for the engine,
+/// which merges its per-thread chunks this way and opens and prefetches
 /// each spill as soon as its shard finishes.
 ///
 /// # Errors
@@ -878,6 +905,36 @@ mod tests {
             assert_eq!(pair[0].error_time, pair[1].error_time);
             assert!(pair[0].server.raw() < pair[1].server.raw());
         }
+    }
+
+    #[test]
+    fn in_memory_chunks_merge_with_spills_lowest_index_first() {
+        let path = temp_path("mixed");
+        let mut w = ShardSpillWriter::new(&path, 1, 3, 0, 10);
+        w.push(&rec(4, 100, 0, false));
+        w.push(&rec(5, 300, 0, true));
+        w.finish().unwrap();
+        // Equal keys in cursors 0 and 1: the lower index comes out first.
+        let tie = rec(4, 100, 0, true);
+        let cursors = vec![
+            SpillCursor::from_sorted(2, vec![rec(1, 200, 0, false)]),
+            SpillCursor::new(ShardSpillReader::open(&path).unwrap()),
+            SpillCursor::from_sorted(0, vec![tie, rec(9, 300, 0, false)]),
+        ];
+        let mut merged = Vec::new();
+        let n = merge_cursors(cursors, |r| merged.push(r)).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(n, 5);
+        assert_eq!(
+            merged,
+            vec![
+                tie,
+                rec(4, 100, 0, false),
+                rec(1, 200, 0, false),
+                rec(5, 300, 0, true),
+                rec(9, 300, 0, false),
+            ]
+        );
     }
 
     #[test]

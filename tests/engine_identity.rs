@@ -1,14 +1,15 @@
 //! Byte-identity of the engine across worker-thread counts and shard
 //! counts.
 //!
-//! The contract under test: `SimConfig::engine_threads` and
-//! `RunOptions::shards` are purely execution knobs. Workers own disjoint
-//! server chunks, every server draws from its own RNG stream, and both the
-//! pre-sorted assembly and the spill-file merge reproduce the sequential
-//! stable sort exactly — so the trace (every ticket field, in order) must
-//! not change by a single byte at any thread or shard count. The CSV
-//! digest is the same fingerprint CI diffs between `reproduce --threads 1`
-//! and auto, and between `--shards 1` and `--shards 4`.
+//! The contract under test: `RunOptions::threads` and `RunOptions::shards`
+//! are purely execution knobs. Workers own disjoint server chunks, every
+//! server draws from its own RNG stream, and the one k-way merge — over a
+//! one-shard run's in-memory chunks or over a multi-shard run's spills —
+//! reproduces the sequential stable sort exactly, so the trace (every
+//! ticket field, in order) must not change by a single byte at any thread
+//! or shard count. The CSV digest is the same fingerprint CI diffs between
+//! `reproduce --threads 1` and auto, and between `--shards 1` and
+//! `--shards 4`.
 
 use dcfail::obs::MetricsRegistry;
 use dcfail::sim::{simulate, simulate_sharded, RunOptions, Scenario};
@@ -20,8 +21,7 @@ const THREADS: [usize; 4] = [1, 2, 4, 8];
 fn small_trace(seed: u64, threads: usize) -> Trace {
     Scenario::small()
         .seed(seed)
-        .engine_threads(threads)
-        .simulate(&RunOptions::default())
+        .simulate(&RunOptions::new().threads(threads))
         .expect("simulation runs")
 }
 
@@ -47,7 +47,7 @@ fn traces_are_byte_identical_across_thread_counts() {
 }
 
 /// The sharded engine matrix: shards × threads × seeds. Every combination
-/// must stream to the same digest the unsharded engine computes from its
+/// must stream to the same digest a one-shard run computes from its
 /// in-memory trace — sharding is invisible in the output.
 #[test]
 fn sharded_digests_match_the_unsharded_trace() {
@@ -56,9 +56,10 @@ fn sharded_digests_match_the_unsharded_trace() {
         let reference_digest = io::fots_digest(reference.fots());
         for shards in [1u32, 2, 8] {
             for threads in [1usize, 4] {
-                let scenario = Scenario::small().seed(seed).engine_threads(threads);
-                let run = simulate_sharded(&scenario.config, &RunOptions::new().shards(shards))
-                    .expect("sharded simulation runs");
+                let scenario = Scenario::small().seed(seed);
+                let options = RunOptions::new().threads(threads).shards(shards);
+                let run =
+                    simulate_sharded(&scenario.config, &options).expect("sharded simulation runs");
                 assert_eq!(
                     run.digest, reference_digest,
                     "seed {seed}: digest diverged at {shards} shards, {threads} threads"
@@ -77,7 +78,7 @@ fn sharded_digests_match_the_unsharded_trace() {
 /// flight at once) crossed with shard count and seed. The worker pool
 /// changes only the order shards are *simulated* in — the merge still
 /// consumes them in shard order — so every combination must land on the
-/// sequential unsharded digest.
+/// sequential one-shard digest.
 #[test]
 fn parallel_shard_workers_preserve_the_digest() {
     for seed in SEEDS {
@@ -85,10 +86,13 @@ fn parallel_shard_workers_preserve_the_digest() {
         let reference_digest = io::fots_digest(reference.fots());
         for shards in [1u32, 2, 8] {
             for workers in [1u32, 2, 4] {
-                let scenario = Scenario::small().seed(seed).engine_threads(1);
+                let scenario = Scenario::small().seed(seed);
                 let run = simulate_sharded(
                     &scenario.config,
-                    &RunOptions::new().shards(shards).shard_workers(workers),
+                    &RunOptions::new()
+                        .threads(1)
+                        .shards(shards)
+                        .shard_workers(workers),
                 )
                 .expect("pipelined sharded simulation runs");
                 assert_eq!(
@@ -113,7 +117,7 @@ fn parallel_shard_workers_preserve_the_digest() {
 #[test]
 fn concurrent_default_dir_sharded_runs_match_the_unsharded_digest() {
     let reference_digest = io::fots_digest(small_trace(42, 1).fots());
-    let scenario = Scenario::small().seed(42).engine_threads(1);
+    let scenario = Scenario::small().seed(42);
     // Both runs start together so their spill phases overlap.
     let start = std::sync::Barrier::new(2);
     let digests: Vec<u64> = std::thread::scope(|scope| {
@@ -121,7 +125,7 @@ fn concurrent_default_dir_sharded_runs_match_the_unsharded_digest() {
             .map(|_| {
                 scope.spawn(|| {
                     start.wait();
-                    simulate_sharded(&scenario.config, &RunOptions::new().shards(8))
+                    simulate_sharded(&scenario.config, &RunOptions::new().threads(1).shards(8))
                         .expect("concurrent sharded simulation runs")
                         .digest
                 })
@@ -134,15 +138,75 @@ fn concurrent_default_dir_sharded_runs_match_the_unsharded_digest() {
     assert_eq!(digests, vec![reference_digest; 2]);
 }
 
-/// A materialized sharded trace must be byte-identical to the unsharded
+/// A materialized sharded trace must be byte-identical to the one-shard
 /// one, not merely digest-equal.
 #[test]
 fn materialized_sharded_trace_matches_unsharded_fots() {
     let reference = small_trace(7, 2);
-    let scenario = Scenario::small().seed(7).engine_threads(2);
-    let trace =
-        simulate(&scenario.config, &RunOptions::new().shards(3)).expect("sharded simulation runs");
+    let scenario = Scenario::small().seed(7);
+    let trace = simulate(&scenario.config, &RunOptions::new().threads(2).shards(3))
+        .expect("sharded simulation runs");
     assert_eq!(trace.fots(), reference.fots());
+}
+
+/// The one driver materializes the same trace at every shard count: the
+/// one-shard run merges in memory, the others through spills.
+#[test]
+fn simulate_is_identical_at_one_two_and_eight_shards() {
+    for seed in SEEDS {
+        for threads in [1usize, 4] {
+            let scenario = Scenario::small().seed(seed);
+            let run = |shards: u32| {
+                let options = RunOptions::new().threads(threads).shards(shards);
+                simulate(&scenario.config, &options).expect("simulation runs")
+            };
+            let one = run(1);
+            for shards in [2u32, 8] {
+                let trace = run(shards);
+                assert_eq!(
+                    trace.fots(),
+                    one.fots(),
+                    "seed {seed}, {threads} threads: tickets diverged at {shards} shards"
+                );
+                assert_eq!(
+                    trace.info(),
+                    one.info(),
+                    "seed {seed}, {threads} threads: header diverged at {shards} shards"
+                );
+            }
+        }
+    }
+}
+
+/// A one-shard `simulate_sharded` streams the in-memory merge into the
+/// digest sink: the digest and category counts of the materialized trace,
+/// with no spill written.
+#[test]
+fn one_shard_digest_sink_matches_the_trace_and_spills_nothing() {
+    let dir = std::env::temp_dir().join(format!("dcf-one-shard-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    for seed in SEEDS {
+        for threads in [1usize, 4] {
+            let trace = small_trace(seed, threads);
+            let options = RunOptions::new().threads(threads).shards(1).spill_dir(&dir);
+            let run = simulate_sharded(&Scenario::small().seed(seed).config, &options)
+                .expect("one-shard run streams");
+            let context = format!("seed {seed}, {threads} threads");
+            assert_eq!(run.digest, io::fots_digest(trace.fots()), "{context}");
+            assert_eq!(run.tickets, trace.len() as u64, "{context}");
+            assert_eq!(
+                run.category_counts,
+                trace.category_counts().map(|c| c as u64),
+                "{context}"
+            );
+            assert_eq!(run.shards, 1, "{context}");
+            assert_eq!(run.bytes_spilled, 0, "{context}");
+            assert!(
+                !dir.exists(),
+                "{context}: a one-shard run touched its spill dir"
+            );
+        }
+    }
 }
 
 #[test]
@@ -181,8 +245,7 @@ fn ticket_counters_match_the_trace() {
             let registry = MetricsRegistry::new();
             let trace = Scenario::small()
                 .seed(seed)
-                .engine_threads(threads)
-                .simulate(&RunOptions::new().metrics(&registry))
+                .simulate(&RunOptions::new().metrics(&registry).threads(threads))
                 .expect("simulation runs");
             let report = registry.report("engine_identity");
             let counter = |name: &str| {

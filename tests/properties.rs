@@ -67,10 +67,9 @@ fn ticket_counters_are_consistent_at_any_thread_count() {
             for threads in [1usize, 2, 0] {
                 let mut sim = SimConfig::with_fleet(cfg.clone(), "prop");
                 sim.seed = seed;
-                sim.engine_threads = threads;
                 let registry = MetricsRegistry::new();
-                let trace = simulate(&sim, &RunOptions::new().metrics(&registry))
-                    .expect("valid config simulates");
+                let options = RunOptions::new().metrics(&registry).threads(threads);
+                let trace = simulate(&sim, &options).expect("valid config simulates");
                 let report = registry.report("properties");
                 let counter = |name: &str| report.counter(name).unwrap_or(0);
                 let total = counter("sim.tickets.total");
@@ -650,4 +649,79 @@ fn http_stream_parses_the_same_split_at_every_offset() {
             }
         },
     );
+}
+
+/// A seeded `POST /v1/simulate` body: the scenario, seed and threads
+/// fields in random order and spacing, a string with escapes, and a
+/// nested extra field holding numbers of every JSON shape.
+fn scenario_body(rng: &mut StdRng) -> String {
+    use dcfail::obs::json::write_string;
+    const SCENARIOS: [&str; 4] = ["small", "medium", "paper", "caf\u{e9} \"snap\"\n"];
+    const NUMBERS: [&str; 6] = ["0", "-0", "17", "-2.5", "6.02e23", "1E-7"];
+    let space = |rng: &mut StdRng| " \n\t".repeat(rng.random_range(0..2));
+    let mut scenario = String::new();
+    write_string(
+        &mut scenario,
+        SCENARIOS[rng.random_range(0..SCENARIOS.len())],
+    );
+    let numbers: Vec<&str> = cases::vec_of(rng, 0..4, |r| NUMBERS[r.random_range(0..6)]);
+    let mut fields = vec![
+        format!("\"scenario\":{}{scenario}", space(rng)),
+        format!("\"seed\":{}", rng.next_u64()),
+        format!("\"threads\":{}", rng.random_range(0u32..16)),
+        format!("\"extra\":[{{\"n\":[{}]}}, true, null]", numbers.join(",")),
+    ];
+    for i in (1..fields.len()).rev() {
+        fields.swap(i, rng.random_range(0..=i));
+    }
+    fields.truncate(rng.random_range(1..=fields.len()));
+    format!(
+        "{{{}{}}}",
+        space(rng),
+        fields.join(&format!(",{}", space(rng)))
+    )
+}
+
+/// The scenario JSON decoder of `POST /v1/simulate` returns `Ok` or `Err`
+/// and never panics on a valid body cut at any offset or with any one byte
+/// replaced, and rejects nesting far past its depth bound on a thread with
+/// a 2 MiB stack instead of overflowing it.
+#[test]
+fn scenario_json_survives_truncation_flips_and_deep_nesting() {
+    use dcfail::obs::json::parse;
+    cases::check(
+        "scenario_json_survives_truncation_flips_and_deep_nesting",
+        48,
+        |rng| {
+            let body = scenario_body(rng);
+            let value = parse(&body).unwrap_or_else(|e| panic!("{body:?}: {e}"));
+            assert!(value.entries().is_some(), "{body:?}");
+            if let Some(seed) = value.get("seed") {
+                assert!(seed.as_u64().is_some(), "{body:?}");
+            }
+            for cut in 0..body.len() {
+                if body.is_char_boundary(cut) {
+                    let _ = parse(&body[..cut]);
+                }
+            }
+            for at in 0..body.len() {
+                let mut bytes = body.clone().into_bytes();
+                bytes[at] = rng.random_range(0u8..=255);
+                if let Ok(text) = std::str::from_utf8(&bytes) {
+                    let _ = parse(text);
+                }
+            }
+        },
+    );
+    let deep = std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            let arrays = "[".repeat(100_000);
+            let objects = "{\"a\":".repeat(100_000);
+            (parse(&arrays).is_err(), parse(&objects).is_err())
+        })
+        .expect("spawn a 2 MiB thread")
+        .join()
+        .expect("deep nesting must not overflow the stack");
+    assert_eq!(deep, (true, true));
 }
