@@ -1,9 +1,9 @@
 //! Regenerates every table and figure of the paper from a simulated trace.
 //!
 //! ```text
-//! reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID]
-//!           [--markdown] [--metrics PATH] [--threads N]
-//!           [--servers N] [--shards K] [--shard-workers W]
+//! reproduce [--scenario paper|medium|small] [--seed N]
+//!           [--experiment ID | --markdown | --score] [--metrics PATH]
+//!           [--threads N] [--servers N] [--shards K] [--shard-workers W]
 //!           [--spill-dir PATH] [--digest PATH]
 //! reproduce snapshot --out PATH [simulation flags]
 //! reproduce snapshot --in PATH [analysis flags]
@@ -42,17 +42,21 @@
 //! chunked HTTP by `reproduce serve` at `GET /v1/replay/{scenario}?speed=N`.
 //!
 //! `reproduce snapshot --out PATH` simulates once and persists the trace as
-//! a versioned binary snapshot (`dcf-trace::io::snapshot`); `--in PATH`
-//! loads such a snapshot instead of simulating and runs the regular
-//! analysis flags against it. The write and load are timed under the
-//! `trace.snapshot_write` / `trace.snapshot_load` phases.
+//! a versioned binary snapshot (`dcf-trace::io::snapshot`); it prints no
+//! report, so it rejects `--experiment`, `--markdown` and `--score`.
+//! `--in PATH` loads such a snapshot instead of simulating and runs the
+//! regular analysis flags against it. The write and load are timed under
+//! the `trace.snapshot_write` / `trace.snapshot_load` phases.
 //!
 //! `ID` is one of: `table1 table2 table3 table4 table5 table6 table7 table8
 //! fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 prediction backlog all`
 //! (default `all`), or `none` to skip the study entirely — engine-only
 //! digest runs.
-//! `--markdown` emits the EXPERIMENTS.md-style summary instead of the full
-//! figure dumps.
+//! `--markdown` prints the headline paper-vs-measured table and `--score`
+//! a verdict per headline metric plus the share that agrees. Both format
+//! the one `StudyReport` the run analyzes, under its `--threads` and
+//! `--metrics`. `--experiment`, `--markdown` and `--score` each pick the
+//! run's one output, so at most one of them may be given.
 //! `--metrics PATH` enables the `dcf-obs` instrumentation layer: the run's
 //! phase timings and event counters are written to `PATH` as a JSON
 //! `RunReport` and summarized on stderr. Counter values are deterministic
@@ -66,10 +70,10 @@
 //! ranges (SCALING.md). One shard merges the engine's per-thread chunks
 //! in memory and writes no spill file; with K ≥ 2 each shard is simulated
 //! and spilled to disk independently, then k-way merged, which bounds
-//! memory. The trace and digest are byte-identical at any K. With
-//! `--experiment none` and no markdown, score or snapshot output, the
-//! trace is never materialized — the run streams straight to the digest,
-//! which is how multi-million-server fleets fit in bounded memory.
+//! memory. The trace and digest are byte-identical at any K. A simulated
+//! `--experiment none` run never materializes the trace — it streams
+//! straight to the digest, which is how multi-million-server fleets fit
+//! in bounded memory.
 //! `--shard-workers W` caps the pipelined shard worker pool: up to `W`
 //! shards simulate and spill concurrently while completed spills merge
 //! (`0`, the default, auto-detects from the machine). Traces and digests
@@ -92,9 +96,9 @@ use dcf_trace::{io, Trace};
 struct Args {
     scenario: String,
     seed: u64,
-    experiment: String,
+    /// `None` unless `--experiment` was given (the default output is `all`).
+    experiment: Option<String>,
     markdown: bool,
-    markdown_full: bool,
     score: bool,
     metrics: Option<String>,
     threads: usize,
@@ -111,9 +115,8 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
     let mut args = Args {
         scenario: "paper".into(),
         seed: 1,
-        experiment: "all".into(),
+        experiment: None,
         markdown: false,
-        markdown_full: false,
         score: false,
         metrics: None,
         threads: 0,
@@ -139,10 +142,9 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
                     .map_err(|e| format!("bad seed: {e}"))?;
             }
             "--experiment" => {
-                args.experiment = it.next().ok_or("--experiment needs a value")?;
+                args.experiment = Some(it.next().ok_or("--experiment needs a value")?);
             }
             "--markdown" => args.markdown = true,
-            "--markdown-full" => args.markdown_full = true,
             "--score" => args.score = true,
             "--metrics" => {
                 args.metrics = Some(it.next().ok_or("--metrics needs a value")?);
@@ -199,7 +201,7 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
                 return Err(if snapshot_mode {
                     "usage: reproduce snapshot (--out PATH | --in PATH) [reproduce flags]".into()
                 } else {
-                    "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none] [--markdown] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--digest PATH]".into()
+                    "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none | --markdown | --score] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--digest PATH]".into()
                 });
             }
             other => return Err(format!("unknown flag {other}")),
@@ -210,6 +212,19 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
     }
     if args.snapshot_out.is_some() && args.snapshot_in.is_some() {
         return Err("--out and --in are mutually exclusive".into());
+    }
+    let outputs = [args.experiment.is_some(), args.markdown, args.score]
+        .into_iter()
+        .filter(|&given| given)
+        .count();
+    if outputs > 1 {
+        return Err("--experiment, --markdown and --score are mutually exclusive".into());
+    }
+    if args.snapshot_out.is_some() && outputs > 0 {
+        return Err(
+            "reproduce snapshot --out prints no report; drop --experiment, --markdown and --score"
+                .into(),
+        );
     }
     Ok(args)
 }
@@ -263,17 +278,6 @@ fn run_options(args: &Args, registry: &MetricsRegistry) -> RunOptions {
         options = options.spill_dir(dir);
     }
     options
-}
-
-/// Whether the run needs nothing but the digest (`--experiment none` with
-/// no markdown, score or snapshot output), so it can stream the merged
-/// tickets into the digest without materializing a trace.
-fn digest_only(args: &Args) -> bool {
-    args.experiment == "none"
-        && args.snapshot_out.is_none()
-        && !args.markdown
-        && !args.markdown_full
-        && !args.score
 }
 
 /// Parses and runs the `serve` subcommand: a long-lived `dcf-serve`
@@ -696,7 +700,9 @@ fn main() -> ExitCode {
         let config = scenario.seed(args.seed).config;
         let t0 = std::time::Instant::now();
         let options = run_options(&args, &registry);
-        if digest_only(&args) {
+        // `--experiment none` needs nothing but the digest, so the merged
+        // tickets stream into it without materializing a trace.
+        if args.experiment.as_deref() == Some("none") {
             let run = match dcf_sim::simulate_sharded(&config, &options) {
                 Ok(run) => run,
                 Err(e) => {
@@ -755,13 +761,14 @@ fn main() -> ExitCode {
         return finish(&args, &registry);
     }
     registry.set_gauge("trace.fots", trace.len() as f64);
-    if args.experiment == "none" {
+    let experiment = args.experiment.as_deref().unwrap_or("all");
+    if experiment == "none" {
         // Engine-only run: skip the study entirely (digest runs).
         return finish(&args, &registry);
     }
     let study = FailureStudy::new(&trace);
     let analysis_span = registry.phase("analysis");
-    let summary = args.markdown.then(|| {
+    let report = (args.markdown || args.score).then(|| {
         // 0 = auto: one worker per core, capped by the section count inside
         // `FailureStudy::analyze`.
         let threads = if args.threads == 0 {
@@ -773,14 +780,14 @@ fn main() -> ExitCode {
     });
 
     let render_span = registry.phase("report.render");
-    let text = if let Some(summary) = &summary {
-        markdown_summary(summary)
-    } else if args.markdown_full {
-        dcf_report::markdown_report(&study)
-    } else if args.score {
-        score_text(&trace)
+    let text = if let Some(report) = &report {
+        if args.score {
+            score_text(report, &trace)
+        } else {
+            markdown_summary(report)
+        }
     } else {
-        match args.experiment.as_str() {
+        match experiment {
             "all" => experiments::render_all(&study),
             "table1" => experiments::render_table1(&study),
             "table2" => experiments::render_table2(&study),
@@ -813,11 +820,12 @@ fn main() -> ExitCode {
     finish(&args, &registry)
 }
 
-/// The `--score` report: every headline metric against the paper, and
+/// The `--score` report: every headline metric of the run's `report`
+/// (and Table V's batch frequencies of `trace`) against the paper, and
 /// the share that agrees.
-fn score_text(trace: &Trace) -> String {
+fn score_text(report: &StudyReport, trace: &Trace) -> String {
     use dcf_core::comparison;
-    let mut rows = comparison::compare_to_paper(trace);
+    let mut rows = comparison::compare_to_paper(report);
     rows.extend(comparison::compare_batch_frequencies(trace));
     let mut t = TextTable::new(vec!["Experiment", "Metric", "Paper", "Measured", "Verdict"]);
     for r in &rows {
@@ -865,34 +873,23 @@ fn markdown_summary(report: &StudyReport) -> String {
         format!("~{}", paper::TOTAL_FOTS),
         report.total_fots.to_string(),
     ]);
-    t.row(vec![
-        "Table I".into(),
-        "D_fixing share".into(),
-        pct(0.703),
-        pct(report.fixing_share),
-    ]);
-    t.row(vec![
-        "Table I".into(),
-        "D_error share".into(),
-        pct(0.280),
-        pct(report.error_share),
-    ]);
-    t.row(vec![
-        "Table I".into(),
-        "D_falsealarm share".into(),
-        pct(0.017),
-        pct(report.false_alarm_share),
-    ]);
+    for ((name, paper_share), measured) in paper::CATEGORY_SHARES.iter().zip([
+        report.fixing_share,
+        report.error_share,
+        report.false_alarm_share,
+    ]) {
+        t.row(vec![
+            "Table I".into(),
+            format!("{name} share"),
+            pct(*paper_share),
+            pct(measured),
+        ]);
+    }
     for (class, share) in &report.component_shares {
-        let paper_share = paper::COMPONENT_SHARES
-            .iter()
-            .find(|(c, _)| c == class)
-            .map(|(_, s)| *s)
-            .unwrap_or(0.0);
         t.row(vec![
             "Table II".into(),
             format!("{} share", class.name()),
-            pct(paper_share),
+            pct(paper::component_share(*class)),
             pct(*share),
         ]);
     }

@@ -1,12 +1,12 @@
-//! Programmatic paper-vs-measured comparison: every headline number of the
-//! paper checked against a trace in one call, with pass/fail at
-//! configurable tolerances. The calibration tests and the `reproduce`
-//! binary both build on this.
+//! Programmatic paper-vs-measured comparison: the headline numbers of a
+//! run's [`StudyReport`] (plus Table V's batch frequencies) checked
+//! against the paper with a verdict per row. `reproduce --score` prints
+//! these rows.
 
 use dcf_trace::{ComponentClass, Trace};
 
 use crate::paper;
-use crate::FailureStudy;
+use crate::{FailureStudy, StudyReport};
 
 /// How a measured value relates to the paper's.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,16 +50,14 @@ fn judge(paper: f64, measured: f64, rel_tol: f64, abs_tol: f64) -> Agreement {
     }
 }
 
-/// Compares a trace's headline metrics against the paper's published
+/// Compares a report's headline metrics against the paper's published
 /// values. Tolerances: shares ±1.5 pp (absolute), scalars ±15 % (relative);
 /// "Close" extends both by 3×.
 ///
 /// Designed for paper-scale traces; on smaller fleets several rows come
 /// back [`Agreement::Close`] or [`Agreement::Unavailable`] — that is
 /// information, not an error.
-pub fn compare_to_paper(trace: &Trace) -> Vec<ComparisonRow> {
-    let study = FailureStudy::new(trace);
-    let report = study.analyze(&crate::StudyOptions::default());
+pub fn compare_to_paper(report: &StudyReport) -> Vec<ComparisonRow> {
     let mut rows = Vec::new();
     let mut push = |experiment, metric, paper_v: f64, measured: f64, rel: f64, abs: f64| {
         rows.push(ComparisonRow {
@@ -71,31 +69,14 @@ pub fn compare_to_paper(trace: &Trace) -> Vec<ComparisonRow> {
         });
     };
 
-    // Table I.
-    push(
-        "Table I",
-        "fixing share",
-        0.703,
-        report.fixing_share,
-        0.05,
-        0.015,
-    );
-    push(
-        "Table I",
-        "error share",
-        0.280,
-        report.error_share,
-        0.08,
-        0.015,
-    );
-    push(
-        "Table I",
-        "false alarm share",
-        0.017,
-        report.false_alarm_share,
-        0.25,
-        0.004,
-    );
+    // Table I, in `paper::CATEGORY_SHARES` order.
+    for ((_, paper_share), (metric, measured, rel, abs)) in paper::CATEGORY_SHARES.iter().zip([
+        ("fixing share", report.fixing_share, 0.05, 0.015),
+        ("error share", report.error_share, 0.08, 0.015),
+        ("false alarm share", report.false_alarm_share, 0.25, 0.004),
+    ]) {
+        push("Table I", metric, *paper_share, measured, rel, abs);
+    }
 
     // Table II (the three biggest classes; the rest follow the same path).
     for (class, metric) in [
@@ -103,18 +84,20 @@ pub fn compare_to_paper(trace: &Trace) -> Vec<ComparisonRow> {
         (ComponentClass::Miscellaneous, "misc share"),
         (ComponentClass::Memory, "memory share"),
     ] {
-        let paper_share = paper::COMPONENT_SHARES
-            .iter()
-            .find(|(c, _)| *c == class)
-            .map(|(_, s)| *s)
-            .expect("class listed");
         let measured = report
             .component_shares
             .iter()
             .find(|(c, _)| *c == class)
             .map(|(_, s)| *s)
             .unwrap_or(f64::NAN);
-        push("Table II", metric, paper_share, measured, 0.10, 0.015);
+        push(
+            "Table II",
+            metric,
+            paper::component_share(class),
+            measured,
+            0.10,
+            0.015,
+        );
     }
 
     // Figure 5.
@@ -243,11 +226,13 @@ pub fn agreement_score(rows: &[ComparisonRow]) -> f64 {
 mod tests {
     use super::*;
     use crate::test_support::medium_trace;
+    use crate::StudyOptions;
 
     #[test]
     fn medium_scale_mostly_agrees() {
         let trace = medium_trace();
-        let rows = compare_to_paper(&trace);
+        let report = FailureStudy::new(&trace).analyze(&StudyOptions::default());
+        let rows = compare_to_paper(&report);
         assert!(rows.len() >= 12);
         let score = agreement_score(&rows);
         assert!(score >= 0.7, "agreement {score}: {rows:#?}");

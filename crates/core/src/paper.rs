@@ -25,6 +25,15 @@ pub const COMPONENT_SHARES: [(ComponentClass, f64); 11] = [
     (ComponentClass::Cpu, 0.0004),
 ];
 
+/// Table II failure share of `class` (a fraction).
+pub fn component_share(class: ComponentClass) -> f64 {
+    COMPONENT_SHARES
+        .iter()
+        .find(|(c, _)| *c == class)
+        .map(|(_, s)| *s)
+        .expect("Table II lists every component class")
+}
+
 /// Table V batch frequencies `(class, r100, r200, r500)` in percent.
 pub const BATCH_FREQUENCIES: [(ComponentClass, f64, f64, f64); 10] = [
     (ComponentClass::Hdd, 55.4, 22.5, 2.5),
@@ -112,41 +121,6 @@ pub mod response {
     pub const LINE_STD_DEV_DAYS: f64 = 30.2;
 }
 
-/// One paper-vs-measured comparison row for reports.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Comparison {
-    /// Which experiment the metric belongs to (e.g. `"Table I"`).
-    pub experiment: &'static str,
-    /// Metric name.
-    pub metric: String,
-    /// The paper's value.
-    pub paper: f64,
-    /// Our measured value.
-    pub measured: f64,
-}
-
-impl Comparison {
-    /// Relative error `|measured − paper| / |paper|` (absolute error when
-    /// the paper value is zero).
-    pub fn relative_error(&self) -> f64 {
-        if self.paper == 0.0 {
-            self.measured.abs()
-        } else {
-            (self.measured - self.paper).abs() / self.paper.abs()
-        }
-    }
-}
-
-impl std::fmt::Display for Comparison {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} / {}: paper {:.4}, measured {:.4}",
-            self.experiment, self.metric, self.paper, self.measured
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +129,14 @@ mod tests {
     fn component_shares_sum_to_about_one() {
         let total: f64 = COMPONENT_SHARES.iter().map(|(_, s)| s).sum();
         assert!((total - 0.9999).abs() < 0.001, "sum {total}");
+    }
+
+    #[test]
+    fn component_share_covers_every_class() {
+        assert_eq!(component_share(ComponentClass::Hdd), 0.8184);
+        for class in ComponentClass::ALL {
+            assert!(component_share(class) > 0.0, "{class:?}");
+        }
     }
 
     #[test]
@@ -169,24 +151,5 @@ mod tests {
             table_iv::REJECTED_001 + table_iv::BORDERLINE + table_iv::ACCEPTED,
             24
         );
-    }
-
-    #[test]
-    fn comparison_relative_error() {
-        let c = Comparison {
-            experiment: "Table I",
-            metric: "fixing".into(),
-            paper: 0.703,
-            measured: 0.70,
-        };
-        assert!(c.relative_error() < 0.01);
-        let z = Comparison {
-            experiment: "Table V",
-            metric: "r500".into(),
-            paper: 0.0,
-            measured: 0.01,
-        };
-        assert!((z.relative_error() - 0.01).abs() < 1e-12);
-        assert!(c.to_string().contains("Table I"));
     }
 }

@@ -25,6 +25,7 @@
 //! study (precision/recall/F1 over the flagged `(class, dc, day)` /
 //! `(class, day)` / predicted-fatal sets).
 
+use dcf_trace::io::{fnv1a, FNV_OFFSET};
 use dcf_trace::{ComponentClass, Fot, Severity, Trace, SECS_PER_DAY};
 
 use crate::prediction::{
@@ -155,16 +156,6 @@ pub struct ReplayOutcome {
     /// The scorecard rendered as the stream's final JSON line (it embeds
     /// the event digest, so it is *not* part of the digest itself).
     pub summary_line: String,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= b as u64;
-        *hash = hash.wrapping_mul(FNV_PRIME);
-    }
 }
 
 /// Floor of the batch-burst threshold: a day fires only above
@@ -320,8 +311,7 @@ struct Feed {
 
 impl Feed {
     fn push(&mut self, offset_secs: u64, line: String, is_detection: bool) {
-        fnv1a(&mut self.digest, line.as_bytes());
-        fnv1a(&mut self.digest, b"\n");
+        self.digest = fnv1a(fnv1a(self.digest, line.as_bytes()), b"\n");
         self.detections += usize::from(is_detection);
         self.events.push(ReplayEvent {
             offset_secs,
@@ -663,8 +653,7 @@ mod tests {
         // Recompute the digest from the lines.
         let mut h = FNV_OFFSET;
         for e in &a.events {
-            fnv1a(&mut h, e.line.as_bytes());
-            fnv1a(&mut h, b"\n");
+            h = fnv1a(fnv1a(h, e.line.as_bytes()), b"\n");
         }
         assert_eq!(h, a.summary.event_digest);
     }

@@ -33,16 +33,11 @@ pub fn render_table2(study: &FailureStudy<'_>) -> String {
     let rows = study.overview().component_breakdown();
     let mut t = TextTable::new(vec!["Device", "Count", "Measured", "Paper"]);
     for r in &rows {
-        let paper_share = paper::COMPONENT_SHARES
-            .iter()
-            .find(|(c, _)| *c == r.class)
-            .map(|(_, s)| *s)
-            .unwrap_or(0.0);
         t.row(vec![
             r.class.name().into(),
             r.count.to_string(),
             pct(r.share),
-            pct(paper_share),
+            pct(paper::component_share(r.class)),
         ]);
     }
     format!("Table II — failure percentage by component\n{}", t.render())

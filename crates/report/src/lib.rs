@@ -1,19 +1,17 @@
 //! # dcf-report
 //!
 //! Rendering for the `dcfail` study: aligned text tables, ASCII bar/CDF
-//! charts, and one renderer per paper table/figure (used by the
-//! `reproduce` binary and the EXPERIMENTS.md generator).
+//! charts, one renderer per paper table/figure, and the `RunReport`
+//! markdown view. The `reproduce` binary drives them.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod chart;
-mod document;
 pub mod experiments;
 mod runreport;
 mod table;
 
 pub use chart::{bar_chart, cdf_plot};
-pub use document::markdown_report;
 pub use runreport::run_report_markdown;
 pub use table::{days, pct, TextTable};

@@ -13,6 +13,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use dcf_core::{FailureStudy, StudyOptions, StudyReport};
 use dcf_sim::SimConfig;
+use dcf_trace::io::{fnv1a, FNV_OFFSET};
 use dcf_trace::Trace;
 
 /// Cache key: scenario-hash (seed zeroed out of the config), seed, and the
@@ -27,20 +28,12 @@ pub struct CacheKey {
     pub threads: usize,
 }
 
-/// FNV-1a over arbitrary bytes — the same construction `dcf_trace::io`
-/// uses for trace digests.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
-}
-
 /// Hashes a scenario config into the cache key's scenario component:
 /// `seed` is zeroed first because it is a separate key field.
 pub fn scenario_hash(config: &SimConfig) -> u64 {
     let mut config = config.clone();
     config.seed = 0;
-    fnv1a(format!("{config:?}").as_bytes())
+    fnv1a(FNV_OFFSET, format!("{config:?}").as_bytes())
 }
 
 /// The computed artifacts of one simulation run.
@@ -125,7 +118,7 @@ impl RunEntry {
         let entry = Self::new(
             scenario,
             CacheKey {
-                scenario_hash: fnv1a(artifacts.digest.as_bytes()),
+                scenario_hash: fnv1a(FNV_OFFSET, artifacts.digest.as_bytes()),
                 seed: 0,
                 threads: 0,
             },

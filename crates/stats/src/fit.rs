@@ -8,7 +8,7 @@
 use crate::distribution::Fitted;
 use crate::error::StatsError;
 use crate::special::{digamma, trigamma};
-use crate::{Exponential, Gamma, LogNormal, Normal, Uniform, Weibull};
+use crate::{Exponential, Gamma, LogNormal, Weibull};
 
 /// Validated positive-support sample with its logarithms cached.
 ///
@@ -243,50 +243,6 @@ fn fit_gamma_prepped(prep: &PositivePrep) -> Result<Gamma, StatsError> {
     Gamma::new(k, mean / k)
 }
 
-/// MLE fit of a normal distribution (`μ = mean`, `σ² = /n` variance).
-///
-/// # Errors
-///
-/// Fails on empty, non-finite or degenerate samples.
-pub fn fit_normal(data: &[f64]) -> Result<Normal, StatsError> {
-    if data.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    for &x in data {
-        if !x.is_finite() {
-            return Err(StatsError::NonFiniteSample { value: x });
-        }
-    }
-    let n = data.len() as f64;
-    let mean = data.iter().sum::<f64>() / n;
-    let var = data.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n;
-    if var <= 0.0 {
-        return Err(StatsError::DegenerateSample);
-    }
-    Normal::new(mean, var.sqrt())
-}
-
-/// MLE fit of a uniform distribution (`min = sample min`, `max = sample max`).
-///
-/// # Errors
-///
-/// Fails on empty, non-finite or degenerate samples.
-pub fn fit_uniform(data: &[f64]) -> Result<Uniform, StatsError> {
-    if data.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &x in data {
-        if !x.is_finite() {
-            return Err(StatsError::NonFiniteSample { value: x });
-        }
-        lo = lo.min(x);
-        hi = hi.max(x);
-    }
-    Uniform::new(lo, hi)
-}
-
 /// Fits all four families the paper tests against TBF data (§II-B):
 /// exponential, Weibull, gamma and lognormal.
 ///
@@ -394,14 +350,6 @@ mod tests {
             fit_lognormal(&[1.0, f64::NAN]),
             Err(StatsError::NonFiniteSample { .. })
         ));
-    }
-
-    #[test]
-    fn normal_and_uniform_fits() {
-        let n = fit_normal(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-        assert!((n.mean() - 3.0).abs() < 1e-12);
-        let u = fit_uniform(&[0.5, 2.5, 1.0]).unwrap();
-        assert!((u.min() - 0.5).abs() < 1e-12 && (u.max() - 2.5).abs() < 1e-12);
     }
 
     #[test]

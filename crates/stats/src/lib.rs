@@ -14,9 +14,8 @@
 //!   [`Normal`], [`Uniform`] behind the [`ContinuousDistribution`] trait.
 //! * [`fit`] — MLE fitters returning [`Fitted`] values.
 //! * [`chi_square`] — goodness-of-fit and uniformity tests with p-values.
-//! * [`ks`] — Kolmogorov–Smirnov cross-check.
-//! * [`Ecdf`], [`Histogram`], [`LogHistogram`], [`Summary`] — the empirical
-//!   plumbing behind every figure.
+//! * [`Ecdf`], [`mean`], [`median`] — the empirical plumbing behind every
+//!   figure.
 //! * [`anomaly`] — the μ ± 2σ rack-position outlier rule from §IV.
 //! * [`rng`] — the seeded generator every simulated stream draws from.
 //!
@@ -46,8 +45,6 @@ mod error;
 mod exponential;
 pub mod fit;
 mod gamma;
-mod histogram;
-pub mod ks;
 mod lognormal;
 mod normal;
 mod poisson;
@@ -63,10 +60,9 @@ pub use ecdf::Ecdf;
 pub use error::StatsError;
 pub use exponential::Exponential;
 pub use gamma::Gamma;
-pub use histogram::{Histogram, LogHistogram};
 pub use lognormal::LogNormal;
 pub use normal::Normal;
 pub use poisson::{poisson_count, Poisson};
-pub use summary::{mean, median, Summary};
+pub use summary::{mean, median};
 pub use uniform::Uniform;
 pub use weibull::Weibull;

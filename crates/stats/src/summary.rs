@@ -1,87 +1,6 @@
-//! One-pass descriptive summaries used throughout the analysis crates.
+//! Mean and median, the descriptive statistics the analysis crates report.
 
-use crate::error::StatsError;
-
-/// Descriptive statistics of a sample.
-///
-/// # Examples
-///
-/// ```
-/// use dcf_stats::Summary;
-///
-/// let s = Summary::of(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
-/// assert_eq!(s.count, 5);
-/// assert!((s.mean - 3.0).abs() < 1e-12);
-/// assert!((s.median - 3.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Number of observations.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Sample standard deviation (n − 1 denominator; 0 for n = 1).
-    pub std_dev: f64,
-    /// Minimum.
-    pub min: f64,
-    /// Maximum.
-    pub max: f64,
-    /// Median (nearest rank).
-    pub median: f64,
-    /// 10th percentile.
-    pub p10: f64,
-    /// 90th percentile.
-    pub p90: f64,
-    /// 99th percentile.
-    pub p99: f64,
-}
-
-impl Summary {
-    /// Computes summary statistics of `data`.
-    ///
-    /// # Errors
-    ///
-    /// Fails on an empty sample or non-finite observations.
-    pub fn of(data: &[f64]) -> Result<Self, StatsError> {
-        if data.is_empty() {
-            return Err(StatsError::EmptySample);
-        }
-        let mut sorted = Vec::with_capacity(data.len());
-        for &x in data {
-            if !x.is_finite() {
-                return Err(StatsError::NonFiniteSample { value: x });
-            }
-            sorted.push(x);
-        }
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("all finite"));
-
-        let n = sorted.len();
-        let mean = sorted.iter().sum::<f64>() / n as f64;
-        let std_dev = if n > 1 {
-            (sorted.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64).sqrt()
-        } else {
-            0.0
-        };
-        let q = |p: f64| -> f64 {
-            let rank = ((p * n as f64).ceil() as usize).clamp(1, n);
-            sorted[rank - 1]
-        };
-        Ok(Summary {
-            count: n,
-            mean,
-            std_dev,
-            min: sorted[0],
-            max: sorted[n - 1],
-            median: q(0.5),
-            p10: q(0.1),
-            p90: q(0.9),
-            p99: q(0.99),
-        })
-    }
-}
-
-/// Mean of a slice; `None` when empty. Convenience for hot paths that do not
-/// need the full [`Summary`].
+/// Mean of a slice; `None` when empty.
 pub fn mean(data: &[f64]) -> Option<f64> {
     if data.is_empty() {
         None
@@ -107,44 +26,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_of_known_sample() {
-        let s = Summary::of(&[10.0, 20.0, 30.0, 40.0]).unwrap();
-        assert_eq!(s.count, 4);
-        assert!((s.mean - 25.0).abs() < 1e-12);
-        assert!((s.std_dev - (500.0f64 / 3.0).sqrt()).abs() < 1e-9);
-        assert_eq!(s.min, 10.0);
-        assert_eq!(s.max, 40.0);
-        assert_eq!(s.median, 20.0);
-    }
-
-    #[test]
-    fn single_observation() {
-        let s = Summary::of(&[7.0]).unwrap();
-        assert_eq!(s.std_dev, 0.0);
-        assert_eq!(s.median, 7.0);
-        assert_eq!(s.p99, 7.0);
-    }
-
-    #[test]
-    fn rejects_bad_input() {
-        assert!(Summary::of(&[]).is_err());
-        assert!(Summary::of(&[1.0, f64::INFINITY]).is_err());
-    }
-
-    #[test]
-    fn percentiles_of_uniform_grid() {
-        let data: Vec<f64> = (1..=1000).map(f64::from).collect();
-        let s = Summary::of(&data).unwrap();
-        assert_eq!(s.p10, 100.0);
-        assert_eq!(s.p90, 900.0);
-        assert_eq!(s.p99, 990.0);
-    }
-
-    #[test]
-    fn helpers_match_summary() {
-        let data = [3.0, 1.0, 2.0];
-        assert_eq!(mean(&data), Some(2.0));
-        assert_eq!(median(&data), Some(2.0));
+    fn mean_and_median_of_small_samples() {
+        assert_eq!(mean(&[3.0, 1.0, 2.0]), Some(2.0));
+        assert_eq!(median(&[3.0, 1.0, 2.0]), Some(2.0));
+        // Even counts take the lower middle (nearest rank), unsorted input.
+        assert_eq!(mean(&[40.0, 10.0, 30.0, 20.0]), Some(25.0));
+        assert_eq!(median(&[40.0, 10.0, 30.0, 20.0]), Some(20.0));
+        assert_eq!(median(&[7.0]), Some(7.0));
         assert_eq!(mean(&[]), None);
         assert_eq!(median(&[]), None);
     }

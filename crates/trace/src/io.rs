@@ -117,8 +117,22 @@ pub fn write_fots_csv<W: Write>(fots: &[Fot], mut writer: W) -> Result<(), Trace
     Ok(())
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64 offset basis: the starting state of every [`fnv1a`] digest.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+/// Byte-wise FNV-1a 64 of `bytes`, continuing from state `hash` — pass
+/// [`FNV_OFFSET`] to start a digest, or a previous result to extend it.
+/// The snapshot footer, the serve cache's scenario hash and the replay
+/// event digest are all this function.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    let mut h = hash;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
 
 /// Word-chunked FNV-1a 64: absorbs the stream eight bytes at a time
 /// (little-endian), carrying a partial word across calls, and folds the
@@ -600,6 +614,18 @@ mod tests {
         #[allow(clippy::identity_op)] // the `^ 0` spells out "xor the length"
         let expect = (0xcbf2_9ce4_8422_2325u64 ^ 0).wrapping_mul(0x100_0000_01b3);
         assert_eq!(fots_digest(&[]), expect);
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors_and_extends() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a(FNV_OFFSET, b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(FNV_OFFSET, b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(FNV_OFFSET, b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(
+            fnv1a(fnv1a(FNV_OFFSET, b"foo"), b"bar"),
+            fnv1a(FNV_OFFSET, b"foobar")
+        );
     }
 
     #[test]

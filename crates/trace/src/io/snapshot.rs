@@ -25,6 +25,7 @@
 use std::collections::HashMap;
 use std::path::Path;
 
+use super::{fnv1a, FNV_OFFSET};
 use crate::columns::{action_from_tag, NO_RESPONSE_DAY};
 use crate::{
     ComponentClass, DataCenterId, DataCenterMeta, FailureType, FaultTolerance, Fot, FotCategory,
@@ -37,18 +38,6 @@ use crate::{
 pub const MAGIC: &[u8; 8] = b"DCFSNAP0";
 /// Current format version.
 pub const VERSION: u32 = 1;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x100_0000_01b3;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 fn err(message: impl Into<String>) -> TraceError {
     TraceError::Snapshot {
@@ -258,7 +247,7 @@ pub fn snapshot_to_bytes(trace: &Trace) -> Vec<u8> {
         out.put_u32(v);
     }
 
-    let digest = fnv1a(&out);
+    let digest = fnv1a(FNV_OFFSET, &out);
     out.put_u64(digest);
     out
 }
@@ -360,7 +349,7 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
     }
     let (body, footer) = bytes.split_at(bytes.len() - 8);
     let stored = u64::from_le_bytes(footer.try_into().unwrap());
-    let computed = fnv1a(body);
+    let computed = fnv1a(FNV_OFFSET, body);
     if stored != computed {
         return Err(err(format!(
             "digest mismatch: stored {stored:016x}, computed {computed:016x}"
@@ -590,7 +579,7 @@ mod tests {
             Err(TraceError::Snapshot { .. })
         ));
         let body_len = bytes.len() - 8;
-        let digest = fnv1a(&bytes[..body_len]).to_le_bytes();
+        let digest = fnv1a(FNV_OFFSET, &bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&digest);
         let e = snapshot_from_bytes(&bytes).unwrap_err();
         assert!(e.to_string().contains("magic"), "{e}");
@@ -628,7 +617,7 @@ mod tests {
         let mut bytes = snapshot_to_bytes(&sample_trace());
         bytes[MAGIC.len()] = 0xee; // version field
         let body_len = bytes.len() - 8;
-        let digest = fnv1a(&bytes[..body_len]).to_le_bytes();
+        let digest = fnv1a(FNV_OFFSET, &bytes[..body_len]).to_le_bytes();
         bytes[body_len..].copy_from_slice(&digest);
         let e = snapshot_from_bytes(&bytes).unwrap_err();
         assert!(e.to_string().contains("version"), "{e}");

@@ -14,14 +14,14 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`obs`] | `dcf-obs` | phase timers, atomic counters/gauges, serializable run reports |
-//! | [`stats`] | `dcf-stats` | MLE fits, chi-squared/KS tests, ECDF, Spearman, anomaly rule |
+//! | [`stats`] | `dcf-stats` | MLE fits, chi-squared tests, ECDF, Spearman, anomaly rule |
 //! | [`trace`] | `dcf-trace` | the FOT schema, simulated time, the validated [`trace::Trace`], IO |
 //! | [`fleet`] | `dcf-fleet` | data centers, racks, product lines, deployment, workloads |
 //! | [`failmodel`] | `dcf-failmodel` | lifecycle hazards, batch/repeat/correlated/escalation processes |
 //! | [`fms`] | `dcf-fms` | ticketing, operator behavior, false alarms, monitoring roll-out |
 //! | [`sim`] | `dcf-sim` | the deterministic engine and [`sim::Scenario`] presets + ablations |
 //! | [`core`] | `dcf-core` | every analysis of the paper + §VII extensions |
-//! | [`report`] | `dcf-report` | text tables, ASCII charts, per-figure renderers, markdown reports |
+//! | [`report`] | `dcf-report` | text tables, ASCII charts, per-figure renderers, run-report markdown |
 //!
 //! The `reproduce` binary (`dcf-bench`) regenerates every paper artifact;
 //! the `dcfgen` binary exports a synthetic ticket table as CSV.

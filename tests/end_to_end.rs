@@ -3,7 +3,7 @@
 
 mod common;
 
-use dcfail::core::{FailureStudy, StudyOptions};
+use dcfail::core::{comparison, paper, FailureStudy, StudyOptions};
 use dcfail::trace::{ComponentClass, FotCategory, Severity};
 
 #[test]
@@ -101,4 +101,60 @@ fn false_alarm_rate_is_low_precision_high() {
     let [fixing, error, fa] = trace.category_counts();
     let share = fa as f64 / (fixing + error + fa) as f64;
     assert!(share < 0.03, "false alarms {share}");
+}
+
+#[test]
+fn score_rows_format_the_run_report() {
+    let trace = common::medium();
+    let study = FailureStudy::new(trace);
+    let report = study.analyze(&StudyOptions::with_threads(1));
+    let rows = comparison::compare_to_paper(&report);
+    // Debug strings compare NaN (unavailable) rows too.
+    let parallel = comparison::compare_to_paper(&study.analyze(&StudyOptions::with_threads(4)));
+    assert_eq!(format!("{rows:?}"), format!("{parallel:?}"));
+
+    let share = |class| {
+        report
+            .component_shares
+            .iter()
+            .find(|(c, _)| *c == class)
+            .map_or(f64::NAN, |(_, s)| *s)
+    };
+    let rt = report.rt_fixing.as_ref().expect("medium trace has fixes");
+    for row in &rows {
+        let expected = match row.metric {
+            "fixing share" => report.fixing_share,
+            "error share" => report.error_share,
+            "false alarm share" => report.false_alarm_share,
+            "HDD share" => share(ComponentClass::Hdd),
+            "misc share" => share(ComponentClass::Miscellaneous),
+            "memory share" => share(ComponentClass::Memory),
+            "fleet MTBF (min)" => report.mtbf_minutes.unwrap_or(f64::NAN),
+            "never-repeat share" => report.never_repeat_share,
+            "repeat server share" => report.repeat_server_share,
+            "pair server share" => report.pair_server_share,
+            "misc involved share" => report.misc_involved_share,
+            "fixing MTTR (days)" => rt.mean_days,
+            "fixing median (days)" => rt.median_days,
+            "RT > 140 d share" => rt.over_140d,
+            other => panic!("unexpected headline row {other}"),
+        };
+        assert_eq!(
+            row.measured.to_bits(),
+            expected.to_bits(),
+            "{} / {}",
+            row.experiment,
+            row.metric
+        );
+    }
+    let table_i: Vec<f64> = rows
+        .iter()
+        .filter(|r| r.experiment == "Table I")
+        .map(|r| r.paper)
+        .collect();
+    let paper_shares: Vec<f64> = paper::CATEGORY_SHARES.iter().map(|(_, s)| *s).collect();
+    assert_eq!(table_i, paper_shares);
+
+    let batch = comparison::compare_batch_frequencies(trace);
+    assert_eq!(rows.len() + batch.len(), 44);
 }
