@@ -557,7 +557,7 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
         let _span = registry.phase("replay.stream");
         let stdout = std::io::stdout();
         let mut out = std::io::BufWriter::new(stdout.lock());
-        for event in &outcome.events {
+        let streamed = outcome.for_each_line(&trace, |event, line| {
             if speed > 0.0 {
                 let due = std::time::Duration::from_secs_f64(
                     event.offset_secs as f64 / (speed * dcf_trace::SECS_PER_DAY as f64),
@@ -568,10 +568,15 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
                     std::thread::sleep(due - elapsed);
                 }
             }
-            if !quiet && writeln!(out, "{}", event.line).is_err() {
-                eprintln!("stdout closed mid-stream");
-                return ExitCode::FAILURE;
+            if quiet {
+                Ok(())
+            } else {
+                writeln!(out, "{line}")
             }
+        });
+        if streamed.is_err() {
+            eprintln!("stdout closed mid-stream");
+            return ExitCode::FAILURE;
         }
         if writeln!(out, "{}", outcome.summary_line).is_err() || out.flush().is_err() {
             eprintln!("stdout closed mid-stream");

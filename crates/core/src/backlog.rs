@@ -9,7 +9,8 @@
 //! * the **degraded fleet** — servers carrying unrepaired (`D_error`)
 //!   failures that stay in production.
 
-use dcf_trace::{ComponentClass, FotCategory, ServerId, Trace};
+use dcf_trace::columns::NO_RESPONSE_DAY;
+use dcf_trace::{ComponentClass, FotCategory, Trace};
 
 /// One point of a backlog timeline.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,25 +50,33 @@ impl<'a> Backlog<'a> {
     }
 
     /// Open `D_fixing` tickets per day (optionally for one class):
-    /// a ticket is open from `error_time` until its `op_time`.
+    /// a ticket is open from `error_time` until its `op_time`. Tickets
+    /// opened outside the window count on no day.
     pub fn open_timeline(&self, class: Option<ComponentClass>) -> Vec<BacklogPoint> {
         let start_day = self.trace.info().start.day_index();
         let days = self.trace.info().days as usize;
+        let cols = self.trace.columns();
+        let (classes, error_days, op_days) = (cols.classes(), cols.error_days(), cols.op_days());
         // +1 at open day, −1 the day after close.
         let mut delta = vec![0i64; days + 1];
-        for fot in self.trace.in_category(FotCategory::Fixing) {
-            if class.is_some_and(|c| fot.device != c) {
+        for &p in self.trace.index().category_ids(FotCategory::Fixing) {
+            let i = p as usize;
+            if class.is_some_and(|c| classes[i] as usize != c.index()) {
                 continue;
             }
-            let open = (fot.error_time.day_index() - start_day) as usize;
+            let Some(open) = (error_days[i] as u64).checked_sub(start_day) else {
+                continue;
+            };
+            let open = open as usize;
             if open >= days {
                 continue;
             }
             delta[open] += 1;
-            let close = fot
-                .response
-                .map(|r| r.op_time.day_index().saturating_sub(start_day) as usize + 1)
-                .unwrap_or(days);
+            let close = if op_days[i] == NO_RESPONSE_DAY {
+                days
+            } else {
+                (op_days[i] as u64).saturating_sub(start_day) as usize + 1
+            };
             delta[close.min(days)] -= 1;
         }
         let mut open = 0i64;
@@ -84,21 +93,24 @@ impl<'a> Backlog<'a> {
 
     /// Cumulative count of *degraded* servers per day: servers that have
     /// accumulated at least one unrepaired (`D_error`) failure and remain
-    /// in the fleet.
+    /// in the fleet. Failures before the window start are not counted.
     pub fn degraded_timeline(&self) -> Vec<BacklogPoint> {
         let start_day = self.trace.info().start.day_index();
         let days = self.trace.info().days as usize;
-        let mut first_error_day: std::collections::HashMap<ServerId, usize> =
-            std::collections::HashMap::new();
-        for fot in self.trace.in_category(FotCategory::Error) {
-            let d = (fot.error_time.day_index() - start_day) as usize;
-            first_error_day
-                .entry(fot.server)
-                .and_modify(|cur| *cur = (*cur).min(d))
-                .or_insert(d);
+        let cols = self.trace.columns();
+        let (servers, error_days) = (cols.servers(), cols.error_days());
+        // First in-window error day per server (`usize::MAX`: none).
+        let mut first_error_day = vec![usize::MAX; self.trace.servers().len()];
+        for &p in self.trace.index().category_ids(FotCategory::Error) {
+            let i = p as usize;
+            let Some(d) = (error_days[i] as u64).checked_sub(start_day) else {
+                continue;
+            };
+            let first = &mut first_error_day[servers[i] as usize];
+            *first = (*first).min(d as usize);
         }
         let mut new_per_day = vec![0usize; days];
-        for (_, d) in first_error_day {
+        for d in first_error_day {
             if d < days {
                 new_per_day[d] += 1;
             }

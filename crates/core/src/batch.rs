@@ -71,9 +71,12 @@ impl<'a> Batch<'a> {
         let mut counts = vec![0usize; days];
         let day_col = self.trace.columns().error_days();
         for &p in self.trace.index().class_failure_ids(class) {
-            let d = (day_col[p as usize] as u64 - start_day) as usize;
-            if d < days {
-                counts[d] += 1;
+            // Failures outside the window count on no day.
+            let Some(d) = (day_col[p as usize] as u64).checked_sub(start_day) else {
+                continue;
+            };
+            if let Some(count) = counts.get_mut(d as usize) {
+                *count += 1;
             }
         }
         counts

@@ -13,7 +13,7 @@
 //! assert!(corr.pair_server_share < 0.05);
 //! ```
 
-use dcf_trace::{ComponentClass, Fot, ServerId, SimTime, Trace};
+use dcf_trace::{ComponentClass, ServerId, SimTime, Trace};
 
 /// An unordered component-class pair with a count (a Table VI cell).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -170,7 +170,12 @@ impl<'a> Correlation<'a> {
     }
 
     /// Table VII-style examples: same-server `(first_class, second_class)`
-    /// failures within `max_gap_secs`, up to `limit` examples.
+    /// failures within `max_gap_secs`, up to `limit` examples, servers in
+    /// id order.
+    ///
+    /// Only servers with failures of both classes can hold a pair, so the
+    /// scan visits the intersection of the two classes' server sets and
+    /// walks each one's index bucket over the columns.
     pub fn causal_examples(
         &self,
         first_class: ComponentClass,
@@ -178,24 +183,48 @@ impl<'a> Correlation<'a> {
         max_gap_secs: u64,
         limit: usize,
     ) -> Vec<CausalExample> {
-        let mut out = Vec::new();
-        for server in self.trace.servers() {
-            let fots: Vec<&Fot> = self
-                .trace
-                .fots_of_server(server.id)
-                .filter(|f| f.is_failure())
+        let index = self.trace.index();
+        let cols = self.trace.columns();
+        let (servers, classes) = (cols.servers(), cols.classes());
+        let servers_of = |class: ComponentClass| {
+            let mut ids: Vec<u32> = index
+                .class_failure_ids(class)
+                .iter()
+                .map(|&p| servers[p as usize])
                 .collect();
-            for (i, f1) in fots.iter().enumerate() {
-                for f2 in fots.iter().skip(i + 1) {
-                    let gap = f2.error_time.since(f1.error_time).as_secs();
-                    if gap > max_gap_secs {
+            ids.sort_unstable();
+            ids.dedup();
+            ids
+        };
+        let with_second = servers_of(second_class);
+        let (a, b) = (first_class.index() as u8, second_class.index() as u8);
+        let fots = self.trace.fots();
+        let mut out = Vec::new();
+        let mut rows: Vec<usize> = Vec::new();
+        for server in servers_of(first_class) {
+            if with_second.binary_search(&server).is_err() {
+                continue;
+            }
+            let server = ServerId::new(server);
+            rows.clear();
+            rows.extend(
+                index
+                    .server_ids(server)
+                    .iter()
+                    .map(|&p| p as usize)
+                    .filter(|&i| cols.is_failure(i)),
+            );
+            for (k, &r1) in rows.iter().enumerate() {
+                let t1 = cols.error_secs(r1);
+                for &r2 in &rows[k + 1..] {
+                    if cols.error_secs(r2).saturating_sub(t1) > max_gap_secs {
                         break;
                     }
-                    let matches = (f1.device == first_class && f2.device == second_class)
-                        || (f1.device == second_class && f2.device == first_class);
-                    if matches {
+                    let (c1, c2) = (classes[r1], classes[r2]);
+                    if (c1 == a && c2 == b) || (c1 == b && c2 == a) {
+                        let (f1, f2) = (&fots[r1], &fots[r2]);
                         out.push(CausalExample {
-                            server: server.id,
+                            server,
                             first: (f1.device, f1.device_path(), f1.error_time),
                             second: (f2.device, f2.device_path(), f2.error_time),
                         });

@@ -117,14 +117,23 @@ impl<'a> Lifecycle<'a> {
             }
         }
 
-        // Exposure: one pass over servers, shared fractional-overlap vector.
+        // Exposure: servers deployed at the same instant share their
+        // per-month window overlap, so their component counts are summed
+        // first and the overlap is applied once per distinct deploy time
+        // (about 1.7k of them for the paper's 160k servers).
+        let mut by_deploy: Vec<(u64, u32)> = deploys
+            .iter()
+            .enumerate()
+            .map(|(server, &deploy)| (deploy, server as u32))
+            .collect();
+        by_deploy.sort_unstable();
         let start = self.trace.info().start.as_secs() as f64;
         let end = self.trace.end_time().as_secs() as f64;
         let month = SECS_PER_MONTH as f64;
         let mut exposure = vec![vec![0.0f64; AGE_MONTHS]; 11];
         let mut frac = [0.0f64; AGE_MONTHS];
-        for server in self.trace.servers() {
-            let deploy = server.deploy_time.as_secs() as f64;
+        for cohort in by_deploy.chunk_by(|a, b| a.0 == b.0) {
+            let deploy = cohort[0].0 as f64;
             let mut any = false;
             for (m, f) in frac.iter_mut().enumerate() {
                 let seg_start = (deploy + m as f64 * month).max(start);
@@ -135,14 +144,19 @@ impl<'a> Lifecycle<'a> {
             if !any {
                 continue;
             }
-            for class in ComponentClass::ALL {
-                let count = server.component_count(class);
+            let mut counts = [0u64; 11];
+            for &(_, server) in cohort {
+                let server = &self.trace.servers()[server as usize];
+                for class in ComponentClass::ALL {
+                    counts[class.index()] += server.component_count(class) as u64;
+                }
+            }
+            for (ex, &count) in exposure.iter_mut().zip(&counts) {
                 if count == 0 {
                     continue;
                 }
-                let ex = &mut exposure[class.index()];
-                for m in 0..AGE_MONTHS {
-                    ex[m] += frac[m] * count as f64;
+                for (e, &f) in ex.iter_mut().zip(&frac) {
+                    *e += f * count as f64;
                 }
             }
         }

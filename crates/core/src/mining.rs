@@ -71,9 +71,12 @@ impl<'a> FotMiner<'a> {
         let days = trace.info().days as usize;
         let mut daily = vec![vec![0usize; days]; 11];
         for fot in trace.failures() {
-            let d = (fot.error_time.day_index() - start_day) as usize;
-            if d < days {
-                daily[fot.device.index()][d] += 1;
+            // Failures outside the window count on no day.
+            let Some(d) = fot.error_time.day_index().checked_sub(start_day) else {
+                continue;
+            };
+            if let Some(count) = daily[fot.device.index()].get_mut(d as usize) {
+                *count += 1;
             }
         }
         let daily_median = daily
@@ -138,8 +141,11 @@ impl<'a> FotMiner<'a> {
         }
 
         let start_day = self.trace.info().start.day_index();
-        let d = (day - start_day) as usize;
-        let class_count_today = self.daily[fot.device.index()].get(d).copied().unwrap_or(0);
+        let class_count_today = day
+            .checked_sub(start_day)
+            .and_then(|d| self.daily[fot.device.index()].get(d as usize))
+            .copied()
+            .unwrap_or(0);
         let class_daily_median = self.daily_median[fot.device.index()];
 
         let mut flags = Vec::new();

@@ -2,8 +2,6 @@
 //! breakdown), Figure 2 (failure-type breakdown), and the miscellaneous
 //! ticket decomposition.
 
-use std::collections::BTreeMap;
-
 use dcf_trace::{ComponentClass, FailureType, FotCategory, Trace};
 
 /// Table I: ticket shares per category.
@@ -105,16 +103,21 @@ impl<'a> Overview<'a> {
 
     /// Figure 2: failure-type shares within one class, largest first.
     pub fn type_breakdown(&self, class: ComponentClass) -> Vec<TypeShare> {
-        let mut counts: BTreeMap<FailureType, usize> = BTreeMap::new();
-        let mut total = 0usize;
-        for fot in self.trace.failures_of(class) {
-            *counts.entry(fot.failure_type).or_insert(0) += 1;
-            total += 1;
+        // Tally the failure-type column over the class's bucket; type tags
+        // are positions in `FailureType::ALL`, which is in `FailureType`
+        // order, so the rows come out in type order before the sort.
+        let ids = self.trace.index().class_failure_ids(class);
+        let types = self.trace.columns().failure_types();
+        let mut counts = vec![0usize; FailureType::ALL.len()];
+        for &p in ids {
+            counts[types[p as usize] as usize] += 1;
         }
-        let denom = total.max(1) as f64;
-        let mut rows: Vec<TypeShare> = counts
-            .into_iter()
-            .map(|(failure_type, count)| TypeShare {
+        let denom = ids.len().max(1) as f64;
+        let mut rows: Vec<TypeShare> = FailureType::ALL
+            .iter()
+            .zip(counts)
+            .filter(|&(_, count)| count > 0)
+            .map(|(&failure_type, count)| TypeShare {
                 failure_type,
                 count,
                 share: count as f64 / denom,

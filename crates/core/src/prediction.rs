@@ -12,12 +12,12 @@
 //! preceded it within `H`.
 //!
 //! Both this evaluation and the replay's online predictor
-//! ([`crate::replay`]) walk one per-component stream index: every
-//! component's failures in time order, stored as flat columns. A cursor
-//! consumes one stream an event at a time, so the offline scan and the
-//! online feed run the same code.
+//! ([`crate::replay`]) walk the trace's one per-component stream index
+//! ([`Trace::streams`]): every component's failures in time order, stored
+//! as flat columns. A cursor consumes one stream an event at a time, so
+//! the offline scan and the online feed run the same code.
 
-use dcf_trace::{ComponentClass, FailureType, Severity, SimDuration, Trace};
+use dcf_trace::{ComponentClass, SimDuration, Stream, Trace};
 
 /// Evaluation of the warning-based predictor at one horizon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,123 +58,6 @@ impl PredictorEval {
         } else {
             2.0 * p * r / sum
         }
-    }
-}
-
-/// Failure tickets of every component, grouped per component and in
-/// time order within each group: the §VII-A event streams.
-///
-/// A component is a `(server, class, slot)` triple, packed as
-/// `server << 16 | class << 8 | slot`. Miscellaneous (manual) tickets have
-/// no component and are left out. The layout is compressed sparse rows:
-/// stream `c` is entries `offsets[c]..offsets[c + 1]` of the flat columns.
-/// Components are in ascending key order; trace rows are in
-/// `(error_time, id)` order, so sorting `(key, row)` pairs leaves every
-/// stream time-ordered.
-#[derive(Debug)]
-pub(crate) struct StreamIndex {
-    /// Packed component key per stream, ascending.
-    keys: Vec<u64>,
-    /// `keys.len() + 1` cumulative entry counts (`offsets[0] == 0`).
-    offsets: Vec<u32>,
-    /// Trace row of each entry.
-    rows: Vec<u32>,
-    /// Error time of each entry, seconds since origin.
-    times: Vec<u64>,
-    /// Whether each entry is a warning (otherwise it is fatal).
-    warnings: Vec<bool>,
-}
-
-/// One component's stream: entry times and warning flags, in time order.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Stream<'a> {
-    times: &'a [u64],
-    warnings: &'a [bool],
-}
-
-impl StreamIndex {
-    /// Builds the index from the trace's failure rows and columns.
-    pub(crate) fn build(trace: &Trace) -> Self {
-        let cols = trace.columns();
-        let (servers, classes, slots) = (cols.servers(), cols.classes(), cols.device_slots());
-        let misc = ComponentClass::Miscellaneous.index() as u8;
-        let mut pairs: Vec<(u64, u32)> = trace
-            .index()
-            .failure_ids()
-            .iter()
-            .filter(|&&row| classes[row as usize] != misc)
-            .map(|&row| {
-                let i = row as usize;
-                let key = (servers[i] as u64) << 16 | (classes[i] as u64) << 8 | slots[i] as u64;
-                (key, row)
-            })
-            .collect();
-        pairs.sort_unstable();
-
-        let is_warning: Vec<bool> = FailureType::ALL
-            .iter()
-            .map(|t| t.severity() == Severity::Warning)
-            .collect();
-        let types = cols.failure_types();
-        let mut index = StreamIndex {
-            keys: Vec::new(),
-            offsets: Vec::new(),
-            rows: Vec::with_capacity(pairs.len()),
-            times: Vec::with_capacity(pairs.len()),
-            warnings: Vec::with_capacity(pairs.len()),
-        };
-        for (n, &(key, row)) in pairs.iter().enumerate() {
-            if index.keys.last() != Some(&key) {
-                index.keys.push(key);
-                index.offsets.push(n as u32);
-            }
-            let i = row as usize;
-            index.rows.push(row);
-            index.times.push(cols.error_secs(i));
-            index.warnings.push(is_warning[types[i] as usize]);
-        }
-        index.offsets.push(pairs.len() as u32);
-        index
-    }
-
-    /// Number of component streams.
-    pub(crate) fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Component `c` as `(server, class index, slot)`.
-    pub(crate) fn component(&self, c: usize) -> (u32, u8, u8) {
-        let key = self.keys[c];
-        ((key >> 16) as u32, (key >> 8) as u8, key as u8)
-    }
-
-    /// The event stream of component `c`.
-    pub(crate) fn stream(&self, c: usize) -> Stream<'_> {
-        let range = self.offsets[c] as usize..self.offsets[c + 1] as usize;
-        Stream {
-            times: &self.times[range.clone()],
-            warnings: &self.warnings[range],
-        }
-    }
-
-    /// For every trace row, the stream holding it (`u32::MAX` for rows
-    /// in no stream: false alarms and miscellaneous tickets).
-    pub(crate) fn stream_of_rows(&self, n_rows: usize) -> Vec<u32> {
-        let mut of_row = vec![u32::MAX; n_rows];
-        for c in 0..self.len() {
-            let range = self.offsets[c] as usize..self.offsets[c + 1] as usize;
-            for &row in &self.rows[range] {
-                of_row[row as usize] = c as u32;
-            }
-        }
-        of_row
-    }
-}
-
-impl Stream<'_> {
-    /// Number of events in the stream.
-    pub(crate) fn len(&self) -> usize {
-        self.times.len()
     }
 }
 
@@ -305,42 +188,46 @@ impl<'a> Prediction<'a> {
     /// horizon extends past it) are excluded from the precision
     /// denominator, avoiding censoring bias.
     pub fn evaluate(&self, horizon_days: u64, class: Option<ComponentClass>) -> PredictorEval {
-        self.evaluate_on(&StreamIndex::build(self.trace), horizon_days, class)
+        let mut evals = self.sweep(&[horizon_days], class);
+        evals.pop().expect("one horizon in, one evaluation out")
     }
 
     /// Evaluates the predictor across several horizons — the
     /// precision/recall trade-off curve an FMS team would tune against.
+    ///
+    /// One walk over the streams serves every horizon: each stream is
+    /// replayed once per horizon while it is in cache, into that
+    /// horizon's own tally, so every evaluation equals its
+    /// [`Prediction::evaluate`].
     pub fn sweep(
         &self,
         horizons_days: &[u64],
         class: Option<ComponentClass>,
     ) -> Vec<PredictorEval> {
-        let index = StreamIndex::build(self.trace);
-        horizons_days
+        let index = self.trace.streams();
+        let horizons: Vec<Horizon> = horizons_days
             .iter()
-            .map(|&h| self.evaluate_on(&index, h, class))
-            .collect()
-    }
-
-    fn evaluate_on(
-        &self,
-        index: &StreamIndex,
-        horizon_days: u64,
-        class: Option<ComponentClass>,
-    ) -> PredictorEval {
-        let h = Horizon::new(self.trace, horizon_days);
-        let mut tally = PredictorTally::default();
+            .map(|&h| Horizon::new(self.trace, h))
+            .collect();
+        let mut tallies: Vec<PredictorTally> =
+            horizons.iter().map(|_| PredictorTally::default()).collect();
         for c in 0..index.len() {
             if class.is_some_and(|k| index.component(c).1 as usize != k.index()) {
                 continue;
             }
             let stream = index.stream(c);
-            let mut cursor = StreamCursor::default();
-            for _ in 0..stream.len() {
-                cursor.advance(stream, h, &mut tally);
+            for (&h, tally) in horizons.iter().zip(&mut tallies) {
+                let mut cursor = StreamCursor::default();
+                for _ in 0..stream.len() {
+                    cursor.advance(stream, h, tally);
+                }
             }
         }
-        tally.eval(horizon_days)
+        horizons_days
+            .iter()
+            .zip(&tallies)
+            .map(|(&h, tally)| tally.eval(h))
+            .collect()
     }
 }
 

@@ -20,17 +20,19 @@
 //!
 //! Every event — ticket or detection — is rendered as one canonical JSON
 //! line with a virtual-time offset, and the whole stream is digested with
-//! FNV-1a, so a replay is byte-identical at any playback speed. The final
+//! FNV-1a, so a replay is byte-identical at any playback speed. Ticket
+//! events keep only their trace row: [`replay`] formats each ticket line
+//! into one reused buffer to hash it, and writers format it again from
+//! the trace as they send it ([`ReplayOutcome::for_each_line`]), so a
+//! finished replay holds no ticket text. The final
 //! [`ReplaySummary`] scores each online detector against the offline
 //! study (precision/recall/F1 over the flagged `(class, dc, day)` /
 //! `(class, day)` / predicted-fatal sets).
 
 use dcf_trace::io::{fnv1a, FNV_OFFSET};
-use dcf_trace::{ComponentClass, Fot, Severity, Trace, SECS_PER_DAY};
+use dcf_trace::{ComponentClass, Fot, Severity, Stream, StreamIndex, Trace, SECS_PER_DAY};
 
-use crate::prediction::{
-    Horizon, Prediction, PredictorEval, PredictorTally, StreamCursor, StreamIndex,
-};
+use crate::prediction::{Horizon, Prediction, PredictorEval, PredictorTally, StreamCursor};
 
 /// Number of component classes (Table II).
 const CLASSES: usize = 11;
@@ -62,17 +64,45 @@ impl Default for ReplayConfig {
 }
 
 /// One event of the replay stream: a ticket or an online detection, with
-/// its virtual-time offset from the window start and its canonical JSON
-/// line (newline not included).
+/// its virtual-time offset from the window start.
+///
+/// Each event renders as one canonical single-line JSON object (stable
+/// field order, fixed float precision), the unit the stream digest is
+/// computed over; [`ReplayEvent::write_line`] produces it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReplayEvent {
     /// Seconds of virtual time since the observation-window start.
     pub offset_secs: u64,
-    /// Canonical single-line JSON rendering (stable field order, fixed
-    /// float precision) — the unit the stream digest is computed over.
-    pub line: String,
+    /// What the event is.
+    pub kind: EventKind,
+}
+
+/// A replay event's payload.
+#[derive(Debug, Clone, PartialEq)]
+pub enum EventKind {
+    /// A replayed ticket, by its row in [`Trace::fots`]; its line is
+    /// formatted from the trace when written.
+    Ticket(u32),
+    /// A detector event with its JSON line (newline not included).
+    Detection(Box<str>),
+}
+
+impl ReplayEvent {
     /// `true` for detector events, `false` for replayed tickets.
-    pub is_detection: bool,
+    pub fn is_detection(&self) -> bool {
+        matches!(self.kind, EventKind::Detection(_))
+    }
+
+    /// Appends the event's JSON line (newline not included) to `out`.
+    /// `trace` must be the trace the event was replayed from.
+    pub fn write_line(&self, trace: &Trace, out: &mut String) {
+        match &self.kind {
+            EventKind::Ticket(row) => {
+                write_ticket_line(out, &trace.fots()[*row as usize], self.offset_secs)
+            }
+            EventKind::Detection(line) => out.push_str(line),
+        }
+    }
 }
 
 /// Precision/recall of one online detector against the offline study.
@@ -158,24 +188,52 @@ pub struct ReplayOutcome {
     pub summary_line: String,
 }
 
+impl ReplayOutcome {
+    /// Calls `f` with every event and its JSON line (newline not
+    /// included), in stream order, formatting ticket lines from `trace`
+    /// into one reused buffer. Stops at the first error `f` returns.
+    /// `trace` must be the trace the outcome was replayed from.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error `f` returns.
+    pub fn for_each_line<E>(
+        &self,
+        trace: &Trace,
+        mut f: impl FnMut(&ReplayEvent, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut line = String::with_capacity(256);
+        for event in &self.events {
+            line.clear();
+            event.write_line(trace, &mut line);
+            f(event, &line)?;
+        }
+        Ok(())
+    }
+}
+
+/// Stream tag of a row in no component stream (false alarms, misc).
+const NO_STREAM: u32 = u32::MAX;
+/// Stream tag of a row whose component has no other failure.
+const ONE_EVENT: u32 = u32::MAX - 1;
+
 /// Floor of the batch-burst threshold: a day fires only above
 /// `max(5 × median, BURST_FLOOR)` failures, as in the miner's `BatchDay`.
 const BURST_FLOOR: usize = 10;
 
-/// Builds one canonical JSON event line into a pre-sized `String`:
-/// `json_line!(capacity, "type", "key" => writer(value), …)`, where each
+/// Appends one canonical JSON event line to a `String`:
+/// `json_line!(out, "type", "key" => writer(value), …)`, where each
 /// writer appends one value. Every key with its punctuation is one
 /// literal.
 macro_rules! json_line {
-    ($capacity:expr, $t:literal $(, $key:literal => $write:ident($value:expr))* $(,)?) => {{
-        let mut out = String::with_capacity($capacity);
+    ($out:expr, $t:literal $(, $key:literal => $write:ident($value:expr))* $(,)?) => {{
+        let out: &mut String = $out;
         out.push_str(concat!("{\"t\":\"", $t, "\""));
         $(
             out.push_str(concat!(",\"", $key, "\":"));
-            $write(&mut out, $value);
+            $write(out, $value);
         )*
         out.push('}');
-        out
     }};
 }
 
@@ -310,13 +368,27 @@ struct Feed {
 }
 
 impl Feed {
-    fn push(&mut self, offset_secs: u64, line: String, is_detection: bool) {
+    /// Folds one event line into the digest.
+    fn hash(&mut self, line: &str) {
         self.digest = fnv1a(fnv1a(self.digest, line.as_bytes()), b"\n");
-        self.detections += usize::from(is_detection);
+    }
+
+    /// Appends the ticket at `row`, whose JSON line is `line`.
+    fn ticket(&mut self, offset_secs: u64, row: u32, line: &str) {
+        self.hash(line);
         self.events.push(ReplayEvent {
             offset_secs,
-            line,
-            is_detection,
+            kind: EventKind::Ticket(row),
+        });
+    }
+
+    /// Appends a detection event with its JSON line.
+    fn detect(&mut self, offset_secs: u64, line: String) {
+        self.hash(&line);
+        self.detections += 1;
+        self.events.push(ReplayEvent {
+            offset_secs,
+            kind: EventKind::Detection(line.into_boxed_str()),
         });
     }
 }
@@ -368,8 +440,9 @@ impl DayDetectors {
                 let threshold = burst_threshold(counts, d, &mut self.counts_buf);
                 if count > threshold {
                     self.burst.push((class_idx, d));
-                    let line = json_line!(
-                        128,
+                    let mut line = String::with_capacity(128);
+                    json_line!(
+                        &mut line,
                         "burst",
                         "off" => push_uint(off),
                         "day" => push_uint(day),
@@ -377,7 +450,7 @@ impl DayDetectors {
                         "count" => push_uint(count as u64),
                         "threshold" => push_uint(threshold as u64),
                     );
-                    feed.push(off, line, true);
+                    feed.detect(off, line);
                 }
             }
         }
@@ -391,8 +464,9 @@ impl DayDetectors {
                 };
                 let (class_idx, dc) = (series / self.n_dc, (series % self.n_dc) as u16);
                 self.sigma.push((class_idx, dc, d));
-                let line = json_line!(
-                    128,
+                let mut line = String::with_capacity(128);
+                json_line!(
+                    &mut line,
                     "sigma",
                     "off" => push_uint(off),
                     "day" => push_uint(day),
@@ -401,7 +475,7 @@ impl DayDetectors {
                     "count" => push_uint(counts[d] as u64),
                     "z" => push_fixed4(z),
                 );
-                feed.push(off, line, true);
+                feed.detect(off, line);
             }
         }
     }
@@ -450,15 +524,26 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     };
 
     // Incremental predictor: one cursor per component stream, looked up
-    // through each failure row's stream id.
+    // through each failure row's stream id. A one-event stream needs no
+    // kept cursor: its only event runs through a fresh one as it
+    // arrives, which spares most failures a random access to the cursor
+    // table and the stream columns.
     let horizon = Horizon::new(trace, config.predictor_horizon_days);
-    let streams = StreamIndex::build(trace);
-    let stream_of_row = streams.stream_of_rows(trace.len());
+    let streams = trace.streams();
+    let mut stream_of_row = vec![NO_STREAM; trace.len()];
+    for c in 0..streams.len() {
+        let rows = streams.rows(c);
+        let tag = if rows.len() == 1 { ONE_EVENT } else { c as u32 };
+        for &row in rows {
+            stream_of_row[row as usize] = tag;
+        }
+    }
     let mut cursors = vec![StreamCursor::default(); streams.len()];
     let mut tally = PredictorTally::default();
     let mut online_predicted: Vec<((u32, u8, u8), usize)> = Vec::new(); // (component, seq)
 
     let mut cur_day = 0usize;
+    let mut line = String::with_capacity(256);
     for (row, fot) in trace.fots().iter().enumerate() {
         // Day within the window; `None` before it, `>= days` after it.
         let day = fot
@@ -471,7 +556,9 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
             cur_day += 1;
         }
         let off = fot.error_time.since(start).as_secs();
-        feed.push(off, ticket_line(fot, off), false);
+        line.clear();
+        write_ticket_line(&mut line, fot, off);
+        feed.ticket(off, row as u32, &line);
         if !fot.is_failure() {
             continue; // false alarms ride the feed but feed no detector
         }
@@ -479,15 +566,25 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         if let Some(d) = day.filter(|&d| d < days) {
             detectors.count(class_idx, fot.data_center.raw(), d);
         }
-        let c = stream_of_row[row];
-        if c == u32::MAX {
-            continue; // manual tickets have no component to predict
-        }
-        let c = c as usize;
+        let c = match stream_of_row[row] {
+            NO_STREAM => continue, // manual tickets have no component to predict
+            ONE_EVENT => {
+                let warning = [fot.failure_type.severity() == Severity::Warning];
+                let event = Stream {
+                    times: &[fot.error_time.as_secs()],
+                    warnings: &warning,
+                };
+                let predicted = StreamCursor::default().advance(event, horizon, &mut tally);
+                debug_assert!(predicted.is_none(), "a lone event has no earlier warning");
+                continue;
+            }
+            c => c as usize,
+        };
         if let Some(seq) = cursors[c].advance(streams.stream(c), horizon, &mut tally) {
             online_predicted.push((streams.component(c), seq));
-            let line = json_line!(
-                128,
+            let mut line = String::with_capacity(128);
+            json_line!(
+                &mut line,
                 "predict",
                 "off" => push_uint(off),
                 "day" => push_uint(fot.error_time.day_index()),
@@ -495,7 +592,7 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
                 "class" => push_json_str(fot.device.name()),
                 "slot" => push_uint(fot.device_slot as u64),
             );
-            feed.push(off, line, true);
+            feed.detect(off, line);
         }
     }
     while cur_day < days {
@@ -531,7 +628,7 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     truth_sigma.sort_unstable();
     // Predictor: the offline §VII-A scan, collecting the predicted-fatal
     // set (the same scan `Prediction::evaluate` counts over).
-    let truth_predicted = offline_predicted_set(&streams, horizon);
+    let truth_predicted = offline_predicted_set(streams, horizon);
 
     let mut online_burst = detectors.burst;
     let mut online_sigma = detectors.sigma;
@@ -556,13 +653,14 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     }
 }
 
-fn ticket_line(fot: &Fot, off: u64) -> String {
+/// Appends the JSON line of ticket `fot` at offset `off`.
+fn write_ticket_line(out: &mut String, fot: &Fot, off: u64) {
     let sev = match fot.failure_type.severity() {
         Severity::Warning => "warning",
         Severity::Fatal => "fatal",
     };
     json_line!(
-        192,
+        out,
         "fot",
         "off" => push_uint(off),
         "id" => push_uint(fot.id.raw()),
@@ -574,7 +672,7 @@ fn ticket_line(fot: &Fot, off: u64) -> String {
         "type" => push_json_str(fot.failure_type.name()),
         "sev" => push_json_str(sev),
         "cat" => push_json_str(fot.category.name()),
-    )
+    );
 }
 
 fn score_json(score: &DetectorScore) -> String {
@@ -641,6 +739,17 @@ mod tests {
     use crate::test_support::{medium_trace, synthetic_trace};
     use dcf_trace::{SimDuration, TraceInfo};
 
+    /// Every event's JSON line, in stream order.
+    fn lines(out: &ReplayOutcome, trace: &Trace) -> Vec<String> {
+        let mut lines = Vec::with_capacity(out.events.len());
+        out.for_each_line(trace, |_, line| {
+            lines.push(line.to_owned());
+            Ok::<_, ()>(())
+        })
+        .expect("collecting cannot fail");
+        lines
+    }
+
     #[test]
     fn replay_is_deterministic_and_digest_matches_lines() {
         let trace = medium_trace();
@@ -652,10 +761,23 @@ mod tests {
         assert_eq!(a.summary_line, b.summary_line);
         // Recompute the digest from the lines.
         let mut h = FNV_OFFSET;
-        for e in &a.events {
-            h = fnv1a(fnv1a(h, e.line.as_bytes()), b"\n");
+        for line in lines(&a, &trace) {
+            h = fnv1a(fnv1a(h, line.as_bytes()), b"\n");
         }
         assert_eq!(h, a.summary.event_digest);
+    }
+
+    #[test]
+    fn ticket_events_hold_their_row_not_their_line() {
+        let trace = synthetic_trace();
+        let out = replay(&trace, &ReplayConfig::default());
+        let rows = out.events.iter().filter_map(|e| match e.kind {
+            EventKind::Ticket(row) => Some(row as usize),
+            EventKind::Detection(_) => None,
+        });
+        assert!(rows.eq(0..trace.len()), "every row once, in order");
+        // An offset plus a row or a boxed detection line: 24 bytes per event.
+        assert!(std::mem::size_of::<ReplayEvent>() <= 24);
     }
 
     #[test]
@@ -666,11 +788,11 @@ mod tests {
             .events
             .windows(2)
             .all(|w| w[0].offset_secs <= w[1].offset_secs));
-        for e in &out.events {
-            assert!(e.line.starts_with('{') && e.line.ends_with('}'));
-            assert!(!e.line.contains('\n'));
+        for line in lines(&out, &trace) {
+            assert!(line.starts_with('{') && line.ends_with('}'));
+            assert!(!line.contains('\n'));
         }
-        let tickets = out.events.iter().filter(|e| !e.is_detection).count();
+        let tickets = out.events.iter().filter(|e| !e.is_detection()).count();
         assert_eq!(tickets, trace.len());
         assert_eq!(out.summary.tickets, trace.len());
     }
@@ -714,7 +836,7 @@ mod tests {
     fn detection_counts_are_consistent() {
         let trace = medium_trace();
         let out = replay(&trace, &ReplayConfig::default());
-        let detection_events = out.events.iter().filter(|e| e.is_detection).count();
+        let detection_events = out.events.iter().filter(|e| e.is_detection()).count();
         assert_eq!(detection_events, out.summary.detections);
         assert_eq!(
             out.summary.detections,
@@ -738,10 +860,9 @@ mod tests {
             let config = ReplayConfig::default();
             let a = replay(&trace, &config);
             let b = replay(&trace, &config);
-            let lines_a: Vec<&str> = a.events.iter().map(|e| e.line.as_str()).collect();
-            let lines_b: Vec<&str> = b.events.iter().map(|e| e.line.as_str()).collect();
             assert_eq!(
-                lines_a, lines_b,
+                lines(&a, &trace),
+                lines(&b, &trace),
                 "seed {seed}: event sequence not reproducible"
             );
             assert_eq!(a.summary_line, b.summary_line, "seed {seed}");
@@ -798,7 +919,7 @@ mod tests {
         let config = ReplayConfig::default();
         let out = replay(&trace, &config);
         assert_eq!(out.summary.tickets, trace.len());
-        let tickets = out.events.iter().filter(|e| !e.is_detection).count();
+        let tickets = out.events.iter().filter(|e| !e.is_detection()).count();
         assert_eq!(tickets, trace.len());
         assert!(out
             .events
@@ -809,18 +930,20 @@ mod tests {
         assert_eq!(out.summary.predictor.recall, 1.0);
         // Day-close detections all fall on window days.
         let window_days = start.day_index()..end.day_index();
-        for e in out.events.iter().filter(|e| {
-            e.line.starts_with("{\"t\":\"burst\"") || e.line.starts_with("{\"t\":\"sigma\"")
-        }) {
-            let day: u64 = e
-                .line
+        out.for_each_line(&trace, |e, line| {
+            if !line.starts_with("{\"t\":\"burst\"") && !line.starts_with("{\"t\":\"sigma\"") {
+                return Ok::<_, ()>(());
+            }
+            let day: u64 = line
                 .split("\"day\":")
                 .nth(1)
                 .and_then(|rest| rest.split(',').next().and_then(|d| d.parse().ok()))
                 .expect("detection lines carry a day");
-            assert!(window_days.contains(&day), "{}", e.line);
-            assert!(e.offset_secs <= end.since(start).as_secs(), "{}", e.line);
-        }
+            assert!(window_days.contains(&day), "{line}");
+            assert!(e.offset_secs <= end.since(start).as_secs(), "{line}");
+            Ok(())
+        })
+        .expect("checks panic instead of failing");
     }
 
     /// A small seeded generator for the exactness tests (SplitMix64).

@@ -34,6 +34,20 @@ pub struct RtStats {
     pub over_200d: f64,
 }
 
+impl RtStats {
+    /// The summary of one sorted response-time population (days).
+    pub fn of(e: &Ecdf) -> Self {
+        Self {
+            n: e.len(),
+            mean_days: e.mean(),
+            median_days: e.median(),
+            p90_days: e.quantile(0.9),
+            over_140d: e.tail_fraction(140.0),
+            over_200d: e.tail_fraction(200.0),
+        }
+    }
+}
+
 /// A Figure 11 scatter point: one product line's HDD failures vs median RT.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LineRtPoint {
@@ -81,15 +95,7 @@ impl<'a> Response<'a> {
     }
 
     fn stats_from(rts_days: Vec<f64>) -> Result<RtStats, StatsError> {
-        let e = Ecdf::new(rts_days)?;
-        Ok(RtStats {
-            n: e.len(),
-            mean_days: e.mean(),
-            median_days: e.median(),
-            p90_days: e.quantile(0.9),
-            over_140d: e.tail_fraction(140.0),
-            over_200d: e.tail_fraction(200.0),
-        })
+        Ok(RtStats::of(&Ecdf::new(rts_days)?))
     }
 
     /// RT in days for every responded ticket of `category`.
@@ -113,6 +119,16 @@ impl<'a> Response<'a> {
         Self::stats_from(self.rts_of_category(category))
     }
 
+    /// The sorted RTs of one category, the population behind both
+    /// [`Response::rt_of_category`] and [`Response::rt_cdf`].
+    ///
+    /// # Errors
+    ///
+    /// Fails when the category has no responded tickets.
+    pub fn rt_ecdf(&self, category: FotCategory) -> Result<Ecdf, StatsError> {
+        Ecdf::new(self.rts_of_category(category))
+    }
+
     /// Figure 9's CDF series for a category, downsampled.
     ///
     /// # Errors
@@ -123,8 +139,7 @@ impl<'a> Response<'a> {
         category: FotCategory,
         max_points: usize,
     ) -> Result<Vec<(f64, f64)>, StatsError> {
-        let e = Ecdf::new(self.rts_of_category(category))?;
-        Ok(e.sampled_points(max_points))
+        Ok(self.rt_ecdf(category)?.sampled_points(max_points))
     }
 
     /// Figure 10: RT statistics per component class over all responded
@@ -157,32 +172,46 @@ impl<'a> Response<'a> {
     /// Figure 11: per-line HDD failure count vs median RT, for lines with
     /// at least `min_failures` responded HDD tickets.
     ///
-    /// Groups the responded-ticket bucket into an ordered map, so the
-    /// output (including tie order after the sort below) is deterministic.
+    /// Splits the responded HDD tickets' RTs by the product-line column
+    /// into a table indexed by line id, so lines come out in id order and
+    /// the output (including tie order after the sort below) is
+    /// deterministic.
     pub fn rt_by_product_line_hdd(&self, min_failures: usize) -> Vec<LineRtPoint> {
-        let mut per_line: BTreeMap<ProductLineId, Vec<f64>> = BTreeMap::new();
-        for fot in self.trace.responded() {
-            if fot.device != ComponentClass::Hdd {
-                continue;
+        let cols = self.trace.columns();
+        let lines = cols.product_lines();
+        let mut per_line: Vec<Vec<f64>> = Vec::new();
+        for (i, rt) in self.hdd_rts() {
+            let line = lines[i] as usize;
+            if per_line.len() <= line {
+                per_line.resize(line + 1, Vec::new());
             }
-            if let Some(rt) = fot.response_time() {
-                per_line
-                    .entry(fot.product_line)
-                    .or_default()
-                    .push(rt.as_days_f64());
-            }
+            per_line[line].push(rt);
         }
         let mut points: Vec<LineRtPoint> = per_line
             .into_iter()
-            .filter(|(_, rts)| rts.len() >= min_failures)
+            .enumerate()
+            .filter(|(_, rts)| !rts.is_empty() && rts.len() >= min_failures)
             .map(|(line, rts)| LineRtPoint {
-                line,
+                line: ProductLineId::new(line as u16),
                 hdd_failures: rts.len(),
                 median_rt_days: median(&rts).expect("non-empty by filter"),
             })
             .collect();
         points.sort_by_key(|p| std::cmp::Reverse(p.hdd_failures));
         points
+    }
+
+    /// `(row, RT in days)` of every responded HDD ticket, in time order.
+    fn hdd_rts(&self) -> impl Iterator<Item = (usize, f64)> + 'a {
+        let cols = self.trace.columns();
+        let hdd = ComponentClass::Hdd.index() as u8;
+        self.trace
+            .index()
+            .responded_ids()
+            .iter()
+            .map(|&p| p as usize)
+            .filter(move |&i| cols.classes()[i] == hdd)
+            .filter_map(move |i| cols.response_days(i).map(|rt| (i, rt)))
     }
 
     /// Per-operator workload: tickets closed and median RT for each
@@ -228,14 +257,15 @@ impl<'a> Response<'a> {
         // "top 1% product lines have a median RT of 47 days" pools the
         // tickets of those lines, so weight each line by its volume.
         let top_k = (points.len() / 100).max(1);
-        let top_lines: std::collections::HashSet<ProductLineId> =
-            points[..top_k].iter().map(|p| p.line).collect();
+        let mut is_top = vec![false; usize::from(u16::MAX) + 1];
+        for p in &points[..top_k] {
+            is_top[usize::from(p.line.raw())] = true;
+        }
+        let lines = self.trace.columns().product_lines();
         let pooled: Vec<f64> = self
-            .trace
-            .responded()
-            .filter(|f| f.device == ComponentClass::Hdd && top_lines.contains(&f.product_line))
-            .filter_map(|f| f.response_time())
-            .map(|d| d.as_days_f64())
+            .hdd_rts()
+            .filter(|&(i, _)| is_top[usize::from(lines[i])])
+            .map(|(_, rt)| rt)
             .collect();
         let top1pct_median_days = median(&pooled)?;
 

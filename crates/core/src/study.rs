@@ -5,11 +5,14 @@
 //! once, up front, under the `study.index` span) and schedules its six
 //! independent sections over a small scoped thread pool — see
 //! [`StudyOptions`] for the `threads` knob and the determinism contract.
+//! The study keeps each section's values, so the renderers that run after
+//! `analyze` read them instead of computing them again.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use dcf_obs::MetricsRegistry;
-
+use dcf_stats::Ecdf;
 use dcf_trace::{ComponentClass, FotCategory, Trace};
 
 use crate::batch::Batch;
@@ -18,10 +21,19 @@ use crate::lifecycle::Lifecycle;
 use crate::overview::{CategoryBreakdown, ComponentShare, Overview};
 use crate::response::{Response, RtStats};
 use crate::skew::{ConcentrationResult, RepeatStats, Skew};
-use crate::spatial::{Spatial, TableIv};
+use crate::spatial::{DcSpatialResult, Spatial, TableIv};
 use crate::temporal::{DayOfWeekResult, HourOfDayResult, TbfResult, Temporal};
 
-/// One study over one trace; hands out the section analyses.
+/// One study over one trace; hands out the section analyses and keeps
+/// the values the report reads.
+///
+/// The six report sections (see [`FailureStudy::analyze`]) are computed
+/// at most once per study: `analyze` fills one cell per section, and the
+/// section accessors ([`FailureStudy::temporal_section`], …) read the cell,
+/// computing it on first use if `analyze` has not run. The renderers read
+/// these cells, so a report rendered after `analyze` repeats none of its
+/// work. The section analyses themselves ([`FailureStudy::temporal`], …)
+/// stay uncached: each call recomputes.
 ///
 /// # Examples
 ///
@@ -35,16 +47,32 @@ use crate::temporal::{DayOfWeekResult, HourOfDayResult, TbfResult, Temporal};
 /// assert!(breakdown.fixing_share > 0.5);
 /// let tbf = study.temporal().tbf_all().unwrap();
 /// assert_eq!(tbf.fits.len(), 4); // exp / Weibull / gamma / lognormal
+/// // The kept section value is the same fit.
+/// assert_eq!(study.temporal_section().tbf.as_ref(), Some(&tbf));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FailureStudy<'a> {
     trace: &'a Trace,
+    overview: OnceLock<OverviewSection>,
+    temporal: OnceLock<TemporalSection>,
+    skew: OnceLock<SkewSection>,
+    spatial: OnceLock<SpatialSection>,
+    correlation: OnceLock<CorrelatedComponents>,
+    response: OnceLock<ResponseSection>,
 }
 
 impl<'a> FailureStudy<'a> {
     /// Creates a study over a trace.
     pub fn new(trace: &'a Trace) -> Self {
-        Self { trace }
+        Self {
+            trace,
+            overview: OnceLock::new(),
+            temporal: OnceLock::new(),
+            skew: OnceLock::new(),
+            spatial: OnceLock::new(),
+            correlation: OnceLock::new(),
+            response: OnceLock::new(),
+        }
     }
 
     /// The underlying trace.
@@ -107,6 +135,73 @@ impl<'a> FailureStudy<'a> {
         crate::backlog::Backlog::new(self.trace)
     }
 
+    /// The kept §II overview section (Tables I–II).
+    pub fn overview_section(&self) -> &OverviewSection {
+        self.overview.get_or_init(|| {
+            let overview = self.overview();
+            OverviewSection {
+                categories: overview.category_breakdown(),
+                components: overview.component_breakdown(),
+            }
+        })
+    }
+
+    /// The kept §III-A/B temporal section over all failures: one fused
+    /// pass (identical results; see [`Temporal::fused`]).
+    pub fn temporal_section(&self) -> &TemporalSection {
+        self.temporal.get_or_init(|| {
+            let (dow, hod, tbf) = self.temporal().fused_with_ecdf(None);
+            let (tbf, tbf_ecdf) = tbf.ok().unzip();
+            TemporalSection {
+                tbf,
+                tbf_ecdf,
+                dow: dow.ok(),
+                hod: hod.ok(),
+            }
+        })
+    }
+
+    /// The kept §III-D skew section (Figure 7).
+    pub fn skew_section(&self) -> &SkewSection {
+        self.skew.get_or_init(|| {
+            let skew = self.skew();
+            SkewSection {
+                concentration: skew.concentration(),
+                repeats: skew.repeats(),
+            }
+        })
+    }
+
+    /// The kept §IV spatial section: Hypothesis 5 per data center with at
+    /// least 200 failures tested (Table IV, Figure 8).
+    pub fn spatial_section(&self) -> &SpatialSection {
+        self.spatial.get_or_init(|| {
+            let spatial = self.spatial();
+            let by_data_center = spatial.by_data_center(200);
+            SpatialSection {
+                table_iv: spatial.table_iv(&by_data_center),
+                by_data_center,
+            }
+        })
+    }
+
+    /// The kept §V-B correlation section (Table VI).
+    pub fn correlation_section(&self) -> &CorrelatedComponents {
+        self.correlation
+            .get_or_init(|| self.correlation().component_pairs())
+    }
+
+    /// The kept §VI response section (Figure 9).
+    pub fn response_section(&self) -> &ResponseSection {
+        self.response.get_or_init(|| {
+            let response = self.response();
+            ResponseSection {
+                fixing: response.rt_ecdf(FotCategory::Fixing).ok(),
+                false_alarm: response.rt_ecdf(FotCategory::FalseAlarm).ok(),
+            }
+        })
+    }
+
     /// Runs every section and collects the headline metrics under
     /// `options`: `options.threads` schedules the six independent sections
     /// over a `std::thread::scope`, and `options.metrics` records one detached
@@ -114,6 +209,10 @@ impl<'a> FailureStudy<'a> {
     /// `trace.build_columns` for the up-front index/column builds and
     /// `study.sections` for the scheduler's wall time) along with a
     /// `study.fots.analyzed` counter.
+    ///
+    /// Each section fills its kept cell, so the report is assembled from
+    /// the same values the section accessors hand the renderers; sections
+    /// already computed on this study are not computed again.
     ///
     /// The report is byte-identical for every thread count and metrics
     /// setting — see [`StudyOptions`].
@@ -135,135 +234,68 @@ impl<'a> FailureStudy<'a> {
         metrics.set_gauge("study.threads", workers as f64);
 
         let sections_span = metrics.phase("study.sections");
-        let mut slots: [Option<SectionOutput>; SECTION_COUNT] = Default::default();
         if workers == 1 {
-            for (section, slot) in slots.iter_mut().enumerate() {
-                let span = metrics.worker_phase(SECTION_NAMES[section]);
-                *slot = Some(self.run_section(section));
-                drop(span);
+            for (section, name) in SECTION_NAMES.iter().enumerate() {
+                let _span = metrics.worker_phase(name);
+                self.fill_section(section);
             }
         } else {
             // Work-stealing over a shared cursor: each worker claims the
             // next unclaimed section until all are done. Which worker runs
-            // which section is racy; the outputs are not — every section
+            // which section is racy; the values are not — every section
             // is a pure function of the (shared, read-only) trace, and the
-            // merge below reassembles them in fixed order.
+            // report below reads the cells in fixed order.
             let next = AtomicUsize::new(0);
-            let outputs = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let next = &next;
-                        scope.spawn(move || {
-                            let mut done = Vec::new();
-                            loop {
-                                let section = next.fetch_add(1, Ordering::Relaxed);
-                                if section >= SECTION_COUNT {
-                                    break;
-                                }
-                                let span = metrics.worker_phase(SECTION_NAMES[section]);
-                                done.push((section, self.run_section(section)));
-                                drop(span);
-                            }
-                            done
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("study worker panicked"))
-                    .collect::<Vec<_>>()
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    let next = &next;
+                    scope.spawn(move || loop {
+                        let section = next.fetch_add(1, Ordering::Relaxed);
+                        if section >= SECTION_COUNT {
+                            break;
+                        }
+                        let _span = metrics.worker_phase(SECTION_NAMES[section]);
+                        self.fill_section(section);
+                    });
+                }
             });
-            for (section, output) in outputs {
-                slots[section] = Some(output);
-            }
         }
         drop(sections_span);
-        self.assemble(slots)
+        self.assemble()
     }
 
-    /// Runs one section by scheduler slot (see [`SECTION_NAMES`] order).
-    fn run_section(&self, section: usize) -> SectionOutput {
+    /// Fills one section's cell by scheduler slot (see [`SECTION_NAMES`]
+    /// order).
+    fn fill_section(&self, section: usize) {
         match section {
-            0 => {
-                let overview = self.overview();
-                SectionOutput::Overview {
-                    categories: overview.category_breakdown(),
-                    components: overview.component_breakdown(),
-                }
-            }
-            1 => {
-                // One fused pass over the failure population instead of
-                // three (identical results; see `Temporal::fused`).
-                let temporal = self.temporal();
-                let (dow, hod, tbf) = temporal.fused(None);
-                SectionOutput::Temporal {
-                    tbf: tbf.ok(),
-                    dow: dow.ok(),
-                    hod: hod.ok(),
-                }
-            }
-            2 => {
-                let skew = self.skew();
-                SectionOutput::Skew {
-                    concentration: skew.concentration(),
-                    repeats: skew.repeats(),
-                }
-            }
-            3 => {
-                let spatial = self.spatial();
-                let results = spatial.by_data_center(200);
-                SectionOutput::Spatial {
-                    table_iv: spatial.table_iv(&results),
-                }
-            }
-            4 => SectionOutput::Correlation(self.correlation().component_pairs()),
-            5 => {
-                let response = self.response();
-                SectionOutput::Response {
-                    rt_fixing: response.rt_of_category(FotCategory::Fixing).ok(),
-                    rt_false_alarm: response.rt_of_category(FotCategory::FalseAlarm).ok(),
-                }
-            }
+            0 => _ = self.overview_section(),
+            1 => _ = self.temporal_section(),
+            2 => _ = self.skew_section(),
+            3 => _ = self.spatial_section(),
+            4 => _ = self.correlation_section(),
+            5 => _ = self.response_section(),
             _ => unreachable!("unknown study section {section}"),
         }
     }
 
-    /// Merges the section outputs (in fixed slot order) into the report.
-    fn assemble(&self, mut slots: [Option<SectionOutput>; SECTION_COUNT]) -> StudyReport {
-        let Some(SectionOutput::Overview {
+    /// Collects the headline metrics from the section cells.
+    fn assemble(&self) -> StudyReport {
+        let OverviewSection {
             categories,
             components,
-        }) = slots[0].take()
-        else {
-            unreachable!("overview section missing")
-        };
-        let Some(SectionOutput::Temporal { tbf, dow, hod }) = slots[1].take() else {
-            unreachable!("temporal section missing")
-        };
-        let Some(SectionOutput::Skew {
+        } = self.overview_section();
+        let temporal = self.temporal_section();
+        let tbf = temporal.tbf.as_ref();
+        let SkewSection {
             concentration,
             repeats,
-        }) = slots[2].take()
-        else {
-            unreachable!("skew section missing")
-        };
-        let Some(SectionOutput::Spatial { table_iv }) = slots[3].take() else {
-            unreachable!("spatial section missing")
-        };
-        let Some(SectionOutput::Correlation(correlation)) = slots[4].take() else {
-            unreachable!("correlation section missing")
-        };
-        let Some(SectionOutput::Response {
-            rt_fixing,
-            rt_false_alarm,
-        }) = slots[5].take()
-        else {
-            unreachable!("response section missing")
-        };
+        } = self.skew_section();
+        let correlation = self.correlation_section();
+        let response = self.response_section();
 
         StudyReport {
             total_fots: self.trace.len(),
-            total_failures: self.trace.failures().count(),
+            total_failures: self.trace.index().failure_count(),
             fixing_share: categories.fixing_share,
             error_share: categories.error_share,
             false_alarm_share: categories.false_alarm_share,
@@ -273,20 +305,20 @@ impl<'a> FailureStudy<'a> {
                 .find(|c| c.class == ComponentClass::Hdd)
                 .map(|c| c.share)
                 .unwrap_or(0.0),
-            mtbf_minutes: tbf.as_ref().map(|t| t.mtbf_minutes),
-            tbf_all_families_rejected: tbf.as_ref().map(|t| t.all_rejected_at_005),
-            day_of_week_rejected_001: dow.map(|d| d.uniformity.rejects_at(0.01)),
-            hour_of_day_rejected_001: hod.map(|h| h.uniformity.rejects_at(0.01)),
+            mtbf_minutes: tbf.map(|t| t.mtbf_minutes),
+            tbf_all_families_rejected: tbf.map(|t| t.all_rejected_at_005),
+            day_of_week_rejected_001: temporal.dow.as_ref().map(|d| d.uniformity.rejects_at(0.01)),
+            hour_of_day_rejected_001: temporal.hod.as_ref().map(|h| h.uniformity.rejects_at(0.01)),
             servers_ever_failed: concentration.servers_ever_failed,
             max_fots_one_server: concentration.max_on_one_server,
             top_2pct_failure_share: concentration.top_share(0.02),
             never_repeat_share: repeats.never_repeat_share,
             repeat_server_share: repeats.repeat_server_share,
-            table_iv,
+            table_iv: self.spatial_section().table_iv,
             pair_server_share: correlation.pair_server_share,
             misc_involved_share: correlation.misc_involved_share,
-            rt_fixing,
-            rt_false_alarm,
+            rt_fixing: response.fixing.as_ref().map(RtStats::of),
+            rt_false_alarm: response.false_alarm.as_ref().map(RtStats::of),
         }
     }
 }
@@ -305,49 +337,54 @@ const SECTION_NAMES: [&str; SECTION_COUNT] = [
     "study.response",
 ];
 
-/// Owned output of one report section, tagged by scheduler slot.
-// Six short-lived values exist per report, immediately consumed by the
-// assembler; boxing the temporal variant would buy nothing but noise.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-enum SectionOutput {
-    /// Slot 0: §II overview.
-    Overview {
-        /// Table I shares.
-        categories: CategoryBreakdown,
-        /// Table II shares.
-        components: Vec<ComponentShare>,
-    },
-    /// Slot 1: §III-A/B temporal analyses.
-    Temporal {
-        /// Figure 5 / Hypotheses 3–4.
-        tbf: Option<TbfResult>,
-        /// Figure 3 / Hypothesis 1.
-        dow: Option<DayOfWeekResult>,
-        /// Figure 4 / Hypothesis 2.
-        hod: Option<HourOfDayResult>,
-    },
-    /// Slot 2: §III-D skew and repeats.
-    Skew {
-        /// Figure 7 concentration curve.
-        concentration: ConcentrationResult,
-        /// Repeat-failure shares.
-        repeats: RepeatStats,
-    },
-    /// Slot 3: §IV spatial analysis.
-    Spatial {
-        /// Table IV buckets.
-        table_iv: TableIv,
-    },
-    /// Slot 4: §V-B/C correlation mining.
-    Correlation(CorrelatedComponents),
-    /// Slot 5: §VI operator-response analysis.
-    Response {
-        /// Figure 9 stats for `D_fixing`.
-        rt_fixing: Option<RtStats>,
-        /// Figure 9 stats for `D_falsealarm`.
-        rt_false_alarm: Option<RtStats>,
-    },
+/// The §II overview values a study keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OverviewSection {
+    /// Table I shares.
+    pub categories: CategoryBreakdown,
+    /// Table II shares.
+    pub components: Vec<ComponentShare>,
+}
+
+/// The §III-A/B temporal values a study keeps, over all failures.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TemporalSection {
+    /// Figure 5 / Hypotheses 3–4 (`None` with too few failures).
+    pub tbf: Option<TbfResult>,
+    /// The sorted TBF gaps `tbf` was tested against (Figure 5's ECDF).
+    pub tbf_ecdf: Option<Ecdf>,
+    /// Figure 3 / Hypothesis 1.
+    pub dow: Option<DayOfWeekResult>,
+    /// Figure 4 / Hypothesis 2.
+    pub hod: Option<HourOfDayResult>,
+}
+
+/// The §III-D skew values a study keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SkewSection {
+    /// Figure 7 concentration curve.
+    pub concentration: ConcentrationResult,
+    /// Repeat-failure shares.
+    pub repeats: RepeatStats,
+}
+
+/// The §IV spatial values a study keeps.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SpatialSection {
+    /// Hypothesis 5 per data center (Figure 8 plots the first two).
+    pub by_data_center: Vec<DcSpatialResult>,
+    /// Table IV buckets over `by_data_center`.
+    pub table_iv: TableIv,
+}
+
+/// The §VI response values a study keeps: the sorted RTs per category,
+/// from which Figure 9's statistics ([`RtStats::of`]) and CDFs come.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ResponseSection {
+    /// RTs of `D_fixing` (`None` without responded tickets).
+    pub fixing: Option<Ecdf>,
+    /// RTs of `D_falsealarm` (`None` without responded tickets).
+    pub false_alarm: Option<Ecdf>,
 }
 
 /// Execution options for [`FailureStudy::analyze`].
@@ -475,11 +512,10 @@ mod tests {
     #[test]
     fn instrumented_report_matches_plain_report() {
         let trace = synthetic_trace();
-        let study = FailureStudy::new(&trace);
         let registry = MetricsRegistry::new();
         assert_eq!(
-            study.analyze(&StudyOptions::default()),
-            study.analyze(&StudyOptions::default().metrics(&registry))
+            FailureStudy::new(&trace).analyze(&StudyOptions::default()),
+            FailureStudy::new(&trace).analyze(&StudyOptions::default().metrics(&registry))
         );
         assert_eq!(
             registry.counter_value("study.fots.analyzed"),
@@ -494,11 +530,11 @@ mod tests {
     #[test]
     fn parallel_report_matches_serial_report() {
         let trace = synthetic_trace();
-        let study = FailureStudy::new(&trace);
-        let serial = study.analyze(&StudyOptions::default());
+        let serial = FailureStudy::new(&trace).analyze(&StudyOptions::default());
         for threads in [2, 4, 64] {
             let registry = MetricsRegistry::new();
-            let parallel = study.analyze(&StudyOptions::with_threads(threads).metrics(&registry));
+            let parallel = FailureStudy::new(&trace)
+                .analyze(&StudyOptions::with_threads(threads).metrics(&registry));
             assert_eq!(parallel, serial, "threads={threads}");
             let report = registry.report("parallel");
             assert_eq!(
@@ -513,5 +549,46 @@ mod tests {
                 assert!(report.phase_ms(name).is_some(), "missing span {name}");
             }
         }
+    }
+
+    #[test]
+    fn analyze_keeps_the_values_the_section_analyses_compute() {
+        let trace = synthetic_trace();
+        let study = FailureStudy::new(&trace);
+        let report = study.analyze(&StudyOptions::with_threads(3));
+        // A second analyze reads the kept cells and agrees.
+        assert_eq!(study.analyze(&StudyOptions::default()), report);
+        let temporal = study.temporal();
+        let kept = study.temporal_section();
+        assert_eq!(kept.tbf, temporal.tbf_all().ok());
+        assert_eq!(
+            kept.tbf_ecdf.as_ref().map(|e| e.sampled_points(60)),
+            temporal.tbf_ecdf(60).ok()
+        );
+        assert_eq!(kept.dow, temporal.day_of_week(None).ok());
+        assert_eq!(kept.hod, temporal.hour_of_day(None).ok());
+        let response = study.response();
+        let kept = study.response_section();
+        assert_eq!(
+            kept.fixing.as_ref().map(RtStats::of),
+            response.rt_of_category(FotCategory::Fixing).ok()
+        );
+        assert_eq!(
+            kept.false_alarm.as_ref().map(|e| e.sampled_points(60)),
+            response.rt_cdf(FotCategory::FalseAlarm, 60).ok()
+        );
+        let spatial = study.spatial();
+        assert_eq!(
+            study.spatial_section().by_data_center,
+            spatial.by_data_center(200)
+        );
+        assert_eq!(
+            study.correlation_section(),
+            &study.correlation().component_pairs()
+        );
+        assert_eq!(
+            study.skew_section().concentration,
+            study.skew().concentration()
+        );
     }
 }

@@ -215,6 +215,22 @@ impl<'a> Temporal<'a> {
         Result<HourOfDayResult, StatsError>,
         Result<TbfResult, StatsError>,
     ) {
+        let (dow, hod, tbf) = self.fused_with_ecdf(class);
+        (dow, hod, tbf.map(|(tbf, _)| tbf))
+    }
+
+    /// [`Temporal::fused`], also handing back the sorted TBF gaps the fit
+    /// tested against (the [`Temporal::tbf_ecdf`] series of `None`), so
+    /// the study keeps them for Figure 5 instead of re-gathering them.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn fused_with_ecdf(
+        &self,
+        class: Option<ComponentClass>,
+    ) -> (
+        Result<DayOfWeekResult, StatsError>,
+        Result<HourOfDayResult, StatsError>,
+        Result<(TbfResult, Ecdf), StatsError>,
+    ) {
         let mut dow = [0usize; 7];
         let mut hod = [0usize; 24];
         let ids = self.population(class);
@@ -240,7 +256,7 @@ impl<'a> Temporal<'a> {
         (
             self.day_of_week_from_counts(dow),
             Self::hour_of_day_from_counts(hod),
-            self.tbf_from_gaps(gaps),
+            Self::tbf_and_ecdf(gaps),
         )
     }
 
@@ -358,9 +374,11 @@ impl<'a> Temporal<'a> {
         let sod_col = cols.error_sods();
         for &p in self.population(class) {
             let i = p as usize;
-            let d = (day_col[i] as u64 - start_day) as usize;
-            if d < days {
-                per_day_hour[d][(sod_col[i] as u64 / SECS_PER_HOUR) as usize] += 1;
+            let Some(d) = (day_col[i] as u64).checked_sub(start_day) else {
+                continue;
+            };
+            if let Some(row) = per_day_hour.get_mut(d as usize) {
+                row[(sod_col[i] as u64 / SECS_PER_HOUR) as usize] += 1;
             }
         }
         // Drop batch days before aggregating.
@@ -385,6 +403,12 @@ impl<'a> Temporal<'a> {
     }
 
     fn tbf_from_gaps(&self, gaps: Vec<f64>) -> Result<TbfResult, StatsError> {
+        Self::tbf_and_ecdf(gaps).map(|(tbf, _)| tbf)
+    }
+
+    /// The TBF fits over `gaps`, plus the ECDF of the gaps they were
+    /// tested against.
+    fn tbf_and_ecdf(gaps: Vec<f64>) -> Result<(TbfResult, Ecdf), StatsError> {
         let n = gaps.len();
         if n < 100 {
             return Err(StatsError::NotEnoughBins {
@@ -413,13 +437,14 @@ impl<'a> Temporal<'a> {
             })
             .collect();
         let all_rejected_at_005 = !fits.is_empty() && fits.iter().all(|f| f.test.rejects_at(0.05));
-        Ok(TbfResult {
+        let tbf = TbfResult {
             n,
             mtbf_minutes: ecdf.mean(),
             median_minutes: ecdf.median(),
             fits,
             all_rejected_at_005,
-        })
+        };
+        Ok((tbf, ecdf))
     }
 }
 

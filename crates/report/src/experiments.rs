@@ -1,8 +1,13 @@
 //! One renderer per paper table/figure: each prints the same rows/series
 //! the paper reports, with the paper's published value alongside where one
 //! exists. The `reproduce` binary in `dcf-bench` drives these.
+//!
+//! Renderers read the study's kept section values
+//! ([`FailureStudy::temporal_section`], …), so rendering after
+//! [`FailureStudy::analyze`] repeats none of its work.
 
 use dcf_core::paper;
+use dcf_core::response::RtStats;
 use dcf_core::FailureStudy;
 use dcf_stats::ContinuousDistribution as _;
 use dcf_trace::{ComponentClass, FailureType, FotCategory};
@@ -12,7 +17,7 @@ use crate::table::{days, pct, TextTable};
 
 /// Table I: FOT categories.
 pub fn render_table1(study: &FailureStudy<'_>) -> String {
-    let b = study.overview().category_breakdown();
+    let b = &study.overview_section().categories;
     let mut t = TextTable::new(vec!["Failure trace", "Measured", "Paper"]);
     for ((name, paper_share), measured) in
         paper::CATEGORY_SHARES
@@ -30,9 +35,9 @@ pub fn render_table1(study: &FailureStudy<'_>) -> String {
 
 /// Table II: failure breakdown by component.
 pub fn render_table2(study: &FailureStudy<'_>) -> String {
-    let rows = study.overview().component_breakdown();
+    let rows = &study.overview_section().components;
     let mut t = TextTable::new(vec!["Device", "Count", "Measured", "Paper"]);
-    for r in &rows {
+    for r in rows {
         t.row(vec![
             r.class.name().into(),
             r.count.to_string(),
@@ -92,7 +97,12 @@ pub fn render_fig3(study: &FailureStudy<'_>) -> String {
         Some(ComponentClass::RaidCard),
         Some(ComponentClass::Miscellaneous),
     ] {
-        let Ok(r) = study.temporal().day_of_week(class) else {
+        // The all-classes population is the kept section value.
+        let r = match class {
+            None => study.temporal_section().dow.clone(),
+            Some(_) => study.temporal().day_of_week(class).ok(),
+        };
+        let Some(r) = r else {
             continue;
         };
         let name = class.map_or("All", |c| c.name());
@@ -145,8 +155,8 @@ pub fn render_fig4(study: &FailureStudy<'_>) -> String {
 
 /// Figure 5: TBF CDF with the four fitted families and their tests.
 pub fn render_fig5(study: &FailureStudy<'_>) -> String {
-    let temporal = study.temporal();
-    let Ok(tbf) = temporal.tbf_all() else {
+    let section = study.temporal_section();
+    let (Some(tbf), Some(ecdf)) = (&section.tbf, &section.tbf_ecdf) else {
         return String::from("Figure 5 — not enough failures for TBF analysis\n");
     };
     let mut out = format!(
@@ -156,7 +166,7 @@ pub fn render_fig5(study: &FailureStudy<'_>) -> String {
         tbf.median_minutes,
         tbf.n
     );
-    let per_dc = temporal.mtbf_by_dc(100);
+    let per_dc = study.temporal().mtbf_by_dc(100);
     if !per_dc.is_empty() {
         let min = per_dc.iter().map(|(_, m)| *m).fold(f64::INFINITY, f64::min);
         let max = per_dc.iter().map(|(_, m)| *m).fold(0.0f64, f64::max);
@@ -181,10 +191,13 @@ pub fn render_fig5(study: &FailureStudy<'_>) -> String {
         ]);
     }
     out.push_str(&t.render());
-    if let Ok(pts) = temporal.tbf_ecdf(60) {
-        out.push_str("\n  Empirical CDF (log-scaled minutes):\n");
-        out.push_str(&cdf_plot(&[("TBF", &pts)], 60, 12, true));
-    }
+    out.push_str("\n  Empirical CDF (log-scaled minutes):\n");
+    out.push_str(&cdf_plot(
+        &[("TBF", &ecdf.sampled_points(60))],
+        60,
+        12,
+        true,
+    ));
     out
 }
 
@@ -243,9 +256,8 @@ pub fn render_fig6(study: &FailureStudy<'_>) -> String {
 
 /// Figure 7: failure concentration plus repeat statistics.
 pub fn render_fig7(study: &FailureStudy<'_>) -> String {
-    let skew = study.skew();
-    let c = skew.concentration();
-    let r = skew.repeats();
+    let section = study.skew_section();
+    let (c, r) = (&section.concentration, &section.repeats);
     let mut out = format!(
         "Figure 7 — failure concentration across servers\n  servers ever failed: {} ({} of fleet); max FOTs on one server: {}\n",
         c.servers_ever_failed,
@@ -272,9 +284,8 @@ pub fn render_fig7(study: &FailureStudy<'_>) -> String {
 
 /// Table IV + Figure 8: the spatial analysis.
 pub fn render_table4_fig8(study: &FailureStudy<'_>) -> String {
-    let spatial = study.spatial();
-    let results = spatial.by_data_center(200);
-    let t4 = spatial.table_iv(&results);
+    let section = study.spatial_section();
+    let (results, t4) = (&section.by_data_center, section.table_iv);
     let mut out = String::from("Table IV — chi-squared results for Hypothesis 5\n");
     let mut t = TextTable::new(vec!["p-value", "Measured", "Paper (of 24)"]);
     t.row(vec![
@@ -298,7 +309,7 @@ pub fn render_table4_fig8(study: &FailureStudy<'_>) -> String {
         "0".into(),
     ]);
     out.push_str(&t.render());
-    let share = spatial.modern_acceptance_share(&results, 0.02);
+    let share = study.spatial().modern_acceptance_share(results, 0.02);
     if share.is_finite() {
         out.push_str(&format!(
             "  post-2014 DCs where H5 cannot be rejected at 0.02: {} (paper: ~90 %)\n",
@@ -373,7 +384,7 @@ pub fn render_table5(study: &FailureStudy<'_>) -> String {
 
 /// Table VI: correlated component pairs.
 pub fn render_table6(study: &FailureStudy<'_>) -> String {
-    let c = study.correlation().component_pairs();
+    let c = study.correlation_section();
     let mut out = format!(
         "Table VI — correlated component failures\n  servers with same-day multi-component failures: {} ({} of ever-failed; paper: {})\n  incidents involving misc: {} (paper: {})\n",
         c.servers_with_pairs,
@@ -440,7 +451,7 @@ pub fn render_table8(study: &FailureStudy<'_>) -> String {
 
 /// Figure 9: RT CDF for `D_fixing` and `D_falsealarm`.
 pub fn render_fig9(study: &FailureStudy<'_>) -> String {
-    let resp = study.response();
+    let section = study.response_section();
     let mut out = String::from("Figure 9 — operator response time\n");
     let mut t = TextTable::new(vec![
         "Category",
@@ -451,19 +462,21 @@ pub fn render_fig9(study: &FailureStudy<'_>) -> String {
         ">200d",
         "Paper MTTR/median",
     ]);
-    for (cat, p_mean, p_median) in [
+    for (cat, rts, p_mean, p_median) in [
         (
             FotCategory::Fixing,
+            &section.fixing,
             paper::response::FIXING_MEAN_DAYS,
             paper::response::FIXING_MEDIAN_DAYS,
         ),
         (
             FotCategory::FalseAlarm,
+            &section.false_alarm,
             paper::response::FALSE_ALARM_MEAN_DAYS,
             paper::response::FALSE_ALARM_MEDIAN_DAYS,
         ),
     ] {
-        if let Ok(s) = resp.rt_of_category(cat) {
+        if let Some(s) = rts.as_ref().map(RtStats::of) {
             t.row(vec![
                 cat.name().into(),
                 s.n.to_string(),
@@ -476,8 +489,12 @@ pub fn render_fig9(study: &FailureStudy<'_>) -> String {
         }
     }
     out.push_str(&t.render());
-    let fixing = resp.rt_cdf(FotCategory::Fixing, 60).unwrap_or_default();
-    let fa = resp.rt_cdf(FotCategory::FalseAlarm, 60).unwrap_or_default();
+    let cdf = |rts: &Option<dcf_stats::Ecdf>| {
+        rts.as_ref()
+            .map(|e| e.sampled_points(60))
+            .unwrap_or_default()
+    };
+    let (fixing, fa) = (cdf(&section.fixing), cdf(&section.false_alarm));
     out.push_str("\n  CDF of RT in days (log x):\n");
     out.push_str(&cdf_plot(
         &[("D_fixing", &fixing), ("D_falsealarm", &fa)],

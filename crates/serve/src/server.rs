@@ -928,7 +928,8 @@ fn handle_fots(shared: &Shared, request: &Request, digest: &str) -> Response {
 /// summary) as chunked NDJSON. `speed` is simulated days per wall
 /// second; `0` (the default) streams with no pacing. The event sequence
 /// is precomputed and cached per run, so the bytes on the wire are
-/// identical at every speed.
+/// identical at every speed; ticket lines are formatted from the run's
+/// trace per request, since the cached sequence keeps only their rows.
 fn handle_replay(shared: &Shared, request: &Request, scenario: &str) -> Response {
     let speed = match request.query_value("speed") {
         None => 0.0,
@@ -970,11 +971,14 @@ fn handle_replay(shared: &Shared, request: &Request, scenario: &str) -> Response
     };
     let mut chunks = Vec::with_capacity(outcome.events.len() + 1);
     let mut last_due = 0u64;
-    for event in &outcome.events {
-        let due = (event.offset_secs as f64 * ms_per_sim_sec) as u64;
-        last_due = due;
-        chunks.push((due, format!("{}\n", event.line)));
-    }
+    outcome
+        .for_each_line(&artifacts.trace, |event, line| {
+            let due = (event.offset_secs as f64 * ms_per_sim_sec) as u64;
+            last_due = due;
+            chunks.push((due, format!("{line}\n")));
+            Ok::<_, std::convert::Infallible>(())
+        })
+        .unwrap_or_else(|never| match never {});
     chunks.push((last_due, format!("{}\n", outcome.summary_line)));
     Response::stream(StreamBody::Paced(chunks))
 }

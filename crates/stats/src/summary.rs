@@ -15,10 +15,12 @@ pub fn median(data: &[f64]) -> Option<f64> {
     if data.is_empty() {
         return None;
     }
-    let mut sorted = data.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("comparable values"));
-    let n = sorted.len();
-    Some(sorted[(n - 1) / 2])
+    // The lower middle order statistic, selected rather than sorted.
+    let mut values = data.to_vec();
+    let mid = (values.len() - 1) / 2;
+    let (_, median, _) =
+        values.select_nth_unstable_by(mid, |a, b| a.partial_cmp(b).expect("comparable values"));
+    Some(*median)
 }
 
 #[cfg(test)]

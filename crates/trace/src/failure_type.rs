@@ -311,6 +311,12 @@ mod tests {
     }
 
     #[test]
+    fn all_lists_the_types_in_their_order() {
+        // Tallies indexed by `ALL` position come out in `Ord` order.
+        assert!(FailureType::ALL.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
     fn names_match_paper_spelling() {
         assert_eq!(FailureType::SmartFail.name(), "SMARTFail");
         assert_eq!(FailureType::PendingLba.name(), "PendingLBA");

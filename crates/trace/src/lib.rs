@@ -35,6 +35,7 @@ mod index;
 pub mod io;
 mod meta;
 mod store;
+mod streams;
 mod time;
 
 pub use columns::{FotColumns, StringDict};
@@ -46,6 +47,7 @@ pub use ids::{DataCenterId, FotId, OperatorId, ProductLineId, RackId, RackPositi
 pub use index::{FotIter, TraceIndex};
 pub use meta::{DataCenterMeta, FaultTolerance, ProductLineMeta, ServerMeta, WorkloadKind};
 pub use store::{Trace, TraceInfo};
+pub use streams::{Stream, StreamIndex};
 pub use time::{
     SimDuration, SimTime, Weekday, ORIGIN_WEEKDAY, SECS_PER_DAY, SECS_PER_HOUR, SECS_PER_MINUTE,
     SECS_PER_MONTH, TRACE_DAYS,

@@ -6,6 +6,7 @@ use std::sync::OnceLock;
 
 use crate::columns::FotColumns;
 use crate::index::{FotIter, TraceIndex};
+use crate::streams::StreamIndex;
 use crate::{
     ComponentClass, DataCenterId, DataCenterMeta, Fot, FotCategory, ProductLineId, ProductLineMeta,
     ServerId, ServerMeta, SimTime, TraceError,
@@ -107,6 +108,8 @@ pub struct Trace {
     index: OnceLock<TraceIndex>,
     /// Lazily-built struct-of-arrays view (see [`FotColumns`]).
     columns: OnceLock<FotColumns>,
+    /// Lazily-built per-component failure streams (see [`StreamIndex`]).
+    streams: OnceLock<StreamIndex>,
 }
 
 /// Equality compares the trace *data* (info, fleet snapshot, tickets).
@@ -174,6 +177,7 @@ impl Trace {
             fots,
             index: OnceLock::new(),
             columns: OnceLock::new(),
+            streams: OnceLock::new(),
         })
     }
 
@@ -204,6 +208,7 @@ impl Trace {
     pub fn rebuild_index(&mut self) {
         self.index = OnceLock::new();
         self.columns = OnceLock::new();
+        self.streams = OnceLock::new();
     }
 
     /// The shared struct-of-arrays view of the ticket vector, built lazily
@@ -215,6 +220,13 @@ impl Trace {
     /// Every analysis section runs its kernel over these columns.
     pub fn columns(&self) -> &FotColumns {
         self.columns.get_or_init(|| FotColumns::build(&self.fots))
+    }
+
+    /// The shared per-component failure streams (§VII-A), built lazily on
+    /// first access from the index and columns. The predictor evaluation
+    /// and the replay's online predictor both walk this one copy.
+    pub fn streams(&self) -> &StreamIndex {
+        self.streams.get_or_init(|| StreamIndex::build(self))
     }
 
     /// Trace description.

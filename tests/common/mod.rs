@@ -29,3 +29,24 @@ pub fn small() -> &'static Trace {
             .expect("small scenario runs")
     })
 }
+
+/// `trace` with its observation window narrowed by `days` at each end:
+/// the same tickets, some of them now before the window start or after
+/// its end.
+#[allow(dead_code)]
+pub fn narrowed(trace: &Trace, days: u64) -> Trace {
+    let info = trace.info();
+    let window = dcfail::trace::TraceInfo {
+        start: info.start + dcfail::trace::SimDuration::from_days(days),
+        days: info.days - 2 * days,
+        ..info.clone()
+    };
+    Trace::new(
+        window,
+        trace.servers().to_vec(),
+        trace.data_centers().to_vec(),
+        trace.product_lines().to_vec(),
+        trace.fots().to_vec(),
+    )
+    .expect("same tickets, narrower window")
+}

@@ -5,6 +5,7 @@
 mod common;
 
 use dcfail::core::{FailureStudy, StudyOptions};
+use dcfail::report::experiments::render_all;
 use dcfail::trace::{ComponentClass, FotCategory};
 
 #[test]
@@ -153,4 +154,38 @@ fn prediction_counts_are_bounded_by_trace_populations() {
     assert!(eval.warnings + eval.fatals <= hardware_failures);
     assert!(eval.confirmed_warnings <= eval.warnings);
     assert!(eval.predicted_fatals <= eval.fatals);
+}
+
+/// Tickets before the window start or after its end count on no day. The
+/// whole report, the workload correlation and the miner run over a trace
+/// whose window is 5 days narrower at each end than its tickets' span
+/// (debug builds check every day subtraction for overflow).
+#[test]
+fn window_edge_tickets_count_on_no_day() {
+    let trace = common::narrowed(common::small(), 5);
+    let start = trace.info().start;
+    let early = trace
+        .fots()
+        .iter()
+        .find(|f| f.is_failure() && f.error_time < start)
+        .expect("failures before the narrowed window");
+    let study = FailureStudy::new(&trace);
+    let text = render_all(&study);
+    assert!(text.contains("Table I") && text.contains("repair backlog"));
+
+    let batch = study.batch();
+    for class in ComponentClass::ALL {
+        let in_window = trace
+            .failures_of(class)
+            .filter(|f| f.error_time >= start && f.error_time < trace.end_time())
+            .count();
+        let daily: usize = batch.daily_counts(class).iter().sum();
+        assert_eq!(daily, in_window, "{class}");
+    }
+    let open = study.backlog().open_timeline(None);
+    assert_eq!(open.len(), trace.info().days as usize);
+    let flat = [1.0f64; 24];
+    let _ = study.temporal().workload_correlation(None, &flat);
+    let context = study.miner().context(early.id).expect("known ticket");
+    assert_eq!(context.fot, early.id);
 }

@@ -2,7 +2,9 @@
 
 mod common;
 
+use dcfail::core::replay::{replay, ReplayConfig};
 use dcfail::core::{FailureStudy, StudyOptions};
+use dcfail::report::experiments::render_all;
 use dcfail::sim::{RunOptions, Scenario};
 use dcfail::trace::io;
 
@@ -53,6 +55,32 @@ fn golden_digests_at_seed_1() {
     ] {
         let trace = scenario.seed(1).simulate(&RunOptions::default()).unwrap();
         assert_eq!(format!("{:016x}", io::fots_digest(trace.fots())), expected);
+    }
+}
+
+/// The report and replay bytes at seed 1: the FNV-1a of `render_all`
+/// (the `reproduce` default output) and the replay event digest. They
+/// move only together with the trace digests above.
+#[test]
+fn golden_report_and_replay_digests_at_seed_1() {
+    for (scenario, report_fnv, replay_digest) in [
+        (Scenario::small(), "7c941b7a9239f4ac", "ab7211e1dc58f2b8"),
+        (Scenario::medium(), "cfa1d206f4251bbc", "15fd2c8638e6ec50"),
+    ] {
+        let name = scenario.name;
+        let trace = scenario.seed(1).simulate(&RunOptions::default()).unwrap();
+        let text = render_all(&FailureStudy::new(&trace));
+        assert_eq!(
+            format!("{:016x}", io::fnv1a(io::FNV_OFFSET, text.as_bytes())),
+            report_fnv,
+            "{name} report"
+        );
+        let outcome = replay(&trace, &ReplayConfig::default());
+        assert_eq!(
+            format!("{:016x}", outcome.summary.event_digest),
+            replay_digest,
+            "{name} replay"
+        );
     }
 }
 

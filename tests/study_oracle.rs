@@ -9,25 +9,34 @@
 //! 1/7/42 and compares kernel and oracle through their `Debug` form, so
 //! every float must match to the bit and every list in order.
 
+mod common;
+
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Debug;
 use std::sync::OnceLock;
 
+use dcfail::core::backlog::{Backlog, BacklogPoint, BacklogSummary};
 use dcfail::core::batch::Batch;
-use dcfail::core::correlation::{CorrelatedComponents, Correlation, PairCount, SynchronousGroup};
+use dcfail::core::correlation::{
+    CausalExample, CorrelatedComponents, Correlation, PairCount, SynchronousGroup,
+};
 use dcfail::core::lifecycle::{Lifecycle, AGE_MONTHS};
+use dcfail::core::overview::{Overview, TypeShare};
 use dcfail::core::prediction::{Prediction, PredictorEval};
 use dcfail::core::replay::{replay, ReplayConfig};
-use dcfail::core::response::{Response, RtStats};
+use dcfail::core::response::{LineRtPoint, LineRtSummary, Response, RtStats};
 use dcfail::core::skew::{ConcentrationResult, RepeatStats, Skew};
 use dcfail::core::spatial::Spatial;
 use dcfail::core::temporal::{DayOfWeekResult, HourOfDayResult, TbfFit, TbfResult, Temporal};
+use dcfail::core::{FailureStudy, StudyOptions};
+use dcfail::report::experiments::render_all;
 use dcfail::sim::{RunOptions, Scenario};
 use dcfail::stats::chi_square::{against_expected, goodness_of_fit, uniformity};
 use dcfail::stats::{fit, rank, Ecdf, StatsError};
+use dcfail::trace::io::{fnv1a, FNV_OFFSET};
 use dcfail::trace::{
-    ComponentClass, Fot, FotCategory, FotIter, ServerId, Severity, SimDuration, SimTime, Trace,
-    Weekday, SECS_PER_MONTH,
+    ComponentClass, FailureType, Fot, FotCategory, FotIter, ProductLineId, ServerId, Severity,
+    SimDuration, SimTime, Trace, Weekday, SECS_PER_MONTH,
 };
 
 const SEEDS: [u64; 3] = [1, 7, 42];
@@ -160,16 +169,53 @@ fn lifecycle_failures(trace: &Trace) -> Vec<Vec<u64>> {
     tally
 }
 
+/// Exposure per class and age month, in component-months: every server's
+/// component count times its window overlap with each age month, summed
+/// server by server.
+fn lifecycle_exposure(trace: &Trace) -> Vec<Vec<f64>> {
+    let start = trace.info().start.as_secs() as f64;
+    let end = trace.end_time().as_secs() as f64;
+    let month = SECS_PER_MONTH as f64;
+    let mut exposure = vec![vec![0.0f64; AGE_MONTHS]; ComponentClass::ALL.len()];
+    for server in trace.servers() {
+        let deploy = server.deploy_time.as_secs() as f64;
+        for class in ComponentClass::ALL {
+            let count = server.component_count(class) as f64;
+            for (m, e) in exposure[class.index()].iter_mut().enumerate() {
+                let seg_start = (deploy + m as f64 * month).max(start);
+                let seg_end = (deploy + (m + 1) as f64 * month).min(end);
+                *e += ((seg_end - seg_start) / month).max(0.0) * count;
+            }
+        }
+    }
+    exposure
+}
+
 #[test]
 fn lifecycle_matches_the_oracle() {
     for (seed, trace) in traces() {
         let oracle = lifecycle_failures(trace);
+        let exposure = lifecycle_exposure(trace);
         for result in Lifecycle::new(trace).all() {
+            let class = result.class;
             assert_same(
                 &result.failures,
-                &oracle[result.class.index()],
-                &format!("seed {seed} lifecycle {:?}", result.class),
+                &oracle[class.index()],
+                &format!("seed {seed} lifecycle {class:?}"),
             );
+            // The kernel sums servers per deploy time before weighting, so
+            // exposure matches up to float rounding.
+            for (m, (&kernel, &naive)) in result
+                .exposure
+                .iter()
+                .zip(&exposure[class.index()])
+                .enumerate()
+            {
+                assert!(
+                    (kernel - naive).abs() <= 1e-12 * naive.abs(),
+                    "seed {seed} {class:?} month {m}: exposure {kernel} vs {naive}"
+                );
+            }
         }
     }
 }
@@ -183,6 +229,9 @@ fn daily_counts(trace: &Trace, class: ComponentClass) -> Vec<usize> {
     let days = trace.info().days as usize;
     let mut counts = vec![0usize; days];
     for fot in failures(trace, Some(class)) {
+        if fot.error_time < trace.info().start {
+            continue;
+        }
         let d = (fot.error_time.day_index() - start_day) as usize;
         if d < days {
             counts[d] += 1;
@@ -191,9 +240,24 @@ fn daily_counts(trace: &Trace, class: ComponentClass) -> Vec<usize> {
     counts
 }
 
+/// The small traces, then the same traces with their windows narrowed by
+/// 5 days at each end, so some tickets fall outside the window.
+fn traces_and_narrowed() -> impl Iterator<Item = (String, std::borrow::Cow<'static, Trace>)> {
+    traces().iter().flat_map(|(seed, trace)| {
+        [
+            (format!("{seed}"), std::borrow::Cow::Borrowed(trace)),
+            (
+                format!("{seed} narrowed"),
+                std::borrow::Cow::Owned(common::narrowed(trace, 5)),
+            ),
+        ]
+    })
+}
+
 #[test]
 fn batch_daily_counts_match_the_oracle() {
-    for (seed, trace) in traces() {
+    for (seed, trace) in traces_and_narrowed() {
+        let trace = &*trace;
         let batch = Batch::new(trace);
         for class in ComponentClass::ALL {
             assert_same(
@@ -857,5 +921,369 @@ fn response_matches_the_oracle() {
                 &format!("seed {seed} rt_by_class({min_n})"),
             );
         }
+    }
+}
+
+/// Median by definition: the lower middle of the sorted values.
+fn sorted_median(values: &[f64]) -> Option<f64> {
+    let mut sorted = values.to_vec();
+    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    sorted.get(sorted.len().checked_sub(1)? / 2).copied()
+}
+
+/// Figure 11 by definition: responded HDD tickets grouped per product
+/// line in an ordered map.
+fn line_points(trace: &Trace, min_failures: usize) -> Vec<LineRtPoint> {
+    let mut per_line: BTreeMap<ProductLineId, Vec<f64>> = BTreeMap::new();
+    for fot in trace
+        .fots()
+        .iter()
+        .filter(|f| f.device == ComponentClass::Hdd)
+    {
+        if let Some(rt) = fot.response_time() {
+            per_line
+                .entry(fot.product_line)
+                .or_default()
+                .push(rt.as_days_f64());
+        }
+    }
+    let mut points: Vec<LineRtPoint> = per_line
+        .into_iter()
+        .filter(|(_, rts)| rts.len() >= min_failures)
+        .map(|(line, rts)| LineRtPoint {
+            line,
+            hdd_failures: rts.len(),
+            median_rt_days: sorted_median(&rts).expect("non-empty"),
+        })
+        .collect();
+    points.sort_by_key(|p| std::cmp::Reverse(p.hdd_failures));
+    points
+}
+
+/// Figure 11's summary by definition, pooling the top lines' tickets.
+fn line_summary(trace: &Trace, points: &[LineRtPoint], cutoff: usize) -> Option<LineRtSummary> {
+    let top: HashSet<ProductLineId> = points
+        .iter()
+        .take((points.len() / 100).max(1))
+        .map(|p| p.line)
+        .collect();
+    let pooled: Vec<f64> = trace
+        .fots()
+        .iter()
+        .filter(|f| f.device == ComponentClass::Hdd && top.contains(&f.product_line))
+        .filter_map(|f| f.response_time())
+        .map(|d| d.as_days_f64())
+        .collect();
+    let top1pct_median_days = sorted_median(&pooled)?;
+    let small: Vec<&LineRtPoint> = points.iter().filter(|p| p.hdd_failures < cutoff).collect();
+    let small_line_over_100d_share = if small.is_empty() {
+        0.0
+    } else {
+        small.iter().filter(|p| p.median_rt_days > 100.0).count() as f64 / small.len() as f64
+    };
+    let medians: Vec<f64> = points.iter().map(|p| p.median_rt_days).collect();
+    let mean = medians.iter().sum::<f64>() / medians.len() as f64;
+    let var = medians.iter().map(|m| (m - mean).powi(2)).sum::<f64>() / medians.len() as f64;
+    Some(LineRtSummary {
+        top1pct_median_days,
+        small_line_over_100d_share,
+        std_dev_days: var.sqrt(),
+    })
+}
+
+#[test]
+fn product_line_response_matches_the_oracle() {
+    for (seed, trace) in traces() {
+        let response = Response::new(trace);
+        for min_failures in [0, 1, 5, 20] {
+            let points = response.rt_by_product_line_hdd(min_failures);
+            let oracle = line_points(trace, min_failures);
+            assert_same(
+                &points,
+                &oracle,
+                &format!("seed {seed} lines({min_failures})"),
+            );
+            for cutoff in [5, 100] {
+                assert_same(
+                    response.line_rt_summary(&points, cutoff),
+                    line_summary(trace, &oracle, cutoff),
+                    &format!("seed {seed} line summary({min_failures}, {cutoff})"),
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// §II overview
+// ---------------------------------------------------------------------------
+
+#[test]
+fn type_breakdown_matches_the_oracle() {
+    for (seed, trace) in traces() {
+        let overview = Overview::new(trace);
+        for class in ComponentClass::ALL {
+            let mut counts: BTreeMap<FailureType, usize> = BTreeMap::new();
+            for fot in failures(trace, Some(class)) {
+                *counts.entry(fot.failure_type).or_default() += 1;
+            }
+            let total = counts.values().sum::<usize>().max(1) as f64;
+            let mut oracle: Vec<TypeShare> = counts
+                .into_iter()
+                .map(|(failure_type, count)| TypeShare {
+                    failure_type,
+                    count,
+                    share: count as f64 / total,
+                })
+                .collect();
+            oracle.sort_by_key(|r| std::cmp::Reverse(r.count));
+            assert_same(
+                overview.type_breakdown(class),
+                oracle,
+                &format!("seed {seed} type_breakdown({class:?})"),
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// §VII-A backlog
+// ---------------------------------------------------------------------------
+
+/// Open `D_fixing` tickets per window day by definition: open from the
+/// error day through the close day; tickets opened outside the window
+/// are left out.
+fn open_timeline(trace: &Trace, class: Option<ComponentClass>) -> Vec<BacklogPoint> {
+    let start = trace.info().start;
+    let days = trace.info().days;
+    (0..days)
+        .map(|d| {
+            let day = start.day_index() + d;
+            let count = trace
+                .fots()
+                .iter()
+                .filter(|f| {
+                    f.category == FotCategory::Fixing && class.is_none_or(|c| f.device == c)
+                })
+                .filter(|f| f.error_time >= start && f.error_time < trace.end_time())
+                .filter(|f| {
+                    let close = f.response.expect("fixing tickets respond").op_time;
+                    f.error_time.day_index() <= day && day <= close.day_index()
+                })
+                .count();
+            BacklogPoint { day, count }
+        })
+        .collect()
+}
+
+/// Servers with an in-window `D_error` failure on or before each day.
+fn degraded_timeline(trace: &Trace) -> Vec<BacklogPoint> {
+    let start = trace.info().start;
+    let mut first: HashMap<ServerId, u64> = HashMap::new();
+    for fot in trace
+        .fots()
+        .iter()
+        .filter(|f| f.category == FotCategory::Error)
+    {
+        if fot.error_time < start {
+            continue;
+        }
+        let day = fot.error_time.day_index();
+        let entry = first.entry(fot.server).or_insert(day);
+        *entry = (*entry).min(day);
+    }
+    (0..trace.info().days)
+        .map(|d| {
+            let day = start.day_index() + d;
+            BacklogPoint {
+                day,
+                count: first.values().filter(|&&f| f <= day).count(),
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn backlog_matches_the_oracle() {
+    for (seed, trace) in traces_and_narrowed() {
+        let trace = &*trace;
+        let backlog = Backlog::new(trace);
+        for class in [
+            None,
+            Some(ComponentClass::Hdd),
+            Some(ComponentClass::Memory),
+        ] {
+            assert_same(
+                backlog.open_timeline(class),
+                open_timeline(trace, class),
+                &format!("seed {seed} open_timeline({class:?})"),
+            );
+        }
+        let degraded = degraded_timeline(trace);
+        assert_same(
+            backlog.degraded_timeline(),
+            degraded.clone(),
+            &format!("seed {seed} degraded_timeline"),
+        );
+        let open = open_timeline(trace, None);
+        let mean_open = open.iter().map(|p| p.count as f64).sum::<f64>() / open.len().max(1) as f64;
+        let peak = open
+            .iter()
+            .max_by_key(|p| p.count)
+            .copied()
+            .unwrap_or(BacklogPoint { day: 0, count: 0 });
+        let servers = trace.servers().len().max(1) as f64;
+        assert_same(
+            backlog.summary(),
+            BacklogSummary {
+                mean_open,
+                peak_open: peak.count,
+                peak_day: peak.day,
+                mean_open_per_1k_servers: mean_open * 1_000.0 / servers,
+                degraded_share_at_end: degraded.last().map_or(0, |p| p.count) as f64 / servers,
+            },
+            &format!("seed {seed} backlog summary"),
+        );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// §V-B causal examples
+// ---------------------------------------------------------------------------
+
+/// Table VII by definition: every server's failures in time order, pairs
+/// of the two classes at most `max_gap_secs` apart, servers in id order.
+fn causal_examples(
+    trace: &Trace,
+    first: ComponentClass,
+    second: ComponentClass,
+    max_gap_secs: u64,
+    limit: usize,
+) -> Vec<CausalExample> {
+    let mut out = Vec::new();
+    for server in trace.servers() {
+        let fots: Vec<&Fot> = trace
+            .fots()
+            .iter()
+            .filter(|f| f.server == server.id && f.is_failure())
+            .collect();
+        for (i, f1) in fots.iter().enumerate() {
+            for f2 in &fots[i + 1..] {
+                if f2.error_time.since(f1.error_time).as_secs() > max_gap_secs {
+                    break;
+                }
+                if (f1.device, f2.device) == (first, second)
+                    || (f1.device, f2.device) == (second, first)
+                {
+                    out.push(CausalExample {
+                        server: server.id,
+                        first: (f1.device, f1.device_path(), f1.error_time),
+                        second: (f2.device, f2.device_path(), f2.error_time),
+                    });
+                    if out.len() >= limit {
+                        return out;
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn causal_examples_match_the_oracle() {
+    use ComponentClass::{Fan, Hdd, Memory, Miscellaneous, Power};
+    for (seed, trace) in traces() {
+        let correlation = Correlation::new(trace);
+        for (first, second, gap, limit) in [
+            (Power, Fan, 300, 5),
+            (Hdd, Memory, 86_400, 50),
+            (Memory, Hdd, 86_400, 50),
+            (Hdd, Hdd, 3_600, 20),
+            (Hdd, Miscellaneous, 7 * 86_400, 1_000),
+        ] {
+            assert_same(
+                correlation.causal_examples(first, second, gap, limit),
+                causal_examples(trace, first, second, gap, limit),
+                &format!("seed {seed} causal_examples({first:?}, {second:?}, {gap}, {limit})"),
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The stream index, the report and the replay stream
+// ---------------------------------------------------------------------------
+
+#[test]
+fn stream_index_matches_the_oracle() {
+    for (seed, trace) in traces() {
+        // Every non-misc component's failures: (time, is warning), in
+        // ticket order, components in key order.
+        let mut oracle: BTreeMap<(u32, u8, u8), Vec<(u64, bool)>> = BTreeMap::new();
+        for fot in failures(trace, None) {
+            if fot.device == ComponentClass::Miscellaneous {
+                continue;
+            }
+            oracle
+                .entry((fot.server.raw(), fot.device.index() as u8, fot.device_slot))
+                .or_default()
+                .push((
+                    fot.error_time.as_secs(),
+                    fot.failure_type.severity() == Severity::Warning,
+                ));
+        }
+        let streams = trace.streams();
+        let kernel: BTreeMap<(u32, u8, u8), Vec<(u64, bool)>> = (0..streams.len())
+            .map(|c| {
+                let stream = streams.stream(c);
+                let events = stream
+                    .times
+                    .iter()
+                    .copied()
+                    .zip(stream.warnings.iter().copied());
+                (streams.component(c), events.collect())
+            })
+            .collect();
+        let in_order = (1..streams.len()).all(|c| streams.component(c - 1) < streams.component(c));
+        assert!(in_order, "seed {seed}: components out of key order");
+        assert_same(kernel, oracle, &format!("seed {seed} streams"));
+    }
+}
+
+/// The study keeps what `analyze` computed, and the renderers read it:
+/// the report is the same bytes whether or not `analyze` ran first, at
+/// any thread count.
+#[test]
+fn report_is_the_same_with_and_without_a_prior_analyze() {
+    for (seed, trace) in traces() {
+        let fresh = render_all(&FailureStudy::new(trace));
+        for threads in [1, 4] {
+            let study = FailureStudy::new(trace);
+            let report = study.analyze(&StudyOptions::with_threads(threads));
+            assert_eq!(render_all(&study), fresh, "seed {seed} threads {threads}");
+            assert_eq!(
+                report,
+                FailureStudy::new(trace).analyze(&StudyOptions::default()),
+                "seed {seed} threads {threads}"
+            );
+        }
+    }
+}
+
+#[test]
+fn written_replay_lines_rehash_to_the_event_digest() {
+    for (seed, trace) in traces() {
+        let outcome = replay(trace, &ReplayConfig::default());
+        let (mut digest, mut lines) = (FNV_OFFSET, 0usize);
+        outcome
+            .for_each_line(trace, |_, line| {
+                digest = fnv1a(fnv1a(digest, line.as_bytes()), b"\n");
+                lines += 1;
+                Ok::<_, ()>(())
+            })
+            .expect("hashing cannot fail");
+        assert_eq!(lines, outcome.events.len(), "seed {seed}");
+        assert_eq!(digest, outcome.summary.event_digest, "seed {seed}");
     }
 }
