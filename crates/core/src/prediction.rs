@@ -17,7 +17,7 @@
 //! as flat columns. A cursor consumes one stream an event at a time, so
 //! the offline scan and the online feed run the same code.
 
-use dcf_trace::{ComponentClass, SimDuration, Stream, Trace};
+use dcf_trace::{ComponentClass, SimDuration, StreamIndex, Trace};
 
 /// Evaluation of the warning-based predictor at one horizon.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -111,7 +111,8 @@ impl Horizon {
 }
 
 /// Incremental predictor state of one stream: feed it the stream's
-/// events in order, one [`StreamCursor::advance`] each.
+/// events in order, one [`StreamCursor::advance`] each. The cursor reads
+/// the stream only to look back over the warnings a fatal resolves.
 ///
 /// A fatal is predicted when the latest earlier warning lies within the
 /// horizon (streams are time-ordered, so no earlier warning can be
@@ -129,18 +130,20 @@ pub(crate) struct StreamCursor {
 }
 
 impl StreamCursor {
-    /// Consumes the next event of `stream` into `tally`. Returns the
+    /// Consumes the next event of stream `c` of `streams`, at time `t`
+    /// and a warning when `warning` is set, into `tally`. Returns the
     /// event's position when it is a predicted fatal.
     pub(crate) fn advance(
         &mut self,
-        stream: Stream<'_>,
+        streams: &StreamIndex,
+        c: usize,
+        (t, warning): (u64, bool),
         h: Horizon,
         tally: &mut PredictorTally,
     ) -> Option<usize> {
         let pos = self.next as usize;
         self.next += 1;
-        let t = stream.times[pos];
-        if stream.warnings[pos] {
+        if warning {
             if h.confirmable(t) {
                 tally.warnings += 1;
             }
@@ -149,15 +152,16 @@ impl StreamCursor {
         }
         tally.fatals += 1;
         let from = self.unresolved as usize;
-        for (&tw, &warning) in stream.times[from..pos]
-            .iter()
-            .zip(&stream.warnings[from..pos])
-        {
-            if warning && h.confirmable(tw) && t - tw <= h.secs {
-                tally.confirmed += 1;
-                tally
-                    .leads
-                    .push(SimDuration::from_secs(t - tw).as_days_f64());
+        if from < pos {
+            let stream = streams.stream(c);
+            let (times, warnings) = (&stream.times()[from..pos], &stream.warnings()[from..pos]);
+            for (&tw, &warning) in times.iter().zip(warnings) {
+                if warning && h.confirmable(tw) && t - tw <= h.secs {
+                    tally.confirmed += 1;
+                    tally
+                        .leads
+                        .push(SimDuration::from_secs(t - tw).as_days_f64());
+                }
             }
         }
         self.unresolved = self.next;
@@ -218,8 +222,13 @@ impl<'a> Prediction<'a> {
             let stream = index.stream(c);
             for (&h, tally) in horizons.iter().zip(&mut tallies) {
                 let mut cursor = StreamCursor::default();
-                for _ in 0..stream.len() {
-                    cursor.advance(stream, h, tally);
+                for event in stream
+                    .times()
+                    .iter()
+                    .copied()
+                    .zip(stream.warnings().iter().copied())
+                {
+                    cursor.advance(index, c, event, h, tally);
                 }
             }
         }

@@ -30,7 +30,7 @@
 //! `(class, day)` / predicted-fatal sets).
 
 use dcf_trace::io::{fnv1a, FNV_OFFSET};
-use dcf_trace::{ComponentClass, Fot, Severity, Stream, StreamIndex, Trace, SECS_PER_DAY};
+use dcf_trace::{ComponentClass, Fot, Severity, StreamIndex, Trace, SECS_PER_DAY};
 
 use crate::prediction::{Horizon, Prediction, PredictorEval, PredictorTally, StreamCursor};
 
@@ -214,8 +214,6 @@ impl ReplayOutcome {
 
 /// Stream tag of a row in no component stream (false alarms, misc).
 const NO_STREAM: u32 = u32::MAX;
-/// Stream tag of a row whose component has no other failure.
-const ONE_EVENT: u32 = u32::MAX - 1;
 
 /// Floor of the batch-burst threshold: a day fires only above
 /// `max(5 × median, BURST_FLOOR)` failures, as in the miner's `BatchDay`.
@@ -524,18 +522,15 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     };
 
     // Incremental predictor: one cursor per component stream, looked up
-    // through each failure row's stream id. A one-event stream needs no
-    // kept cursor: its only event runs through a fresh one as it
-    // arrives, which spares most failures a random access to the cursor
-    // table and the stream columns.
+    // through each failure row's stream id. The ticket itself carries the
+    // event's time and severity, so only a fatal that resolves earlier
+    // warnings reads its stream.
     let horizon = Horizon::new(trace, config.predictor_horizon_days);
     let streams = trace.streams();
     let mut stream_of_row = vec![NO_STREAM; trace.len()];
     for c in 0..streams.len() {
-        let rows = streams.rows(c);
-        let tag = if rows.len() == 1 { ONE_EVENT } else { c as u32 };
-        for &row in rows {
-            stream_of_row[row as usize] = tag;
+        for &row in streams.rows(c) {
+            stream_of_row[row as usize] = c as u32;
         }
     }
     let mut cursors = vec![StreamCursor::default(); streams.len()];
@@ -568,19 +563,13 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         }
         let c = match stream_of_row[row] {
             NO_STREAM => continue, // manual tickets have no component to predict
-            ONE_EVENT => {
-                let warning = [fot.failure_type.severity() == Severity::Warning];
-                let event = Stream {
-                    times: &[fot.error_time.as_secs()],
-                    warnings: &warning,
-                };
-                let predicted = StreamCursor::default().advance(event, horizon, &mut tally);
-                debug_assert!(predicted.is_none(), "a lone event has no earlier warning");
-                continue;
-            }
             c => c as usize,
         };
-        if let Some(seq) = cursors[c].advance(streams.stream(c), horizon, &mut tally) {
+        let event = (
+            fot.error_time.as_secs(),
+            fot.failure_type.severity() == Severity::Warning,
+        );
+        if let Some(seq) = cursors[c].advance(streams, c, event, horizon, &mut tally) {
             online_predicted.push((streams.component(c), seq));
             let mut line = String::with_capacity(128);
             json_line!(
@@ -718,8 +707,13 @@ fn offline_predicted_set(streams: &StreamIndex, horizon: Horizon) -> Vec<((u32, 
     for c in 0..streams.len() {
         let stream = streams.stream(c);
         let mut cursor = StreamCursor::default();
-        for _ in 0..stream.len() {
-            if let Some(seq) = cursor.advance(stream, horizon, &mut tally) {
+        for event in stream
+            .times()
+            .iter()
+            .copied()
+            .zip(stream.warnings().iter().copied())
+        {
+            if let Some(seq) = cursor.advance(streams, c, event, horizon, &mut tally) {
                 out.push((streams.component(c), seq));
             }
         }

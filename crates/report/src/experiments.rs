@@ -97,12 +97,7 @@ pub fn render_fig3(study: &FailureStudy<'_>) -> String {
         Some(ComponentClass::RaidCard),
         Some(ComponentClass::Miscellaneous),
     ] {
-        // The all-classes population is the kept section value.
-        let r = match class {
-            None => study.temporal_section().dow.clone(),
-            Some(_) => study.temporal().day_of_week(class).ok(),
-        };
-        let Some(r) = r else {
+        let Ok(r) = study.temporal().day_of_week(class) else {
             continue;
         };
         let name = class.map_or("All", |c| c.name());

@@ -35,9 +35,9 @@ pub struct StreamIndex {
 #[derive(Debug, Clone, Copy)]
 pub struct Stream<'a> {
     /// Error time of each event, seconds since origin.
-    pub times: &'a [u64],
+    times: &'a [u64],
     /// Whether each event is a warning (otherwise it is fatal).
-    pub warnings: &'a [bool],
+    warnings: &'a [bool],
 }
 
 impl StreamIndex {
@@ -124,14 +124,14 @@ impl StreamIndex {
     }
 }
 
-impl Stream<'_> {
-    /// Number of events in the stream.
-    pub fn len(&self) -> usize {
-        self.times.len()
+impl<'a> Stream<'a> {
+    /// Error time of each event, seconds since origin.
+    pub fn times(&self) -> &'a [u64] {
+        self.times
     }
 
-    /// Whether the stream has no events.
-    pub fn is_empty(&self) -> bool {
-        self.times.is_empty()
+    /// Whether each event is a warning (otherwise it is fatal).
+    pub fn warnings(&self) -> &'a [bool] {
+        self.warnings
     }
 }

@@ -1238,10 +1238,10 @@ fn stream_index_matches_the_oracle() {
             .map(|c| {
                 let stream = streams.stream(c);
                 let events = stream
-                    .times
+                    .times()
                     .iter()
                     .copied()
-                    .zip(stream.warnings.iter().copied());
+                    .zip(stream.warnings().iter().copied());
                 (streams.component(c), events.collect())
             })
             .collect();
