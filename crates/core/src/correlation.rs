@@ -198,7 +198,6 @@ impl<'a> Correlation<'a> {
         };
         let with_second = servers_of(second_class);
         let (a, b) = (first_class.index() as u8, second_class.index() as u8);
-        let fots = self.trace.fots();
         let mut out = Vec::new();
         let mut rows: Vec<usize> = Vec::new();
         for server in servers_of(first_class) {
@@ -222,7 +221,7 @@ impl<'a> Correlation<'a> {
                     }
                     let (c1, c2) = (classes[r1], classes[r2]);
                     if (c1 == a && c2 == b) || (c1 == b && c2 == a) {
-                        let (f1, f2) = (&fots[r1], &fots[r2]);
+                        let (f1, f2) = (cols.fot(r1), cols.fot(r2));
                         out.push(CausalExample {
                             server,
                             first: (f1.device, f1.device_path(), f1.error_time),

@@ -10,7 +10,7 @@
 //! [`FotMiner`] is that tool: given a ticket id, it assembles the context
 //! an operator would want before deciding how to respond.
 
-use dcf_trace::{FotId, ServerId, SimTime, Trace};
+use dcf_trace::{Fot, FotId, ServerId, SimTime, Trace};
 
 /// How urgent/suspicious a ticket looks given its context.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,7 +96,22 @@ impl<'a> FotMiner<'a> {
 
     /// Assembles the context for ticket `id`; `None` for unknown ids.
     pub fn context(&self, id: FotId) -> Option<FotContext> {
-        let fot = self.trace.fots().iter().find(|f| f.id == id)?;
+        let ids = self.trace.columns().ids();
+        let row = ids.iter().position(|&raw| raw == id.raw())?;
+        Some(self.context_of(self.trace.fot(row)))
+    }
+
+    /// Contexts for every failure of one server (operator drill-down view).
+    pub fn server_contexts(&self, server: ServerId) -> Vec<FotContext> {
+        self.trace
+            .fots_of_server(server)
+            .filter(|f| f.is_failure())
+            .map(|f| self.context_of(f))
+            .collect()
+    }
+
+    /// The context of one ticket.
+    fn context_of(&self, fot: Fot<'_>) -> FotContext {
         let server = self.trace.server(fot.server);
         let day = fot.error_time.day_index();
 
@@ -123,20 +138,26 @@ impl<'a> FotMiner<'a> {
             }
         }
 
-        // Same-class co-failures within ±60 s (batch cohort / sync partner).
+        // Same-class co-failures within ±60 s (batch cohort / sync
+        // partner), in time order: failures are time-sorted, so only the
+        // window's slice of them is read.
         let window = 60u64;
+        let cols = self.trace.columns();
+        let failures = self.trace.index().failure_ids();
+        let t = fot.error_time.as_secs();
+        let first = failures.partition_point(|&r| cols.error_secs(r as usize) + window < t);
         let mut co_failing_servers = Vec::new();
-        for other in self.trace.failures() {
-            if co_failing_servers.len() >= 8 {
+        for &row in &failures[first..] {
+            let row = row as usize;
+            if co_failing_servers.len() >= 8 || cols.error_secs(row) > t + window {
                 break;
             }
-            if other.server != fot.server
-                && other.device == fot.device
-                && other.error_time.since(fot.error_time).as_secs() <= window
-                && fot.error_time.since(other.error_time).as_secs() <= window
-                && !co_failing_servers.contains(&other.server)
+            let other = ServerId::new(cols.servers()[row]);
+            if other != fot.server
+                && cols.classes()[row] as usize == fot.device.index()
+                && !co_failing_servers.contains(&other)
             {
-                co_failing_servers.push(other.server);
+                co_failing_servers.push(other);
             }
         }
 
@@ -165,8 +186,8 @@ impl<'a> FotMiner<'a> {
             flags.push(ContextFlag::DeploymentPhase);
         }
 
-        Some(FotContext {
-            fot: id,
+        FotContext {
+            fot: fot.id,
             component_history,
             server_failure_count,
             class_count_today,
@@ -174,16 +195,7 @@ impl<'a> FotMiner<'a> {
             same_day_neighbors,
             co_failing_servers,
             flags,
-        })
-    }
-
-    /// Contexts for every failure of one server (operator drill-down view).
-    pub fn server_contexts(&self, server: ServerId) -> Vec<FotContext> {
-        self.trace
-            .fots_of_server(server)
-            .filter(|f| f.is_failure())
-            .filter_map(|f| self.context(f.id))
-            .collect()
+        }
     }
 }
 

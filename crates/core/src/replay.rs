@@ -29,8 +29,11 @@
 //! study (precision/recall/F1 over the flagged `(class, dc, day)` /
 //! `(class, day)` / predicted-fatal sets).
 
+use dcf_trace::columns::category_from_tag;
 use dcf_trace::io::{fnv1a, FNV_OFFSET};
-use dcf_trace::{ComponentClass, Fot, Severity, StreamIndex, Trace, SECS_PER_DAY};
+use dcf_trace::{
+    ComponentClass, FailureType, FotColumns, Severity, StreamIndex, Trace, SECS_PER_DAY,
+};
 
 use crate::prediction::{Horizon, Prediction, PredictorEval, PredictorTally, StreamCursor};
 
@@ -98,7 +101,7 @@ impl ReplayEvent {
     pub fn write_line(&self, trace: &Trace, out: &mut String) {
         match &self.kind {
             EventKind::Ticket(row) => {
-                write_ticket_line(out, &trace.fots()[*row as usize], self.offset_secs)
+                write_ticket_line(out, trace.columns(), *row as usize, self.offset_secs)
             }
             EventKind::Detection(line) => out.push_str(line),
         }
@@ -539,47 +542,44 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
 
     let mut cur_day = 0usize;
     let mut line = String::with_capacity(256);
-    for (row, fot) in trace.fots().iter().enumerate() {
+    let (classes, types, days_of) = (cols.classes(), cols.failure_types(), cols.error_days());
+    for row in 0..trace.len() {
+        let t = cols.error_secs(row);
         // Day within the window; `None` before it, `>= days` after it.
-        let day = fot
-            .error_time
-            .day_index()
+        let day = u64::from(days_of[row])
             .checked_sub(start_day)
             .map(|d| d as usize);
         while cur_day < day.map_or(0, |d| d.min(days)) {
             detectors.close_day(cur_day, config, &mut feed);
             cur_day += 1;
         }
-        let off = fot.error_time.since(start).as_secs();
+        let off = t.saturating_sub(start.as_secs());
         line.clear();
-        write_ticket_line(&mut line, fot, off);
+        write_ticket_line(&mut line, cols, row, off);
         feed.ticket(off, row as u32, &line);
-        if !fot.is_failure() {
+        if !cols.is_failure(row) {
             continue; // false alarms ride the feed but feed no detector
         }
-        let class_idx = fot.device.index();
+        let class_idx = classes[row] as usize;
         if let Some(d) = day.filter(|&d| d < days) {
-            detectors.count(class_idx, fot.data_center.raw(), d);
+            detectors.count(class_idx, dcs[row], d);
         }
         let c = match stream_of_row[row] {
             NO_STREAM => continue, // manual tickets have no component to predict
             c => c as usize,
         };
-        let event = (
-            fot.error_time.as_secs(),
-            fot.failure_type.severity() == Severity::Warning,
-        );
-        if let Some(seq) = cursors[c].advance(streams, c, event, horizon, &mut tally) {
+        let warning = FailureType::ALL[types[row] as usize].severity() == Severity::Warning;
+        if let Some(seq) = cursors[c].advance(streams, c, (t, warning), horizon, &mut tally) {
             online_predicted.push((streams.component(c), seq));
             let mut line = String::with_capacity(128);
             json_line!(
                 &mut line,
                 "predict",
                 "off" => push_uint(off),
-                "day" => push_uint(fot.error_time.day_index()),
-                "server" => push_uint(fot.server.raw() as u64),
-                "class" => push_json_str(fot.device.name()),
-                "slot" => push_uint(fot.device_slot as u64),
+                "day" => push_uint(days_of[row].into()),
+                "server" => push_uint(cols.servers()[row].into()),
+                "class" => push_json_str(ComponentClass::ALL[class_idx].name()),
+                "slot" => push_uint(cols.device_slots()[row].into()),
             );
             feed.detect(off, line);
         }
@@ -642,25 +642,28 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     }
 }
 
-/// Appends the JSON line of ticket `fot` at offset `off`.
-fn write_ticket_line(out: &mut String, fot: &Fot, off: u64) {
-    let sev = match fot.failure_type.severity() {
+/// Appends the JSON line of ticket row `row` at offset `off`, read
+/// straight from the columns.
+fn write_ticket_line(out: &mut String, cols: &FotColumns, row: usize, off: u64) {
+    let failure_type = FailureType::ALL[cols.failure_types()[row] as usize];
+    let sev = match failure_type.severity() {
         Severity::Warning => "warning",
         Severity::Fatal => "fatal",
     };
+    let class = ComponentClass::ALL[cols.classes()[row] as usize];
     json_line!(
         out,
         "fot",
         "off" => push_uint(off),
-        "id" => push_uint(fot.id.raw()),
-        "day" => push_uint(fot.error_time.day_index()),
-        "server" => push_uint(fot.server.raw() as u64),
-        "dc" => push_uint(fot.data_center.raw() as u64),
-        "class" => push_json_str(fot.device.name()),
-        "slot" => push_uint(fot.device_slot as u64),
-        "type" => push_json_str(fot.failure_type.name()),
+        "id" => push_uint(cols.ids()[row]),
+        "day" => push_uint(cols.error_days()[row].into()),
+        "server" => push_uint(cols.servers()[row].into()),
+        "dc" => push_uint(cols.data_centers()[row].into()),
+        "class" => push_json_str(class.name()),
+        "slot" => push_uint(cols.device_slots()[row].into()),
+        "type" => push_json_str(failure_type.name()),
         "sev" => push_json_str(sev),
-        "cat" => push_json_str(fot.category.name()),
+        "cat" => push_json_str(category_from_tag(cols.categories()[row]).name()),
     );
 }
 
@@ -900,7 +903,7 @@ mod tests {
             full.servers().to_vec(),
             full.data_centers().to_vec(),
             full.product_lines().to_vec(),
-            full.fots().to_vec(),
+            full.fots().iter().collect(),
         )
         .expect("same tickets, narrower window");
         let (start, end) = (trace.info().start, trace.end_time());

@@ -45,16 +45,18 @@ impl TicketFactory {
 
     /// Builds the next ticket from a detection, the server's metadata, the
     /// assigned category and the (already sampled) operator response.
+    /// The ticket borrows its failure type's static detail string, so
+    /// making one allocates nothing.
     ///
-    /// The caller guarantees the category/response pairing;
-    /// [`dcf_trace::Trace::new`] re-validates it at assembly time.
+    /// The caller guarantees the category/response pairing; the trace
+    /// re-validates it at assembly time.
     pub fn make_fot(
         &mut self,
         detection: Detection,
         server: &ServerMeta,
         category: FotCategory,
         response: Option<OperatorResponse>,
-    ) -> Fot {
+    ) -> Fot<'static> {
         debug_assert_eq!(server.id.raw(), detection.server);
         let id = FotId::new(self.next_id);
         self.next_id += 1;
@@ -68,9 +70,7 @@ impl TicketFactory {
             failure_type: detection.failure_type,
             error_time: detection.time,
             rack_position: server.position,
-            // Every detail string is static, so this is one copy — no
-            // per-ticket formatting.
-            detail: detail_str(detection.failure_type).to_string(),
+            detail: detail_str(detection.failure_type),
             category,
             response,
         }

@@ -608,7 +608,7 @@ fn expected_fots_page(
     body.push_str(&format!(
         ",\"offset\":{start},\"limit\":{limit},\"total\":{total},\"fots\":["
     ));
-    for (i, fot) in trace.fots()[start..end].iter().enumerate() {
+    for (i, fot) in (start..end).map(|row| trace.fot(row)).enumerate() {
         if i > 0 {
             body.push(',');
         }
@@ -734,7 +734,7 @@ fn preloaded_snapshot_serves_without_simulating() {
         .and_then(|v| v.as_array())
         .expect("page has fots");
     assert_eq!(rows.len(), 3);
-    let fot = &trace.fots()[2];
+    let fot = trace.fot(2);
     let row = &rows[0];
     let device_path = fot.device_path();
     assert_eq!(

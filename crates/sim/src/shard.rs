@@ -4,8 +4,8 @@
 //! phase once over the whole fleet, runs the per-server phase over each
 //! shard of the plan (one shard unless [`RunOptions::shards`] asks for
 //! more), and k-way merges the sorted records with [`merge_cursors`] into
-//! one sink: [`Fot`]s for [`simulate`], or the Fot-free digest rows of
-//! [`simulate_sharded`]. Ticket ids are assigned in merge order.
+//! one sink: the trace's ticket columns for [`simulate`], or the streamed
+//! digest of [`simulate_sharded`]. Ticket ids are assigned in merge order.
 //!
 //! One shard has nothing to merge across shards: its per-thread chunks
 //! merge in memory, with no spill file, under the `engine.per_server` and
@@ -34,8 +34,11 @@ use dcf_obs::MetricsRegistry;
 use dcf_trace::io::spill::{
     merge_cursors, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
 };
-use dcf_trace::io::{DigestRow, FotsDigester};
-use dcf_trace::{columns::category_tag, Fot, Trace, TraceError, TraceInfo};
+use dcf_trace::io::FotsDigester;
+use dcf_trace::{
+    columns::category_tag, ColumnsBuilder, DataCenterId, FailureType, Fot, FotId, ProductLineId,
+    RackPosition, Trace, TraceError, TraceInfo,
+};
 
 use crate::config::SimConfig;
 use crate::engine::{
@@ -178,7 +181,7 @@ pub fn simulate_on_fleet(
 }
 
 /// Runs the simulation and **streams** the merged ticket sequence straight
-/// into the digest and tallies, without ever materializing a [`Fot`] —
+/// into the digest and tallies, without ever materializing a trace —
 /// with [`RunOptions::shards`] ≥ 2, how multi-million-server fleets fit in
 /// bounded memory.
 ///
@@ -239,10 +242,16 @@ trait Sink {
     ) -> Result<Self::Output, SimError>;
 }
 
-/// Materializes every ticket into a [`Trace`].
+/// Appends every ticket to the trace's columns: the [`TicketFactory`]
+/// stamps each record into a borrowed ticket view, and its detail (one
+/// static string per failure type) is interned once per type, so the
+/// dictionary keeps first-appearance order and no ticket allocates.
 struct FotSink {
     factory: TicketFactory,
-    fots: Vec<Fot>,
+    columns: ColumnsBuilder,
+    /// Dictionary id of each failure type's detail; `u32::MAX` until the
+    /// type first appears.
+    detail_ids: [u32; FailureType::ALL.len()],
 }
 
 impl Sink for FotSink {
@@ -251,7 +260,8 @@ impl Sink for FotSink {
     fn new(_: &Fleet, tickets: u64) -> Self {
         Self {
             factory: TicketFactory::new(),
-            fots: Vec::with_capacity(tickets as usize),
+            columns: ColumnsBuilder::with_capacity(tickets as usize),
+            detail_ids: [u32::MAX; FailureType::ALL.len()],
         }
     }
 
@@ -264,22 +274,27 @@ impl Sink for FotSink {
             time: rec.error_time,
         };
         let server = fleet.server(rec.server);
-        self.fots.push(
-            self.factory
-                .make_fot(detection, server, rec.category, rec.response),
-        );
+        let fot = self
+            .factory
+            .make_fot(detection, server, rec.category, rec.response);
+        let detail = &mut self.detail_ids[rec.ftype.index()];
+        if *detail == u32::MAX {
+            *detail = self.columns.intern(fot.detail);
+        }
+        self.columns.push_interned(&fot, *detail);
     }
 
     fn finish(self, fleet: &Fleet, info: TraceInfo, _: Merged) -> Result<Trace, SimError> {
         let (servers, dcs, lines) = fleet.snapshot();
-        Trace::new(info, servers, dcs, lines, self.fots).map_err(SimError::Trace)
+        Trace::from_columns(info, servers, dcs, lines, self.columns.finish())
+            .map_err(SimError::Trace)
     }
 }
 
-/// Streams the digest and category tallies without assembling a [`Fot`]:
+/// Streams the digest and category tallies without assembling a trace:
 /// ids are consecutive and every fleet-derived field comes straight from
-/// server metadata, so each digest row is built with no detail `String`
-/// per ticket. `tests/engine_identity.rs` pins it to the digest of the
+/// server metadata, so each ticket is a view on the stack with its static
+/// detail string. `tests/engine_identity.rs` pins it to the digest of the
 /// trace [`FotSink`] assembles.
 struct DigestSink {
     /// Merge order is time order, so server lookups are random across the
@@ -309,21 +324,19 @@ impl Sink for DigestSink {
 
     fn push(&mut self, _: &Fleet, r: SpillRecord) {
         let (dc, line, pos) = self.packed[r.server.raw() as usize];
-        self.digester.push_row(&DigestRow {
-            id: self.next_id,
-            server: r.server.raw(),
-            data_center: dc,
-            product_line: line,
+        self.digester.push(&Fot {
+            id: FotId::new(self.next_id),
+            server: r.server,
+            data_center: DataCenterId::new(dc),
+            product_line: ProductLineId::new(line),
             device: r.class,
             device_slot: r.slot,
             failure_type: r.ftype,
-            error_secs: r.error_time.as_secs(),
-            rack_position: pos,
-            category: r.category,
-            response: r
-                .response
-                .map(|resp| (resp.op_time.as_secs(), resp.operator.raw(), resp.action)),
+            error_time: r.error_time,
+            rack_position: RackPosition::new(pos),
             detail: detail_str(r.ftype),
+            category: r.category,
+            response: r.response,
         });
         self.next_id += 1;
         self.category_counts[category_tag(r.category) as usize] += 1;

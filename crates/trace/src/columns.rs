@@ -1,23 +1,29 @@
-//! Struct-of-arrays columnar view of a trace's tickets.
+//! Struct-of-arrays ticket storage: the only form a trace's tickets take.
 //!
-//! [`FotColumns`] decomposes the assembled, time-sorted `Vec<Fot>` into
-//! parallel typed arrays: small dense ids for the categorical fields
-//! (component class, failure type, category, action), `u32`/`u16` ids for
-//! servers / data centers / product lines, day+second-of-day pairs for the
-//! two timestamps, and dictionary-interned detail strings. Analysis
-//! kernels that only need a few fields then stream over a handful of dense
-//! columns (a few bytes per ticket) instead of pointer-chasing
-//! heap-allocated [`Fot`] rows, and the binary snapshot format
-//! ([`crate::io::snapshot`]) serializes the same blobs verbatim.
+//! [`FotColumns`] holds one typed array per ticket field: small dense ids
+//! for the categorical fields (component class, failure type, category,
+//! action), `u32`/`u16` ids for servers / data centers / product lines,
+//! day+second-of-day pairs for the two timestamps, and dictionary-interned
+//! detail strings. Analysis kernels stream over the handful of dense
+//! columns they need (a few bytes per ticket), the binary snapshot format
+//! ([`crate::io::snapshot`]) serializes the same blobs verbatim, and
+//! [`FotColumns::fot`] decodes one row into a by-value [`Fot`] view for
+//! code that reads whole tickets.
 //!
-//! Row `i` of every column describes `trace.fots()[i]`; positions handed
-//! out by [`crate::TraceIndex`] are therefore also row indices into the
-//! columns.
+//! Rows are in `(error_time, id)` order. Positions handed out by
+//! [`crate::TraceIndex`] and [`crate::StreamIndex`] are row indices into
+//! these columns. Columns are filled by a [`ColumnsBuilder`] (the engine's
+//! ticket sink, [`crate::Trace::new`], the CSV reader) or decoded from a
+//! snapshot, and [`crate::Trace`] validates them before it owns them.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
-use crate::fot::{Fot, FotCategory, OperatorAction};
-use crate::{FailureType, SECS_PER_DAY};
+use crate::fot::{Fot, FotCategory, OperatorAction, OperatorResponse};
+use crate::{
+    ComponentClass, DataCenterId, FailureType, FotId, OperatorId, ProductLineId, RackPosition,
+    ServerId, SimTime, TraceError, SECS_PER_DAY,
+};
 
 /// Sentinel in the op-time day column: ticket has no operator response.
 pub const NO_RESPONSE_DAY: u32 = u32::MAX;
@@ -26,156 +32,137 @@ pub const NO_OPERATOR: u16 = u16::MAX;
 /// Sentinel in the action column: ticket has no operator response.
 pub const NO_ACTION: u8 = u8::MAX;
 
-/// An append-only interned string table.
+/// Struct-of-arrays ticket storage: one typed array per [`Fot`] field,
+/// rows in `(error_time, id)` order.
 ///
-/// Ids are dense and assigned in first-appearance order, so two traces
-/// whose tickets present identical strings in identical order build
-/// identical dictionaries.
+/// Equality compares the columns and the dictionary. Every producer
+/// interns details in first-appearance order, so two stores with equal
+/// rows are equal.
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct StringDict {
-    strings: Vec<String>,
+pub struct FotColumns {
+    pub(crate) id: Vec<u64>,
+    pub(crate) server: Vec<u32>,
+    pub(crate) data_center: Vec<u16>,
+    pub(crate) product_line: Vec<u16>,
+    pub(crate) class: Vec<u8>,
+    pub(crate) device_slot: Vec<u8>,
+    pub(crate) failure_type: Vec<u8>,
+    pub(crate) error_day: Vec<u32>,
+    pub(crate) error_sod: Vec<u32>,
+    pub(crate) rack_position: Vec<u8>,
+    pub(crate) category: Vec<u8>,
+    pub(crate) op_day: Vec<u32>,
+    pub(crate) op_sod: Vec<u32>,
+    pub(crate) operator: Vec<u16>,
+    pub(crate) action: Vec<u8>,
+    pub(crate) detail: Vec<u32>,
+    /// Detail strings, interned in first-appearance order.
+    pub(crate) dict: Vec<String>,
 }
 
-impl StringDict {
-    /// Builds a dictionary from pre-deduplicated strings (snapshot load).
-    pub fn from_strings(strings: Vec<String>) -> Self {
-        Self { strings }
-    }
-
-    /// The interned string for `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was never handed out by this dictionary.
-    pub fn get(&self, id: u32) -> &str {
-        &self.strings[id as usize]
-    }
-
-    /// Number of distinct strings interned.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// Whether the dictionary is empty.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-
-    /// All interned strings, id order.
-    pub fn strings(&self) -> &[String] {
-        &self.strings
-    }
-}
-
-/// Build-time companion of [`StringDict`] with the reverse map.
+/// Appends ticket rows to a [`FotColumns`], interning detail strings in
+/// first-appearance order.
+///
+/// [`ColumnsBuilder::push`] interns each row's detail through a hash map.
+/// A producer that knows its details come from a small fixed set (the
+/// engine: one static string per failure type) interns each one once and
+/// appends with [`ColumnsBuilder::push_interned`], so no row hashes or
+/// copies a string.
 #[derive(Debug, Default)]
-struct DictBuilder {
-    dict: StringDict,
+pub struct ColumnsBuilder {
+    cols: FotColumns,
     ids: HashMap<String, u32>,
 }
 
-impl DictBuilder {
-    fn intern(&mut self, s: &str) -> u32 {
+impl ColumnsBuilder {
+    /// An empty builder with room for `rows` tickets in every column.
+    pub fn with_capacity(rows: usize) -> Self {
+        let cols = FotColumns {
+            id: Vec::with_capacity(rows),
+            server: Vec::with_capacity(rows),
+            data_center: Vec::with_capacity(rows),
+            product_line: Vec::with_capacity(rows),
+            class: Vec::with_capacity(rows),
+            device_slot: Vec::with_capacity(rows),
+            failure_type: Vec::with_capacity(rows),
+            error_day: Vec::with_capacity(rows),
+            error_sod: Vec::with_capacity(rows),
+            rack_position: Vec::with_capacity(rows),
+            category: Vec::with_capacity(rows),
+            op_day: Vec::with_capacity(rows),
+            op_sod: Vec::with_capacity(rows),
+            operator: Vec::with_capacity(rows),
+            action: Vec::with_capacity(rows),
+            detail: Vec::with_capacity(rows),
+            dict: Vec::new(),
+        };
+        Self {
+            cols,
+            ids: HashMap::new(),
+        }
+    }
+
+    /// The dictionary id of `s`, interning it on first sight.
+    pub fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
-        let id = self.dict.strings.len() as u32;
-        self.dict.strings.push(s.to_owned());
+        let id = self.cols.dict.len() as u32;
+        self.cols.dict.push(s.to_owned());
         self.ids.insert(s.to_owned(), id);
         id
     }
-}
 
-/// Struct-of-arrays ticket storage: one typed array per [`Fot`] field,
-/// aligned with the trace's sorted ticket order.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FotColumns {
-    id: Vec<u64>,
-    server: Vec<u32>,
-    data_center: Vec<u16>,
-    product_line: Vec<u16>,
-    class: Vec<u8>,
-    device_slot: Vec<u8>,
-    failure_type: Vec<u8>,
-    error_day: Vec<u32>,
-    error_sod: Vec<u32>,
-    rack_position: Vec<u8>,
-    category: Vec<u8>,
-    op_day: Vec<u32>,
-    op_sod: Vec<u32>,
-    operator: Vec<u16>,
-    action: Vec<u8>,
-    detail: Vec<u32>,
-    dict: StringDict,
+    /// Appends `fot`, interning its detail.
+    pub fn push(&mut self, fot: &Fot<'_>) {
+        let detail = self.intern(fot.detail);
+        self.push_interned(fot, detail);
+    }
+
+    /// Appends `fot` with `detail`, the id [`ColumnsBuilder::intern`]
+    /// returned for `fot.detail`.
+    pub fn push_interned(&mut self, fot: &Fot<'_>, detail: u32) {
+        debug_assert_eq!(self.cols.dict[detail as usize], fot.detail);
+        let c = &mut self.cols;
+        c.id.push(fot.id.raw());
+        c.server.push(fot.server.raw());
+        c.data_center.push(fot.data_center.raw());
+        c.product_line.push(fot.product_line.raw());
+        c.class.push(fot.device.index() as u8);
+        c.device_slot.push(fot.device_slot);
+        c.failure_type.push(fot.failure_type.index() as u8);
+        let secs = fot.error_time.as_secs();
+        c.error_day.push((secs / SECS_PER_DAY) as u32);
+        c.error_sod.push((secs % SECS_PER_DAY) as u32);
+        c.rack_position.push(fot.rack_position.raw());
+        c.category.push(category_tag(fot.category));
+        match fot.response {
+            Some(r) => {
+                let op = r.op_time.as_secs();
+                c.op_day.push((op / SECS_PER_DAY) as u32);
+                c.op_sod.push((op % SECS_PER_DAY) as u32);
+                c.operator.push(r.operator.raw());
+                c.action.push(action_tag(r.action));
+            }
+            None => {
+                c.op_day.push(NO_RESPONSE_DAY);
+                c.op_sod.push(0);
+                c.operator.push(NO_OPERATOR);
+                c.action.push(NO_ACTION);
+            }
+        }
+        c.detail.push(detail);
+    }
+
+    /// The filled columns.
+    pub fn finish(self) -> FotColumns {
+        self.cols
+    }
 }
 
 impl FotColumns {
-    /// Decomposes `fots` (already sorted by `(error_time, id)`) into
-    /// columns. One sequential pass; detail strings are interned in
-    /// first-appearance order.
-    pub fn build(fots: &[Fot]) -> Self {
-        let type_tags: HashMap<FailureType, u8> = FailureType::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u8))
-            .collect();
-        let n = fots.len();
-        let mut c = FotColumns {
-            id: Vec::with_capacity(n),
-            server: Vec::with_capacity(n),
-            data_center: Vec::with_capacity(n),
-            product_line: Vec::with_capacity(n),
-            class: Vec::with_capacity(n),
-            device_slot: Vec::with_capacity(n),
-            failure_type: Vec::with_capacity(n),
-            error_day: Vec::with_capacity(n),
-            error_sod: Vec::with_capacity(n),
-            rack_position: Vec::with_capacity(n),
-            category: Vec::with_capacity(n),
-            op_day: Vec::with_capacity(n),
-            op_sod: Vec::with_capacity(n),
-            operator: Vec::with_capacity(n),
-            action: Vec::with_capacity(n),
-            detail: Vec::with_capacity(n),
-            dict: StringDict::default(),
-        };
-        let mut dict = DictBuilder::default();
-        for f in fots {
-            c.id.push(f.id.raw());
-            c.server.push(f.server.raw());
-            c.data_center.push(f.data_center.raw());
-            c.product_line.push(f.product_line.raw());
-            c.class.push(f.device.index() as u8);
-            c.device_slot.push(f.device_slot);
-            c.failure_type
-                .push(*type_tags.get(&f.failure_type).expect("ALL is complete"));
-            let secs = f.error_time.as_secs();
-            c.error_day.push((secs / SECS_PER_DAY) as u32);
-            c.error_sod.push((secs % SECS_PER_DAY) as u32);
-            c.rack_position.push(f.rack_position.raw());
-            c.category.push(category_tag(f.category));
-            match f.response {
-                Some(r) => {
-                    let op = r.op_time.as_secs();
-                    c.op_day.push((op / SECS_PER_DAY) as u32);
-                    c.op_sod.push((op % SECS_PER_DAY) as u32);
-                    c.operator.push(r.operator.raw());
-                    c.action.push(action_tag(r.action));
-                }
-                None => {
-                    c.op_day.push(NO_RESPONSE_DAY);
-                    c.op_sod.push(0);
-                    c.operator.push(NO_OPERATOR);
-                    c.action.push(NO_ACTION);
-                }
-            }
-            c.detail.push(dict.intern(&f.detail));
-        }
-        c.dict = dict.dict;
-        c
-    }
-
     /// Number of rows (tickets).
+    #[inline]
     pub fn len(&self) -> usize {
         self.id.len()
     }
@@ -186,96 +173,115 @@ impl FotColumns {
     }
 
     /// Raw ticket ids.
+    #[inline]
     pub fn ids(&self) -> &[u64] {
         &self.id
     }
 
     /// Raw server ids.
+    #[inline]
     pub fn servers(&self) -> &[u32] {
         &self.server
     }
 
     /// Raw data-center ids.
+    #[inline]
     pub fn data_centers(&self) -> &[u16] {
         &self.data_center
     }
 
     /// Raw product-line ids.
+    #[inline]
     pub fn product_lines(&self) -> &[u16] {
         &self.product_line
     }
 
     /// Dense component-class tags ([`crate::ComponentClass::ALL`] indices).
+    #[inline]
     pub fn classes(&self) -> &[u8] {
         &self.class
     }
 
     /// Device slot numbers.
+    #[inline]
     pub fn device_slots(&self) -> &[u8] {
         &self.device_slot
     }
 
     /// Dense failure-type tags ([`FailureType::ALL`] indices).
+    #[inline]
     pub fn failure_types(&self) -> &[u8] {
         &self.failure_type
     }
 
     /// Error-time day indices (days since origin).
+    #[inline]
     pub fn error_days(&self) -> &[u32] {
         &self.error_day
     }
 
     /// Error-time seconds within the day.
+    #[inline]
     pub fn error_sods(&self) -> &[u32] {
         &self.error_sod
     }
 
     /// Rack positions.
+    #[inline]
     pub fn rack_positions(&self) -> &[u8] {
         &self.rack_position
     }
 
     /// Dense category tags (see [`category_tag`]).
+    #[inline]
     pub fn categories(&self) -> &[u8] {
         &self.category
     }
 
     /// Op-time day indices; [`NO_RESPONSE_DAY`] where there is no response.
+    #[inline]
     pub fn op_days(&self) -> &[u32] {
         &self.op_day
     }
 
     /// Op-time seconds within the day (zero where there is no response).
+    #[inline]
     pub fn op_sods(&self) -> &[u32] {
         &self.op_sod
     }
 
     /// Operator ids; [`NO_OPERATOR`] where there is no response.
+    #[inline]
     pub fn operators(&self) -> &[u16] {
         &self.operator
     }
 
     /// Dense action tags; [`NO_ACTION`] where there is no response.
+    #[inline]
     pub fn actions(&self) -> &[u8] {
         &self.action
     }
 
     /// Detail-string dictionary ids.
+    #[inline]
     pub fn details(&self) -> &[u32] {
         &self.detail
     }
 
-    /// The interned detail-string dictionary.
-    pub fn dict(&self) -> &StringDict {
+    /// The detail strings [`FotColumns::details`] index, in
+    /// first-appearance order.
+    pub fn dict(&self) -> &[String] {
         &self.dict
     }
 
     /// Error time of row `i`, seconds since origin.
+    #[inline]
     pub fn error_secs(&self, i: usize) -> u64 {
         self.error_day[i] as u64 * SECS_PER_DAY + self.error_sod[i] as u64
     }
 
     /// Op time of row `i`, seconds since origin; `None` without a response.
+    #[inline]
     pub fn op_secs(&self, i: usize) -> Option<u64> {
         if self.op_day[i] == NO_RESPONSE_DAY {
             None
@@ -292,13 +298,211 @@ impl FotColumns {
     }
 
     /// Whether row `i` is a failure (not a false alarm).
+    #[inline]
     pub fn is_failure(&self, i: usize) -> bool {
         self.category[i] != FALSE_ALARM_TAG
     }
 
     /// Detail string of row `i`.
+    #[inline]
     pub fn detail_str(&self, i: usize) -> &str {
-        self.dict.get(self.detail[i])
+        &self.dict[self.detail[i] as usize]
+    }
+
+    /// Row `i` as a ticket view. Inlined, like the column and row
+    /// accessors above, so that a loop in another crate reading a few
+    /// fields of each row loads little more than those columns.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[inline]
+    pub fn fot(&self, i: usize) -> Fot<'_> {
+        let response = self.op_secs(i).map(|op| OperatorResponse {
+            operator: OperatorId::new(self.operator[i]),
+            op_time: SimTime::from_secs(op),
+            action: action_from_tag(self.action[i]).expect("validated action tag"),
+        });
+        Fot {
+            id: FotId::new(self.id[i]),
+            server: ServerId::new(self.server[i]),
+            data_center: DataCenterId::new(self.data_center[i]),
+            product_line: ProductLineId::new(self.product_line[i]),
+            device: ComponentClass::ALL[self.class[i] as usize],
+            device_slot: self.device_slot[i],
+            failure_type: FailureType::ALL[self.failure_type[i] as usize],
+            error_time: SimTime::from_secs(self.error_secs(i)),
+            rack_position: RackPosition::new(self.rack_position[i]),
+            detail: self.detail_str(i),
+            category: category_from_tag(self.category[i]),
+            response,
+        }
+    }
+
+    /// Every row as a ticket view, in `(error_time, id)` order.
+    pub fn iter(&self) -> FotRows<'_> {
+        FotRows {
+            cols: self,
+            rows: 0..self.len(),
+        }
+    }
+
+    /// The rows `keep` accepts, in order, with the dictionary re-interned
+    /// in first-appearance order, as if the kept rows had been pushed
+    /// into a fresh [`ColumnsBuilder`].
+    pub(crate) fn select(&self, mut keep: impl FnMut(usize) -> bool) -> FotColumns {
+        let mut out = ColumnsBuilder::default();
+        let mut remap = vec![u32::MAX; self.dict.len()];
+        for i in 0..self.len() {
+            if keep(i) {
+                let detail = &mut remap[self.detail[i] as usize];
+                if *detail == u32::MAX {
+                    *detail = out.intern(self.detail_str(i));
+                }
+                out.push_interned(&self.fot(i), *detail);
+            }
+        }
+        out.finish()
+    }
+
+    /// Checks every row against the schema, for a fleet snapshot of
+    /// `servers` servers, `data_centers` data centers and `product_lines`
+    /// product lines:
+    ///
+    /// * every id and tag is in range, and both seconds-of-day are below
+    ///   one day;
+    /// * a row has a response (op day not [`NO_RESPONSE_DAY`]) iff its
+    ///   category has one, a response has a valid action and does not
+    ///   predate its ticket, and a row without one holds the sentinels;
+    /// * rows are strictly ascending in `(error_time, id)` and ticket ids
+    ///   are unique.
+    ///
+    /// # Errors
+    ///
+    /// The first violation, as a [`TraceError`].
+    pub(crate) fn validate(
+        &self,
+        servers: usize,
+        data_centers: usize,
+        product_lines: usize,
+    ) -> Result<(), TraceError> {
+        if let Some(i) = self.server.iter().position(|&s| s as usize >= servers) {
+            return Err(TraceError::UnknownServer {
+                fot: FotId::new(self.id[i]),
+                server: ServerId::new(self.server[i]),
+            });
+        }
+        below("data_center", &self.data_center, data_centers as u64)?;
+        below("product_line", &self.product_line, product_lines as u64)?;
+        below("class", &self.class, ComponentClass::ALL.len() as u64)?;
+        below(
+            "failure_type",
+            &self.failure_type,
+            FailureType::ALL.len() as u64,
+        )?;
+        below("category", &self.category, FotCategory::ALL.len() as u64)?;
+        below("detail", &self.detail, self.dict.len() as u64)?;
+        below("error_sod", &self.error_sod, SECS_PER_DAY)?;
+        for i in 0..self.len() {
+            let fot = FotId::new(self.id[i]);
+            let has_response = self.op_day[i] != NO_RESPONSE_DAY;
+            if category_from_tag(self.category[i]).has_response() != has_response {
+                return Err(TraceError::ResponseMismatch { fot });
+            }
+            // A response has an action tag and a second of its day;
+            // without one, the op fields hold the builder's sentinels.
+            let (sod, operator, action) = (self.op_sod[i], self.operator[i], self.action[i]);
+            let ok = if has_response {
+                [
+                    u64::from(sod) < SECS_PER_DAY,
+                    true,
+                    action_from_tag(action).is_some(),
+                ]
+            } else {
+                [sod == 0, operator == NO_OPERATOR, action == NO_ACTION]
+            };
+            let fields = [
+                ("op_sod", sod.into()),
+                ("operator", operator.into()),
+                ("action", action.into()),
+            ];
+            if let Some(k) = ok.iter().position(|&ok| !ok) {
+                return Err(TraceError::InvalidColumn {
+                    row: i,
+                    column: fields[k].0,
+                    value: fields[k].1,
+                });
+            }
+            if self.op_secs(i).is_some_and(|op| op < self.error_secs(i)) {
+                return Err(TraceError::NegativeResponseTime { fot });
+            }
+            if i > 0 {
+                let prev = (self.error_secs(i - 1), self.id[i - 1]);
+                let this = (self.error_secs(i), self.id[i]);
+                if this == prev {
+                    return Err(TraceError::DuplicateFotId { fot });
+                }
+                if this < prev {
+                    return Err(TraceError::UnsortedFots { fot });
+                }
+            }
+        }
+        // Engine traces number tickets in row order, so this sort is a
+        // single pass over already-sorted ids.
+        let mut ids = self.id.clone();
+        ids.sort_unstable();
+        if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
+            return Err(TraceError::DuplicateFotId {
+                fot: FotId::new(w[0]),
+            });
+        }
+        Ok(())
+    }
+}
+
+/// Fails with the first row of `column` whose value is not below `bound`.
+fn below<T: Copy + Into<u64>>(
+    column: &'static str,
+    values: &[T],
+    bound: u64,
+) -> Result<(), TraceError> {
+    match values.iter().position(|&v| v.into() >= bound) {
+        Some(row) => Err(TraceError::InvalidColumn {
+            row,
+            column,
+            value: values[row].into(),
+        }),
+        None => Ok(()),
+    }
+}
+
+impl<'a> IntoIterator for &'a FotColumns {
+    type Item = Fot<'a>;
+    type IntoIter = FotRows<'a>;
+
+    fn into_iter(self) -> FotRows<'a> {
+        self.iter()
+    }
+}
+
+/// Iterator over every row of a [`FotColumns`] as [`Fot`] views, in
+/// `(error_time, id)` order; see [`FotColumns::iter`].
+#[derive(Debug, Clone)]
+pub struct FotRows<'a> {
+    cols: &'a FotColumns,
+    rows: Range<usize>,
+}
+
+impl<'a> Iterator for FotRows<'a> {
+    type Item = Fot<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<Fot<'a>> {
+        self.rows.next().map(|i| self.cols.fot(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
     }
 }
 
@@ -346,32 +550,38 @@ pub fn category_from_tag(tag: u8) -> FotCategory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::tests::{fot, tiny_fleet};
-    use crate::{FotCategory, Trace};
+    use crate::store::tests::fot;
 
-    fn sample_trace() -> Trace {
-        let (servers, dcs, lines) = tiny_fleet();
-        let info = crate::TraceInfo {
-            start: crate::SimTime::ORIGIN,
-            days: 100,
-            seed: 1,
-            description: "columns-test".into(),
-        };
-        let fots = vec![
+    /// Sorted rows of every category, with repeated and distinct details.
+    fn sample_rows() -> Vec<Fot<'static>> {
+        let mut rows = vec![
             fot(1, 0, 1, FotCategory::Fixing),
             fot(2, 1, 2, FotCategory::Error),
             fot(3, 0, 3, FotCategory::FalseAlarm),
             fot(4, 1, 5, FotCategory::Fixing),
         ];
-        Trace::new(info, servers, dcs, lines, fots).unwrap()
+        for (row, detail) in rows.iter_mut().zip(["b", "a", "b", "c"]) {
+            row.detail = detail;
+        }
+        rows
+    }
+
+    fn build(rows: &[Fot<'_>]) -> FotColumns {
+        let mut builder = ColumnsBuilder::with_capacity(rows.len());
+        for f in rows {
+            builder.push(f);
+        }
+        builder.finish()
     }
 
     #[test]
     fn columns_mirror_rows() {
-        let trace = sample_trace();
-        let cols = FotColumns::build(trace.fots());
-        assert_eq!(cols.len(), trace.len());
-        for (i, f) in trace.fots().iter().enumerate() {
+        let rows = sample_rows();
+        let cols = build(&rows);
+        assert_eq!(cols.len(), rows.len());
+        assert!(cols.iter().eq(rows.iter().copied()));
+        for (i, f) in rows.iter().enumerate() {
+            assert_eq!(cols.fot(i), *f);
             assert_eq!(cols.ids()[i], f.id.raw());
             assert_eq!(cols.servers()[i], f.server.raw());
             assert_eq!(cols.classes()[i] as usize, f.device.index());
@@ -389,22 +599,22 @@ mod tests {
             );
             assert_eq!(cols.detail_str(i), f.detail);
             assert_eq!(
-                crate::FailureType::ALL[cols.failure_types()[i] as usize],
+                FailureType::ALL[cols.failure_types()[i] as usize],
                 f.failure_type
             );
         }
+        assert_eq!(cols.validate(3, 1, 1).map_err(|e| e.to_string()), Ok(()));
     }
 
     #[test]
     fn dict_interns_in_first_appearance_order() {
-        let trace = sample_trace();
-        let cols = FotColumns::build(trace.fots());
-        // All sample details are identical, so one entry.
-        assert!(cols.dict().len() <= trace.len());
-        let mut seen = std::collections::HashSet::new();
-        for s in cols.dict().strings() {
-            assert!(seen.insert(s.clone()), "duplicate interned string {s}");
-        }
+        let cols = build(&sample_rows());
+        assert_eq!(cols.dict(), ["b", "a", "c"]);
+        assert_eq!(cols.details(), [0, 1, 0, 2]);
+        // A selection re-interns as if its rows were pushed afresh.
+        let tail = cols.select(|i| i >= 1);
+        assert_eq!(tail, build(&sample_rows()[1..]));
+        assert_eq!(tail.dict(), ["a", "b", "c"]);
     }
 
     #[test]

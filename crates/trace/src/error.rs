@@ -31,6 +31,23 @@ pub enum TraceError {
     },
     /// Server metadata ids are not dense (`servers[i].id.index() != i`).
     NonDenseServerIds,
+    /// A ticket column holds a value outside its domain: an id past the
+    /// fleet snapshot or the detail dictionary, an unknown tag, a
+    /// second-of-day of a day or more, or a response field set on a
+    /// ticket without a response.
+    InvalidColumn {
+        /// Row of the offending ticket.
+        row: usize,
+        /// Name of the column.
+        column: &'static str,
+        /// The value found.
+        value: u64,
+    },
+    /// Ticket rows are not in `(error_time, id)` order.
+    UnsortedFots {
+        /// The first ticket that sorts before its predecessor.
+        fot: FotId,
+    },
     /// An underlying IO failure.
     Io(std::io::Error),
     /// A malformed CSV line.
@@ -64,6 +81,12 @@ impl std::fmt::Display for TraceError {
             TraceError::DuplicateFotId { fot } => write!(f, "duplicate ticket id {fot}"),
             TraceError::NonDenseServerIds => {
                 write!(f, "server metadata ids must be dense (servers[i].id == i)")
+            }
+            TraceError::InvalidColumn { row, column, value } => {
+                write!(f, "ticket row {row}: invalid {column} {value}")
+            }
+            TraceError::UnsortedFots { fot } => {
+                write!(f, "{fot} is out of (error_time, id) order")
             }
             TraceError::Io(e) => write!(f, "io error: {e}"),
             TraceError::Csv { line, message } => write!(f, "csv line {line}: {message}"),

@@ -153,6 +153,12 @@ impl FailureType {
         FailureType::ManualOther,
     ];
 
+    /// Dense index in [`FailureType::ALL`] order, which is declaration
+    /// order (`all_lists_the_types_in_their_order` pins it).
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// The component class this failure type belongs to.
     pub fn class(self) -> ComponentClass {
         use FailureType::*;
@@ -314,6 +320,9 @@ mod tests {
     fn all_lists_the_types_in_their_order() {
         // Tallies indexed by `ALL` position come out in `Ord` order.
         assert!(FailureType::ALL.windows(2).all(|w| w[0] < w[1]));
+        for (i, t) in FailureType::ALL.into_iter().enumerate() {
+            assert_eq!(t.index(), i, "{t}");
+        }
     }
 
     #[test]

@@ -79,9 +79,15 @@ pub struct OperatorResponse {
 /// A failure operation ticket, mirroring the paper's schema (§II):
 /// id, host id, hostname, host idc, error device, error type, error time,
 /// error position, error detail, plus the operator-response fields.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Fot {
-    /// Ticket id, unique and dense within a trace.
+///
+/// A `Fot` is a by-value view of one ticket: [`crate::Trace`] stores its
+/// tickets as [`crate::FotColumns`], and [`crate::Trace::fots`],
+/// [`crate::Trace::fot`] and the population iterators hand out rows that
+/// borrow only the interned detail string. Rows built by hand (tests,
+/// imports) go into a trace through [`crate::Trace::new`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fot<'a> {
+    /// Ticket id, unique within a trace.
     pub id: FotId,
     /// The host the failure occurred on (`host_id`).
     pub server: ServerId,
@@ -101,14 +107,14 @@ pub struct Fot {
     /// The server's rack slot (`error_position`).
     pub rack_position: RackPosition,
     /// Free-text detail (`error_detail`).
-    pub detail: String,
+    pub detail: &'a str,
     /// Ticket category per Table I.
     pub category: FotCategory,
     /// Operator response; `Some` iff `category.has_response()`.
     pub response: Option<OperatorResponse>,
 }
 
-impl Fot {
+impl Fot<'_> {
     /// The device path string as it would appear in the ticket
     /// (e.g. `sdc`, `dimm3`, `psu_2`, `fan_8` — the style of Tables VII/VIII).
     pub fn device_path(&self) -> String {
@@ -156,7 +162,7 @@ pub fn device_path_for(class: ComponentClass, slot: u8) -> String {
 mod tests {
     use super::*;
 
-    fn sample_fot() -> Fot {
+    fn sample_fot() -> Fot<'static> {
         Fot {
             id: FotId::new(1),
             server: ServerId::new(10),
@@ -167,7 +173,7 @@ mod tests {
             failure_type: FailureType::SmartFail,
             error_time: SimTime::from_days(10),
             rack_position: RackPosition::new(22),
-            detail: String::from("SMART threshold exceeded"),
+            detail: "SMART threshold exceeded",
             category: FotCategory::Fixing,
             response: Some(OperatorResponse {
                 operator: OperatorId::new(3),

@@ -9,43 +9,34 @@
 //! of the ticket vector; at the paper's scale (~290k FOTs) those repeated
 //! scans dominated the cost of a reproduction run.
 //!
-//! [`TraceIndex::build`] walks the ticket vector **once** and buckets
-//! ticket positions by every partition key. [`crate::Trace::index`] builds
-//! it lazily (first access pays the single pass, later accesses are free)
-//! and [`crate::Trace::rebuild_index`] invalidates the cached copy.
+//! [`TraceIndex::build`] walks the ticket columns **once** per partition
+//! and buckets row positions by every partition key.
+//! [`crate::Trace::index`] builds it lazily (first access pays, later
+//! accesses are free) and keeps it for the life of the trace, whose
+//! tickets never change.
 //!
 //! # Invariants
 //!
-//! * Every bucket holds **positions into [`crate::Trace::fots`]** (`u32`,
-//!   enough for any trace the schema's dense `FotId`s allow), in ascending
-//!   position order. Since construction sorts tickets by
-//!   `(error_time, id)`, every bucket is automatically time-sorted.
-//! * The index is a pure function of the ticket vector and the fleet
-//!   snapshot: two equal traces build equal indices, independent of thread
-//!   count, build order, or whether the index was built lazily or eagerly.
+//! * Every bucket holds **row positions into the trace's
+//!   [`FotColumns`]** (`u32`, enough for any trace the schema's dense
+//!   `FotId`s allow), in ascending position order. Rows are in
+//!   `(error_time, id)` order, so every bucket is time-sorted.
+//! * The index is a pure function of the ticket columns and the fleet
+//!   snapshot sizes: two equal traces build equal indices, independent of
+//!   thread count, build order, or whether the index was built lazily or
+//!   eagerly.
 //! * Iterating a bucket yields exactly the tickets a linear scan with the
 //!   corresponding filter would yield, in the same order.
 //!   `tests/study_oracle.rs` holds those reference filters and asserts
 //!   this bit-for-bit.
-//! * The index never outlives its trace's ticket vector: it is owned by
-//!   the [`crate::Trace`] and dropped/invalidated on any mutation
-//!   (`rebuild_index`).
 
-use crate::{ComponentClass, DataCenterId, Fot, FotCategory, ProductLineId, ServerId, ServerMeta};
+use crate::columns::{category_tag, FotColumns};
+use crate::{ComponentClass, DataCenterId, Fot, FotCategory, ProductLineId, ServerId};
 
 /// Number of component classes ([`ComponentClass::ALL`]).
 const N_CLASSES: usize = 11;
 /// Number of ticket categories ([`FotCategory::ALL`]).
 const N_CATEGORIES: usize = 3;
-
-/// Stable bucket slot of a category, in [`FotCategory::ALL`] order.
-fn category_slot(category: FotCategory) -> usize {
-    match category {
-        FotCategory::Fixing => 0,
-        FotCategory::Error => 1,
-        FotCategory::FalseAlarm => 2,
-    }
-}
 
 /// One keyed partition in compressed-sparse-row layout: a single flat
 /// position vector plus per-key offset ranges, so an index with thousands
@@ -60,14 +51,14 @@ struct CsrTable {
 }
 
 impl CsrTable {
-    /// Builds a table by counting sort: one pass to count per-key
-    /// populations, a prefix sum, and one pass to place positions. Tickets
-    /// are visited in ascending position order, so every key's range stays
-    /// ascending (= time-sorted for a sorted ticket vector).
-    fn build<F: Fn(&Fot) -> Option<usize>>(n_keys: usize, fots: &[Fot], key: F) -> Self {
+    /// Builds a table over rows `0..n_rows` by counting sort: one pass to
+    /// count per-key populations, a prefix sum, and one pass to place
+    /// positions. Rows are visited in ascending order, so every key's
+    /// range stays ascending (= time-sorted).
+    fn build<F: Fn(usize) -> Option<usize>>(n_keys: usize, n_rows: usize, key: F) -> Self {
         let mut counts = vec![0u32; n_keys];
-        for f in fots {
-            if let Some(k) = key(f) {
+        for i in 0..n_rows {
+            if let Some(k) = key(i) {
                 counts[k] += 1;
             }
         }
@@ -80,8 +71,8 @@ impl CsrTable {
         }
         let mut cursor: Vec<u32> = offsets[..n_keys].to_vec();
         let mut positions = vec![0u32; acc as usize];
-        for (i, f) in fots.iter().enumerate() {
-            if let Some(k) = key(f) {
+        for i in 0..n_rows {
+            if let Some(k) = key(i) {
                 positions[cursor[k] as usize] = i as u32;
                 cursor[k] += 1;
             }
@@ -132,62 +123,28 @@ pub struct TraceIndex {
 }
 
 impl TraceIndex {
-    /// Builds the index with counting-sort passes over `fots`.
-    ///
-    /// `fots` must already be sorted the way [`crate::Trace::new`] sorts
-    /// them (by `(error_time, id)`) for the per-bucket time-order
-    /// invariant to hold; the bucket contents are correct either way.
-    pub(crate) fn build(
-        servers: &[ServerMeta],
-        n_dcs: usize,
-        n_lines: usize,
-        fots: &[Fot],
-    ) -> Self {
-        // Fleet snapshots may undercount ids that appear in tickets (an
-        // imported trace can carry a partial snapshot), so size the
-        // per-entity tables by whichever is larger.
-        let n_dcs = fots
-            .iter()
-            .map(|f| f.data_center.index() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(n_dcs);
-        let n_lines = fots
-            .iter()
-            .map(|f| f.product_line.index() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(n_lines);
-        let n_servers = fots
-            .iter()
-            .map(|f| f.server.index() + 1)
-            .max()
-            .unwrap_or(0)
-            .max(servers.len());
-        let mut failures = Vec::new();
-        let mut responded = Vec::new();
-        for (i, fot) in fots.iter().enumerate() {
-            if fot.response.is_some() {
-                responded.push(i as u32);
-            }
-            if fot.is_failure() {
-                failures.push(i as u32);
-            }
-        }
+    /// Builds the index with counting-sort passes over the columns of a
+    /// validated trace: every server, data center and product line id is
+    /// below `n_servers`, `n_dcs` and `n_lines`.
+    pub(crate) fn build(n_servers: usize, n_dcs: usize, n_lines: usize, cols: &FotColumns) -> Self {
+        let n = cols.len();
+        let (categories, classes) = (cols.categories(), cols.classes());
+        let (dcs, lines, servers) = (cols.data_centers(), cols.product_lines(), cols.servers());
+        let failure = |i: usize| cols.is_failure(i);
         TraceIndex {
-            failures,
-            responded,
-            by_category: CsrTable::build(N_CATEGORIES, fots, |f| Some(category_slot(f.category))),
-            failures_by_class: CsrTable::build(N_CLASSES, fots, |f| {
-                f.is_failure().then(|| f.device.index())
+            failures: (0..n as u32).filter(|&i| failure(i as usize)).collect(),
+            responded: (0..n as u32)
+                .filter(|&i| cols.op_secs(i as usize).is_some())
+                .collect(),
+            by_category: CsrTable::build(N_CATEGORIES, n, |i| Some(categories[i] as usize)),
+            failures_by_class: CsrTable::build(N_CLASSES, n, |i| {
+                failure(i).then(|| classes[i] as usize)
             }),
-            failures_by_dc: CsrTable::build(n_dcs, fots, |f| {
-                f.is_failure().then(|| f.data_center.index())
+            failures_by_dc: CsrTable::build(n_dcs, n, |i| failure(i).then(|| dcs[i] as usize)),
+            failures_by_line: CsrTable::build(n_lines, n, |i| {
+                failure(i).then(|| lines[i] as usize)
             }),
-            failures_by_line: CsrTable::build(n_lines, fots, |f| {
-                f.is_failure().then(|| f.product_line.index())
-            }),
-            by_server: CsrTable::build(n_servers, fots, |f| Some(f.server.index())),
+            by_server: CsrTable::build(n_servers, n, |i| Some(servers[i] as usize)),
         }
     }
 
@@ -203,7 +160,7 @@ impl TraceIndex {
 
     /// Positions of all tickets in `category`.
     pub fn category_ids(&self, category: FotCategory) -> &[u32] {
-        self.by_category.slice(category_slot(category))
+        self.by_category.slice(category_tag(category) as usize)
     }
 
     /// Positions of failures of component `class`.
@@ -244,7 +201,8 @@ impl TraceIndex {
     }
 }
 
-/// Iterator over one ticket population of a [`crate::Trace`].
+/// Iterator over one ticket population of a [`crate::Trace`], as
+/// [`Fot`] views.
 ///
 /// Returned by the population accessors ([`crate::Trace::failures`],
 /// [`crate::Trace::failures_of`], [`crate::Trace::in_category`], …) and
@@ -252,29 +210,35 @@ impl TraceIndex {
 /// time order.
 #[derive(Debug, Clone)]
 pub struct FotIter<'a> {
-    fots: &'a [Fot],
+    cols: &'a FotColumns,
     ids: std::slice::Iter<'a, u32>,
 }
 
 impl<'a> FotIter<'a> {
-    /// An iterator over the tickets at `ids` (an index bucket).
-    pub(crate) fn from_ids(fots: &'a [Fot], ids: &'a [u32]) -> Self {
+    /// An iterator over the rows at `ids` (an index bucket).
+    pub(crate) fn from_ids(cols: &'a FotColumns, ids: &'a [u32]) -> Self {
         Self {
-            fots,
+            cols,
             ids: ids.iter(),
         }
     }
 }
 
 impl<'a> Iterator for FotIter<'a> {
-    type Item = &'a Fot;
+    type Item = Fot<'a>;
 
-    fn next(&mut self) -> Option<&'a Fot> {
-        self.ids.next().map(|&i| &self.fots[i as usize])
+    #[inline]
+    fn next(&mut self) -> Option<Fot<'a>> {
+        self.ids.next().map(|&i| self.cols.fot(i as usize))
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
         self.ids.size_hint()
+    }
+
+    // Population sizes are counted often; counting decodes no rows.
+    fn count(self) -> usize {
+        self.ids.len()
     }
 }
 
@@ -322,13 +286,13 @@ mod tests {
         let days: Vec<u64> = ix
             .server_ids(ServerId::new(1))
             .iter()
-            .map(|&i| trace.fots()[i as usize].error_time.day_index())
+            .map(|&i| trace.fot(i as usize).error_time.day_index())
             .collect();
         assert_eq!(days, vec![10, 20]);
         let failure_days: Vec<u64> = ix
             .failure_ids()
             .iter()
-            .map(|&i| trace.fots()[i as usize].error_time.day_index())
+            .map(|&i| trace.fot(i as usize).error_time.day_index())
             .collect();
         assert_eq!(failure_days, vec![10, 20, 50]);
     }
@@ -386,13 +350,5 @@ mod tests {
                 scan(&|f| f.server == server)
             );
         }
-    }
-
-    #[test]
-    fn rebuild_invalidates_and_rebuilds_identically() {
-        let mut trace = mixed_trace();
-        let before = trace.index().clone();
-        trace.rebuild_index();
-        assert_eq!(*trace.index(), before);
     }
 }

@@ -7,6 +7,7 @@ pub mod spill;
 
 use std::io::{BufRead, BufReader, Read, Write};
 
+use crate::columns::{ColumnsBuilder, FotColumns};
 use crate::{
     ComponentClass, DataCenterId, FailureType, Fot, FotCategory, FotId, OperatorAction, OperatorId,
     OperatorResponse, ProductLineId, RackPosition, ServerId, SimTime, TraceError,
@@ -62,7 +63,7 @@ fn push_csv_escaped(buf: &mut Vec<u8>, s: &str) {
 /// digest hot path of the sharded merge: formatting machinery and the
 /// per-field `to_string` calls dominated `engine.shard.merge` before this.
 /// The bytes produced are pinned by the digests in SCALING.md.
-fn append_fot_csv_row(f: &Fot, buf: &mut Vec<u8>) {
+fn append_fot_csv_row(f: &Fot<'_>, buf: &mut Vec<u8>) {
     push_u64(buf, f.id.raw());
     buf.push(b',');
     push_u64(buf, u64::from(f.server.raw()));
@@ -97,21 +98,25 @@ fn append_fot_csv_row(f: &Fot, buf: &mut Vec<u8>) {
         None => buf.extend_from_slice(b",,"),
     }
     buf.push(b',');
-    push_csv_escaped(buf, &f.detail);
+    push_csv_escaped(buf, f.detail);
     buf.push(b'\n');
 }
 
-/// Writes the ticket table as CSV (with header).
+/// Writes the ticket table as CSV (with header): `trace.fots()`, or any
+/// other sequence of ticket views.
 ///
 /// # Errors
 ///
 /// Propagates IO failures.
-pub fn write_fots_csv<W: Write>(fots: &[Fot], mut writer: W) -> Result<(), TraceError> {
+pub fn write_fots_csv<'a, W: Write>(
+    fots: impl IntoIterator<Item = Fot<'a>>,
+    mut writer: W,
+) -> Result<(), TraceError> {
     writeln!(writer, "{CSV_HEADER}")?;
     let mut buf = Vec::with_capacity(128);
     for f in fots {
         buf.clear();
-        append_fot_csv_row(f, &mut buf);
+        append_fot_csv_row(&f, &mut buf);
         writer.write_all(&buf)?;
     }
     Ok(())
@@ -202,90 +207,37 @@ impl ChunkedFnv {
     }
 }
 
-/// One ticket's digest-relevant fields, borrowed — the row form
-/// [`FotsDigester`] hashes. Building one of these from raw engine output
-/// is what lets the sharded merge digest a run without materializing
-/// [`Fot`]s (no id struct, no detail `String`).
-#[derive(Debug, Clone, Copy)]
-pub struct DigestRow<'a> {
-    /// Ticket id.
-    pub id: u64,
-    /// Server id.
-    pub server: u32,
-    /// Data-center id.
-    pub data_center: u16,
-    /// Product-line id.
-    pub product_line: u16,
-    /// Failed component class.
-    pub device: ComponentClass,
-    /// Component slot.
-    pub device_slot: u8,
-    /// Concrete failure type.
-    pub failure_type: FailureType,
-    /// `error_time` in seconds.
-    pub error_secs: u64,
-    /// Rack position.
-    pub rack_position: u8,
-    /// Ticket category.
-    pub category: FotCategory,
-    /// Operator response as `(op_secs, operator, action)`, if any.
-    pub response: Option<(u64, u16, OperatorAction)>,
-    /// Free-form detail text.
-    pub detail: &'a str,
-}
-
-impl<'a> DigestRow<'a> {
-    /// The digest row of an assembled ticket.
-    pub fn of(f: &'a Fot) -> Self {
-        Self {
-            id: f.id.raw(),
-            server: f.server.raw(),
-            data_center: f.data_center.raw(),
-            product_line: f.product_line.raw(),
-            device: f.device,
-            device_slot: f.device_slot,
-            failure_type: f.failure_type,
-            error_secs: f.error_time.as_secs(),
-            rack_position: f.rack_position.raw(),
-            category: f.category,
-            response: f
-                .response
-                .map(|r| (r.op_time.as_secs(), r.operator.raw(), r.action)),
-            detail: &f.detail,
+/// Appends the canonical binary encoding of `f` that [`FotsDigester`]
+/// hashes: fixed-width little-endian scalars in field order, names and
+/// detail length-prefixed, responses tagged — self-delimiting, so
+/// concatenated rows stay injective.
+fn append_canonical(f: &Fot<'_>, buf: &mut Vec<u8>) {
+    buf.extend_from_slice(&f.id.raw().to_le_bytes());
+    buf.extend_from_slice(&f.server.raw().to_le_bytes());
+    buf.extend_from_slice(&f.data_center.raw().to_le_bytes());
+    buf.extend_from_slice(&f.product_line.raw().to_le_bytes());
+    buf.push(f.device.index() as u8);
+    buf.push(f.device_slot);
+    let ft = f.failure_type.name().as_bytes();
+    buf.push(ft.len() as u8);
+    buf.extend_from_slice(ft);
+    buf.extend_from_slice(&f.error_time.as_secs().to_le_bytes());
+    buf.push(f.rack_position.raw());
+    buf.push(crate::columns::category_tag(f.category));
+    match f.response {
+        Some(r) => {
+            buf.push(1);
+            buf.extend_from_slice(&r.op_time.as_secs().to_le_bytes());
+            buf.extend_from_slice(&r.operator.raw().to_le_bytes());
+            buf.push(match r.action {
+                OperatorAction::IssueRepairOrder => b'R',
+                OperatorAction::MarkFalseAlarm => b'F',
+            });
         }
+        None => buf.push(0),
     }
-
-    /// Appends the canonical binary encoding: fixed-width little-endian
-    /// scalars in field order, names and detail length-prefixed, responses
-    /// tagged — self-delimiting, so concatenated rows stay injective.
-    fn append_canonical(&self, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(&self.id.to_le_bytes());
-        buf.extend_from_slice(&self.server.to_le_bytes());
-        buf.extend_from_slice(&self.data_center.to_le_bytes());
-        buf.extend_from_slice(&self.product_line.to_le_bytes());
-        buf.push(self.device.index() as u8);
-        buf.push(self.device_slot);
-        let ft = self.failure_type.name().as_bytes();
-        buf.push(ft.len() as u8);
-        buf.extend_from_slice(ft);
-        buf.extend_from_slice(&self.error_secs.to_le_bytes());
-        buf.push(self.rack_position);
-        buf.push(crate::columns::category_tag(self.category));
-        match self.response {
-            Some((op_secs, operator, action)) => {
-                buf.push(1);
-                buf.extend_from_slice(&op_secs.to_le_bytes());
-                buf.extend_from_slice(&operator.to_le_bytes());
-                buf.push(match action {
-                    OperatorAction::IssueRepairOrder => b'R',
-                    OperatorAction::MarkFalseAlarm => b'F',
-                });
-            }
-            None => buf.push(0),
-        }
-        buf.extend_from_slice(&(self.detail.len() as u32).to_le_bytes());
-        buf.extend_from_slice(self.detail.as_bytes());
-    }
+    buf.extend_from_slice(&(f.detail.len() as u32).to_le_bytes());
+    buf.extend_from_slice(f.detail.as_bytes());
 }
 
 /// A 64-bit fingerprint of the ticket table.
@@ -300,17 +252,17 @@ impl<'a> DigestRow<'a> {
 /// shard-count diffs in CI) compare digests produced
 /// by one build, so the v1→v2 value change only shows up in SCALING.md's
 /// refreshed table.
-pub fn fots_digest(fots: &[Fot]) -> u64 {
+pub fn fots_digest<'a>(fots: impl IntoIterator<Item = Fot<'a>>) -> u64 {
     let mut digester = FotsDigester::new();
     for f in fots {
-        digester.push(f);
+        digester.push(&f);
     }
     digester.digest()
 }
 
 /// Streaming form of [`fots_digest`]: feed tickets one at a time and get
-/// the same digest `fots_digest` would report for the whole slice, without
-/// ever materializing it.
+/// the same digest `fots_digest` would report for the whole sequence,
+/// without ever materializing it.
 ///
 /// This is what lets the sharded engine digest a multi-million-server run
 /// while holding only one merge chunk in memory.
@@ -325,7 +277,7 @@ pub fn fots_digest(fots: &[Fot]) -> u64 {
 /// for fot in &fots {
 ///     digester.push(fot);
 /// }
-/// assert_eq!(digester.digest(), fots_digest(&fots));
+/// assert_eq!(digester.digest(), fots_digest(fots));
 /// ```
 #[derive(Debug, Clone)]
 pub struct FotsDigester {
@@ -343,7 +295,7 @@ impl Default for FotsDigester {
 }
 
 impl FotsDigester {
-    /// Starts an empty digest (equal to `fots_digest(&[])`).
+    /// Starts an empty digest (equal to `fots_digest([])`).
     pub fn new() -> Self {
         Self {
             hash: ChunkedFnv::new(),
@@ -352,17 +304,11 @@ impl FotsDigester {
         }
     }
 
-    /// Absorbs one assembled ticket.
-    pub fn push(&mut self, fot: &Fot) {
-        self.push_row(&DigestRow::of(fot));
-    }
-
-    /// Absorbs one ticket given as a [`DigestRow`] — the allocation-free
-    /// form the sharded merge uses, digest-identical to [`Self::push`] on
-    /// the equivalent [`Fot`].
-    pub fn push_row(&mut self, row: &DigestRow<'_>) {
+    /// Absorbs one ticket. The sharded merge pushes views it stamps
+    /// straight from engine records, so digesting allocates nothing.
+    pub fn push(&mut self, fot: &Fot<'_>) {
         self.row.clear();
-        row.append_canonical(&mut self.row);
+        append_canonical(fot, &mut self.row);
         self.hash.absorb(&self.row);
         self.count += 1;
     }
@@ -405,14 +351,16 @@ fn split_csv_line(line: &str) -> Vec<String> {
     fields
 }
 
-/// Reads a ticket table from CSV written by [`write_fots_csv`].
+/// Reads a ticket table from CSV written by [`write_fots_csv`], as
+/// columns in file order with details interned in first-appearance order
+/// (so reading back `trace.fots()`'s export gives a store equal to it).
 ///
 /// # Errors
 ///
 /// Returns [`TraceError::Csv`] with the offending line number on any
 /// malformed field.
-pub fn read_fots_csv<R: Read>(reader: R) -> Result<Vec<Fot>, TraceError> {
-    let mut out = Vec::new();
+pub fn read_fots_csv<R: Read>(reader: R) -> Result<FotColumns, TraceError> {
+    let mut out = ColumnsBuilder::default();
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
         let line = line?;
         if lineno == 0 {
@@ -468,7 +416,7 @@ pub fn read_fots_csv<R: Read>(reader: R) -> Result<Vec<Fot>, TraceError> {
                 action,
             })
         };
-        out.push(Fot {
+        out.push(&Fot {
             id: FotId::new(parse_u64(&fields[0], "id")?),
             server: ServerId::new(parse_u64(&fields[1], "host_id")? as u32),
             data_center: DataCenterId::new(parse_u64(&fields[2], "host_idc")? as u16),
@@ -480,17 +428,17 @@ pub fn read_fots_csv<R: Read>(reader: R) -> Result<Vec<Fot>, TraceError> {
             rack_position: RackPosition::new(parse_u64(&fields[8], "error_position")? as u8),
             category,
             response,
-            detail: fields[13].clone(),
+            detail: &fields[13],
         });
     }
-    Ok(out)
+    Ok(out.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample_fots() -> Vec<Fot> {
+    fn sample_fots() -> Vec<Fot<'static>> {
         vec![
             Fot {
                 id: FotId::new(0),
@@ -502,7 +450,7 @@ mod tests {
                 failure_type: FailureType::SmartFail,
                 error_time: SimTime::from_days(5),
                 rack_position: RackPosition::new(22),
-                detail: "smart, with a comma and \"quotes\"".into(),
+                detail: "smart, with a comma and \"quotes\"",
                 category: FotCategory::Fixing,
                 response: Some(OperatorResponse {
                     operator: OperatorId::new(7),
@@ -520,7 +468,7 @@ mod tests {
                 failure_type: FailureType::DimmUe,
                 error_time: SimTime::from_days(6),
                 rack_position: RackPosition::new(10),
-                detail: String::new(),
+                detail: "",
                 category: FotCategory::Error,
                 response: None,
             },
@@ -531,9 +479,9 @@ mod tests {
     fn csv_round_trip_preserves_everything() {
         let fots = sample_fots();
         let mut buf = Vec::new();
-        write_fots_csv(&fots, &mut buf).unwrap();
+        write_fots_csv(fots.iter().copied(), &mut buf).unwrap();
         let back = read_fots_csv(&buf[..]).unwrap();
-        assert_eq!(back, fots);
+        assert!(back.iter().eq(fots));
     }
 
     #[test]
@@ -592,7 +540,7 @@ mod tests {
                 op_time,
                 operator,
                 action,
-                csv_escape(&f.detail),
+                csv_escape(f.detail),
             );
             let mut buf = Vec::new();
             append_fot_csv_row(&f, &mut buf);
@@ -603,17 +551,17 @@ mod tests {
     #[test]
     fn digest_tracks_ticket_fields() {
         use crate::store::tests::fot;
-        let a = vec![fot(0, 0, 1, FotCategory::Fixing)];
-        let b = vec![fot(0, 0, 2, FotCategory::Fixing)];
-        assert_eq!(fots_digest(&a), fots_digest(&a), "deterministic");
-        assert_ne!(fots_digest(&a), fots_digest(&b), "different fots differ");
-        assert_ne!(fots_digest(&a), fots_digest(&[]), "empty differs");
+        let a = [fot(0, 0, 1, FotCategory::Fixing)];
+        let b = [fot(0, 0, 2, FotCategory::Fixing)];
+        assert_eq!(fots_digest(a), fots_digest(a), "deterministic");
+        assert_ne!(fots_digest(a), fots_digest(b), "different fots differ");
+        assert_ne!(fots_digest(a), fots_digest([]), "empty differs");
         // Pinned empty-stream value per the v2 definition (offset-basis
         // mixed with the zero length), so the digest is stable across
         // platforms and releases.
         #[allow(clippy::identity_op)] // the `^ 0` spells out "xor the length"
         let expect = (0xcbf2_9ce4_8422_2325u64 ^ 0).wrapping_mul(0x100_0000_01b3);
-        assert_eq!(fots_digest(&[]), expect);
+        assert_eq!(fots_digest([]), expect);
     }
 
     #[test]
@@ -648,25 +596,14 @@ mod tests {
     }
 
     #[test]
-    fn digest_row_matches_fot_push() {
-        for f in sample_fots() {
-            let mut via_fot = FotsDigester::new();
-            via_fot.push(&f);
-            let mut via_row = FotsDigester::new();
-            via_row.push_row(&DigestRow::of(&f));
-            assert_eq!(via_fot.digest(), via_row.digest());
-        }
-    }
-
-    #[test]
     fn streaming_digester_matches_batch_digest() {
         let fots = sample_fots();
         let mut digester = FotsDigester::new();
-        assert_eq!(digester.digest(), fots_digest(&[]), "header-only state");
+        assert_eq!(digester.digest(), fots_digest([]), "header-only state");
         for f in &fots {
             digester.push(f);
         }
         assert_eq!(digester.count(), fots.len() as u64);
-        assert_eq!(digester.digest(), fots_digest(&fots));
+        assert_eq!(digester.digest(), fots_digest(fots));
     }
 }

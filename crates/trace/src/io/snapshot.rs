@@ -2,9 +2,9 @@
 //!
 //! A snapshot persists a simulated trace once so it can be re-analyzed or
 //! served without re-simulation. The layout is columnar end to end — the
-//! ticket section is the [`FotColumns`](crate::FotColumns) blobs written
-//! verbatim — and every string (scenario description, DC / product-line
-//! names, hostnames, ticket details) lives in one interned dictionary:
+//! ticket section is the trace's [`FotColumns`] blobs written verbatim —
+//! and every string (scenario description, DC / product-line names,
+//! hostnames, ticket details) lives in one interned dictionary:
 //!
 //! ```text
 //! magic "DCFSNAP0" | version u32
@@ -16,9 +16,9 @@
 //! ```
 //!
 //! All integers are little-endian. Loading verifies the magic, version and
-//! digest, bounds-checks every dictionary and taxonomy id, and then
-//! revalidates through [`Trace::new`]; any corruption surfaces as
-//! [`TraceError::Snapshot`] rather than a panic. A write → load round trip
+//! digest, keeps the decoded column blobs as the trace's ticket store, and
+//! validates them through [`Trace::from_columns`]; any corruption surfaces
+//! as a [`TraceError`] rather than a panic. A write → load round trip
 //! reproduces a trace equal to the original (same report bytes, same
 //! [`crate::io::fots_digest`]).
 
@@ -26,12 +26,11 @@ use std::collections::HashMap;
 use std::path::Path;
 
 use super::{fnv1a, FNV_OFFSET};
-use crate::columns::{action_from_tag, NO_RESPONSE_DAY};
+use crate::columns::{ColumnsBuilder, FotColumns};
 use crate::{
-    ComponentClass, DataCenterId, DataCenterMeta, FailureType, FaultTolerance, Fot, FotCategory,
-    FotId, OperatorId, OperatorResponse, ProductLineId, ProductLineMeta, RackId, RackPosition,
-    ServerId, ServerMeta, SimDuration, SimTime, Trace, TraceError, TraceInfo, WorkloadKind,
-    SECS_PER_DAY,
+    DataCenterId, DataCenterMeta, FaultTolerance, ProductLineId, ProductLineMeta, RackId,
+    RackPosition, ServerId, ServerMeta, SimDuration, SimTime, Trace, TraceError, TraceInfo,
+    WorkloadKind,
 };
 
 /// Magic bytes opening every snapshot.
@@ -148,11 +147,9 @@ pub fn snapshot_to_bytes(trace: &Trace) -> Vec<u8> {
         .iter()
         .map(|s| dict.intern(&s.hostname))
         .collect();
-    let detail_ids: Vec<u32> = cols
-        .details()
-        .iter()
-        .map(|&d| dict.intern(cols.dict().get(d)))
-        .collect();
+    // The column dictionary is in first-appearance order, so interning it
+    // in id order interns the details in row order.
+    let detail_ids: Vec<u32> = cols.dict().iter().map(|d| dict.intern(d)).collect();
 
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
@@ -243,8 +240,8 @@ pub fn snapshot_to_bytes(trace: &Trace) -> Vec<u8> {
         out.put_u16(v);
     }
     out.extend_from_slice(cols.actions());
-    for &v in &detail_ids {
-        out.put_u32(v);
+    for &d in cols.details() {
+        out.put_u32(detail_ids[d as usize]);
     }
 
     let digest = fnv1a(FNV_OFFSET, &out);
@@ -341,8 +338,10 @@ impl Dict {
 /// # Errors
 ///
 /// Returns [`TraceError::Snapshot`] for a bad magic, unsupported version,
-/// truncated image, digest mismatch, or out-of-range id — and whatever
-/// [`Trace::new`] reports if the decoded tickets violate trace invariants.
+/// truncated image, digest mismatch, or out-of-range dictionary id — and
+/// whatever [`Trace::from_columns`] reports if the decoded columns
+/// violate trace invariants (an out-of-range id or tag, a response
+/// mismatch, a duplicate id, rows out of order).
 pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
     if bytes.len() < MAGIC.len() + 4 + 8 {
         return Err(err("snapshot too short"));
@@ -457,22 +456,25 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
     }
 
     let n = r.u32()? as usize;
-    let ids = r.u64_vec(n)?;
-    let server_col = r.u32_vec(n)?;
-    let dc_col = r.u16_vec(n)?;
-    let line_col = r.u16_vec(n)?;
-    let class_col = r.take(n)?.to_vec();
-    let slot_col = r.take(n)?.to_vec();
-    let type_col = r.take(n)?.to_vec();
-    let error_day = r.u32_vec(n)?;
-    let error_sod = r.u32_vec(n)?;
-    let rack_pos_col = r.take(n)?.to_vec();
-    let category_col = r.take(n)?.to_vec();
-    let op_day = r.u32_vec(n)?;
-    let op_sod = r.u32_vec(n)?;
-    let operator_col = r.u16_vec(n)?;
-    let action_col = r.take(n)?.to_vec();
-    let detail_col = r.u32_vec(n)?;
+    let mut cols = FotColumns {
+        id: r.u64_vec(n)?,
+        server: r.u32_vec(n)?,
+        data_center: r.u16_vec(n)?,
+        product_line: r.u16_vec(n)?,
+        class: r.take(n)?.to_vec(),
+        device_slot: r.take(n)?.to_vec(),
+        failure_type: r.take(n)?.to_vec(),
+        error_day: r.u32_vec(n)?,
+        error_sod: r.u32_vec(n)?,
+        rack_position: r.take(n)?.to_vec(),
+        category: r.take(n)?.to_vec(),
+        op_day: r.u32_vec(n)?,
+        op_sod: r.u32_vec(n)?,
+        operator: r.u16_vec(n)?,
+        action: r.take(n)?.to_vec(),
+        detail: r.u32_vec(n)?,
+        ..FotColumns::default()
+    };
     if r.pos != body.len() {
         return Err(err(format!(
             "{} trailing bytes after the column section",
@@ -480,47 +482,22 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
         )));
     }
 
-    let mut fots = Vec::with_capacity(n);
-    for i in 0..n {
-        let class = *ComponentClass::ALL
-            .get(class_col[i] as usize)
-            .ok_or_else(|| err(format!("invalid class tag {}", class_col[i])))?;
-        let failure_type = *FailureType::ALL
-            .get(type_col[i] as usize)
-            .ok_or_else(|| err(format!("invalid failure-type tag {}", type_col[i])))?;
-        let category = *FotCategory::ALL
-            .get(category_col[i] as usize)
-            .ok_or_else(|| err(format!("invalid category tag {}", category_col[i])))?;
-        let response = if op_day[i] == NO_RESPONSE_DAY {
-            None
-        } else {
-            let action = action_from_tag(action_col[i])
-                .ok_or_else(|| err(format!("invalid action tag {}", action_col[i])))?;
-            Some(OperatorResponse {
-                operator: OperatorId::new(operator_col[i]),
-                op_time: SimTime::from_secs(op_day[i] as u64 * SECS_PER_DAY + op_sod[i] as u64),
-                action,
-            })
-        };
-        fots.push(Fot {
-            id: FotId::new(ids[i]),
-            server: ServerId::new(server_col[i]),
-            data_center: DataCenterId::new(dc_col[i]),
-            product_line: ProductLineId::new(line_col[i]),
-            device: class,
-            device_slot: slot_col[i],
-            failure_type,
-            error_time: SimTime::from_secs(
-                error_day[i] as u64 * SECS_PER_DAY + error_sod[i] as u64,
-            ),
-            rack_position: RackPosition::new(rack_pos_col[i]),
-            detail: dict.get(detail_col[i])?.to_owned(),
-            category,
-            response,
-        });
+    // Details index the whole snapshot dictionary; the trace's own
+    // dictionary holds only details, interned in first-appearance order.
+    let mut details = ColumnsBuilder::default();
+    let mut remap = vec![u32::MAX; dict.0.len()];
+    for d in &mut cols.detail {
+        let local = remap
+            .get_mut(*d as usize)
+            .ok_or_else(|| err(format!("detail id {d} out of range ({})", dict.0.len())))?;
+        if *local == u32::MAX {
+            *local = details.intern(&dict.0[*d as usize]);
+        }
+        *d = *local;
     }
+    cols.dict = details.finish().dict;
 
-    Trace::new(info, servers, data_centers, product_lines, fots)
+    Trace::from_columns(info, servers, data_centers, product_lines, cols)
 }
 
 /// Reads a binary snapshot file written by [`write_snapshot`].
@@ -539,6 +516,7 @@ mod tests {
     use super::*;
     use crate::io::fots_digest;
     use crate::store::tests::{fot, tiny_fleet};
+    use crate::FotCategory;
 
     fn sample_trace() -> Trace {
         let (servers, dcs, lines) = tiny_fleet();

@@ -40,7 +40,6 @@
 //! engine merges its per-thread chunks: [`merge_cursors`] is the one
 //! k-way merge, and the one owner of its tie-break rule.
 
-use std::collections::HashMap;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -164,7 +163,6 @@ pub struct ShardSpillWriter {
     shard_count: u32,
     server_lo: u32,
     server_hi: u32,
-    type_tags: HashMap<FailureType, u8>,
     rows: u64,
     last_key: Option<(SimTime, u32, usize, u8)>,
     // Finished frames, the open block, and the running error-time
@@ -186,18 +184,12 @@ impl ShardSpillWriter {
         server_lo: u32,
         server_hi: u32,
     ) -> Self {
-        let type_tags = FailureType::ALL
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| (t, i as u8))
-            .collect();
         Self {
             path: path.as_ref().to_path_buf(),
             shard_index,
             shard_count,
             server_lo,
             server_hi,
-            type_tags,
             rows: 0,
             last_key: None,
             frames: Vec::new(),
@@ -238,7 +230,7 @@ impl ShardSpillWriter {
         );
         self.block.push(class | (cat << 4));
         self.block.push(rec.slot);
-        self.block.push(self.type_tags[&rec.ftype]);
+        self.block.push(rec.ftype.index() as u8);
         push_varint(
             &mut self.block,
             zigzag(error_secs.wrapping_sub(self.prev_error_secs) as i64),

@@ -38,7 +38,7 @@ mod store;
 mod streams;
 mod time;
 
-pub use columns::{FotColumns, StringDict};
+pub use columns::{ColumnsBuilder, FotColumns, FotRows};
 pub use component::ComponentClass;
 pub use error::TraceError;
 pub use failure_type::{FailureType, Severity};

@@ -1,10 +1,14 @@
 //! The [`Trace`] container: a validated, time-sorted FOT dataset plus the
 //! fleet snapshot the analyses need.
+//!
+//! The tickets live in one [`FotColumns`] store and nowhere else: the
+//! engine, the snapshot decoder and [`Trace::new`] all fill columns, and
+//! [`Trace::fots`] / [`Trace::fot`] decode rows into [`Fot`] views on
+//! demand.
 
-use std::collections::HashSet;
 use std::sync::OnceLock;
 
-use crate::columns::FotColumns;
+use crate::columns::{ColumnsBuilder, FotColumns};
 use crate::index::{FotIter, TraceIndex};
 use crate::streams::StreamIndex;
 use crate::{
@@ -37,8 +41,9 @@ impl TraceInfo {
 /// A complete failure dataset: tickets sorted by `error_time`, plus
 /// server / data center / product line snapshots.
 ///
-/// Construction validates referential integrity and the category/response
-/// invariants. The population accessors ([`Trace::failures`],
+/// Construction validates referential integrity, every column's domain,
+/// the category/response invariants and the row order (see
+/// [`Trace::from_columns`]). The population accessors ([`Trace::failures`],
 /// [`Trace::in_category`], [`Trace::fots_of_server`], …) are backed by a
 /// shared [`TraceIndex`], built lazily on first use and shared by every
 /// analysis section; see [`Trace::index`] for the caching contract.
@@ -49,8 +54,9 @@ impl TraceInfo {
 ///
 /// ```
 /// use dcf_trace::{
-///     ComponentClass, DataCenterId, FailureType, Fot, FotCategory, FotId, ProductLineId,
-///     RackId, RackPosition, ServerId, ServerMeta, SimDuration, SimTime, Trace, TraceInfo,
+///     ComponentClass, DataCenterId, DataCenterMeta, FailureType, FaultTolerance, Fot,
+///     FotCategory, FotId, ProductLineId, ProductLineMeta, RackId, RackPosition, ServerId,
+///     ServerMeta, SimDuration, SimTime, Trace, TraceInfo, WorkloadKind,
 /// };
 ///
 /// let info = TraceInfo {
@@ -78,6 +84,19 @@ impl TraceInfo {
 ///     has_raid_card: true,
 ///     has_flash_card: false,
 /// };
+/// let dc = DataCenterMeta {
+///     id: DataCenterId::new(0),
+///     name: "DC-00".into(),
+///     built_year: 2014,
+///     modern_cooling: true,
+///     rack_positions: 40,
+/// };
+/// let line = ProductLineMeta {
+///     id: ProductLineId::new(0),
+///     name: "search".into(),
+///     workload: WorkloadKind::OnlineService,
+///     fault_tolerance: FaultTolerance::Medium,
+/// };
 /// let fot = Fot {
 ///     id: FotId::new(0),
 ///     server: ServerId::new(0),
@@ -88,12 +107,13 @@ impl TraceInfo {
 ///     failure_type: FailureType::NotReady,
 ///     error_time: SimTime::from_days(40),
 ///     rack_position: RackPosition::new(1),
-///     detail: String::new(),
+///     detail: "",
 ///     category: FotCategory::Error, // out of warranty: no response
 ///     response: None,
 /// };
-/// let trace = Trace::new(info, vec![server], vec![], vec![], vec![fot]).unwrap();
+/// let trace = Trace::new(info, vec![server], vec![dc], vec![line], vec![fot]).unwrap();
 /// assert_eq!(trace.len(), 1);
+/// assert_eq!(trace.fot(0), fot);
 /// assert_eq!(trace.failures().count(), 1);
 /// assert_eq!(trace.fots_of_server(ServerId::new(0)).count(), 1);
 /// ```
@@ -103,17 +123,16 @@ pub struct Trace {
     servers: Vec<ServerMeta>,
     data_centers: Vec<DataCenterMeta>,
     product_lines: Vec<ProductLineMeta>,
-    fots: Vec<Fot>,
+    /// The tickets, one column per field (see [`FotColumns`]).
+    fots: FotColumns,
     /// Lazily-built partition index (see [`TraceIndex`]).
     index: OnceLock<TraceIndex>,
-    /// Lazily-built struct-of-arrays view (see [`FotColumns`]).
-    columns: OnceLock<FotColumns>,
     /// Lazily-built per-component failure streams (see [`StreamIndex`]).
     streams: OnceLock<StreamIndex>,
 }
 
 /// Equality compares the trace *data* (info, fleet snapshot, tickets).
-/// The lazily-built index and column caches are excluded: two traces with
+/// The lazily-built index and stream caches are excluded: two traces with
 /// equal data are equal whether or not either has built them yet.
 impl PartialEq for Trace {
     fn eq(&self, other: &Self) -> bool {
@@ -126,12 +145,9 @@ impl PartialEq for Trace {
 }
 
 impl Trace {
-    /// Builds a trace, sorting tickets by `error_time` and validating:
-    ///
-    /// * server ids are dense and every ticket references a known server;
-    /// * ticket ids are unique;
-    /// * `D_fixing`/`D_falsealarm` tickets have a response, `D_error` do not;
-    /// * no response predates its ticket.
+    /// Builds a trace from ticket rows in any order: sorts them by
+    /// `(error_time, id)`, stores them as columns, and validates them as
+    /// [`Trace::from_columns`] does.
     ///
     /// # Errors
     ///
@@ -141,34 +157,42 @@ impl Trace {
         servers: Vec<ServerMeta>,
         data_centers: Vec<DataCenterMeta>,
         product_lines: Vec<ProductLineMeta>,
-        mut fots: Vec<Fot>,
+        mut fots: Vec<Fot<'_>>,
+    ) -> Result<Self, TraceError> {
+        fots.sort_by_key(|f| (f.error_time, f.id));
+        let mut builder = ColumnsBuilder::with_capacity(fots.len());
+        for f in &fots {
+            builder.push(f);
+        }
+        Self::from_columns(info, servers, data_centers, product_lines, builder.finish())
+    }
+
+    /// Builds a trace that owns `fots`, validating:
+    ///
+    /// * server ids are dense and every ticket references a known server,
+    ///   data center and product line;
+    /// * every tag and dictionary id is in range;
+    /// * `D_fixing`/`D_falsealarm` tickets have a response, `D_error` do not;
+    /// * no response predates its ticket;
+    /// * rows ascend strictly in `(error_time, id)` and ticket ids are
+    ///   unique. Unsorted columns are rejected, not sorted.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated invariant as a [`TraceError`].
+    pub fn from_columns(
+        info: TraceInfo,
+        servers: Vec<ServerMeta>,
+        data_centers: Vec<DataCenterMeta>,
+        product_lines: Vec<ProductLineMeta>,
+        fots: FotColumns,
     ) -> Result<Self, TraceError> {
         for (i, s) in servers.iter().enumerate() {
             if s.id.index() != i {
                 return Err(TraceError::NonDenseServerIds);
             }
         }
-        let mut seen = HashSet::with_capacity(fots.len());
-        for fot in &fots {
-            if fot.server.index() >= servers.len() {
-                return Err(TraceError::UnknownServer {
-                    fot: fot.id,
-                    server: fot.server,
-                });
-            }
-            if !seen.insert(fot.id) {
-                return Err(TraceError::DuplicateFotId { fot: fot.id });
-            }
-            if fot.category.has_response() != fot.response.is_some() {
-                return Err(TraceError::ResponseMismatch { fot: fot.id });
-            }
-            if let Some(r) = fot.response {
-                if r.op_time < fot.error_time {
-                    return Err(TraceError::NegativeResponseTime { fot: fot.id });
-                }
-            }
-        }
-        fots.sort_by_key(|f| (f.error_time, f.id));
+        fots.validate(servers.len(), data_centers.len(), product_lines.len())?;
         Ok(Self {
             info,
             servers,
@@ -176,24 +200,22 @@ impl Trace {
             product_lines,
             fots,
             index: OnceLock::new(),
-            columns: OnceLock::new(),
             streams: OnceLock::new(),
         })
     }
 
     /// The shared partition index, built lazily on first access.
     ///
-    /// The first call pays one pass over the ticket vector; every later
+    /// The first call pays one pass over the ticket columns; every later
     /// call returns the cached index for free. The index is a pure
     /// function of the trace data (deterministic across runs, build
-    /// orders, and thread counts) and stays valid until
-    /// [`Trace::rebuild_index`] discards it. Concurrent first calls are
-    /// safe: `OnceLock` guarantees exactly one winner and everyone sees
-    /// the same index.
+    /// orders, and thread counts), and a trace's data never changes.
+    /// Concurrent first calls are safe: `OnceLock` guarantees exactly one
+    /// winner and everyone sees the same index.
     pub fn index(&self) -> &TraceIndex {
         self.index.get_or_init(|| {
             TraceIndex::build(
-                &self.servers,
+                self.servers.len(),
                 self.data_centers.len(),
                 self.product_lines.len(),
                 &self.fots,
@@ -201,25 +223,11 @@ impl Trace {
         })
     }
 
-    /// Discards the cached [`TraceIndex`]; the next [`Trace::index`] call
-    /// (direct or through any population accessor) rebuilds it from the
-    /// current ticket vector. Rebuilding always produces an index equal
-    /// to the discarded one unless the trace data changed in between.
-    pub fn rebuild_index(&mut self) {
-        self.index = OnceLock::new();
-        self.columns = OnceLock::new();
-        self.streams = OnceLock::new();
-    }
-
-    /// The shared struct-of-arrays view of the ticket vector, built lazily
-    /// on first access.
-    ///
-    /// Like [`Trace::index`], the columns are a pure function of the
-    /// (sorted) ticket data: row `i` of every column describes
-    /// `self.fots()[i]`, so index positions double as column row indices.
-    /// Every analysis section runs its kernel over these columns.
+    /// The ticket columns: row `i` of every column is ticket
+    /// [`Trace::fot`]`(i)`, so index positions are row indices. Every
+    /// analysis section runs its kernel over these columns.
     pub fn columns(&self) -> &FotColumns {
-        self.columns.get_or_init(|| FotColumns::build(&self.fots))
+        &self.fots
     }
 
     /// The shared per-component failure streams (§VII-A), built lazily on
@@ -239,9 +247,21 @@ impl Trace {
         self.info.end()
     }
 
-    /// All tickets, sorted by `error_time`.
-    pub fn fots(&self) -> &[Fot] {
+    /// All tickets, sorted by `(error_time, id)`: the column store, which
+    /// iterates as [`Fot`] views (`for f in trace.fots()`), compares by
+    /// value, and reports its `len()`. The same store as
+    /// [`Trace::columns`].
+    pub fn fots(&self) -> &FotColumns {
         &self.fots
+    }
+
+    /// Ticket `i` in `(error_time, id)` order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    pub fn fot(&self, i: usize) -> Fot<'_> {
+        self.fots.fot(i)
     }
 
     /// Tickets that count as failures (`D_fixing` + `D_error`), the
@@ -334,12 +354,10 @@ impl Trace {
     pub fn restrict(&self, from: SimTime, to: SimTime) -> Result<Trace, TraceError> {
         let from = from.max(self.info.start);
         let to = to.min(self.end_time());
-        let fots: Vec<Fot> = self
+        let window = from.as_secs()..to.as_secs();
+        let fots = self
             .fots
-            .iter()
-            .filter(|f| f.error_time >= from && f.error_time < to)
-            .cloned()
-            .collect();
+            .select(|i| window.contains(&self.fots.error_secs(i)));
         let days = to.since(from).as_secs() / crate::SECS_PER_DAY;
         let info = TraceInfo {
             start: from,
@@ -352,13 +370,7 @@ impl Trace {
                 to.day_index()
             ),
         };
-        Trace::new(
-            info,
-            self.servers.clone(),
-            self.data_centers.clone(),
-            self.product_lines.clone(),
-            fots,
-        )
+        self.with_fots(info, fots)
     }
 
     /// Restricts the trace to one data center's tickets (fleet snapshot
@@ -368,15 +380,16 @@ impl Trace {
     ///
     /// Never fails for a valid source trace.
     pub fn restrict_dc(&self, dc: crate::DataCenterId) -> Result<Trace, TraceError> {
-        let fots: Vec<Fot> = self
-            .fots
-            .iter()
-            .filter(|f| f.data_center == dc)
-            .cloned()
-            .collect();
+        let dcs = self.fots.data_centers();
+        let fots = self.fots.select(|i| dcs[i] == dc.raw());
         let mut info = self.info.clone();
         info.description = format!("{} [{dc}]", self.info.description);
-        Trace::new(
+        self.with_fots(info, fots)
+    }
+
+    /// A trace with this fleet snapshot, `info` and `fots`.
+    fn with_fots(&self, info: TraceInfo, fots: FotColumns) -> Result<Trace, TraceError> {
+        Trace::from_columns(
             info,
             self.servers.clone(),
             self.data_centers.clone(),
@@ -437,7 +450,7 @@ pub(crate) mod tests {
         (servers, dcs, pls)
     }
 
-    pub(crate) fn fot(id: u64, server: u32, day: u64, category: FotCategory) -> Fot {
+    pub(crate) fn fot(id: u64, server: u32, day: u64, category: FotCategory) -> Fot<'static> {
         let response = category.has_response().then_some(OperatorResponse {
             operator: OperatorId::new(0),
             op_time: SimTime::from_days(day + 2),
@@ -457,7 +470,7 @@ pub(crate) mod tests {
             failure_type: FailureType::SmartFail,
             error_time: SimTime::from_days(day),
             rack_position: RackPosition::new(server as u8 + 1),
-            detail: String::new(),
+            detail: "",
             category,
             response,
         }
@@ -496,6 +509,20 @@ pub(crate) mod tests {
         assert!(matches!(
             Trace::new(info(), s, d, p, fots),
             Err(TraceError::UnknownServer { .. })
+        ));
+    }
+
+    #[test]
+    fn rejects_tickets_outside_the_fleet_snapshot() {
+        let (s, d, p) = tiny_fleet();
+        let mut bad = fot(0, 0, 1, FotCategory::Fixing);
+        bad.data_center = DataCenterId::new(1); // tiny_fleet has one DC
+        assert!(matches!(
+            Trace::new(info(), s, d, p, vec![bad]),
+            Err(TraceError::InvalidColumn {
+                column: "data_center",
+                ..
+            })
         ));
     }
 
@@ -571,7 +598,7 @@ pub(crate) mod tests {
             .restrict(SimTime::from_days(20), SimTime::from_days(80))
             .unwrap();
         assert_eq!(sliced.len(), 1);
-        assert_eq!(sliced.fots()[0].error_time.day_index(), 50);
+        assert_eq!(sliced.fot(0).error_time.day_index(), 50);
         assert_eq!(sliced.info().days, 60);
         assert_eq!(sliced.servers().len(), trace.servers().len());
         // Clamping to the original window.

@@ -46,7 +46,7 @@ pub fn narrowed(trace: &Trace, days: u64) -> Trace {
         trace.servers().to_vec(),
         trace.data_centers().to_vec(),
         trace.product_lines().to_vec(),
-        trace.fots().to_vec(),
+        trace.fots().iter().collect(),
     )
     .expect("same tickets, narrower window")
 }

@@ -189,3 +189,29 @@ fn window_edge_tickets_count_on_no_day() {
     let context = study.miner().context(early.id).expect("known ticket");
     assert_eq!(context.fot, early.id);
 }
+
+/// The drill-down view reads each context from the server's own rows; it
+/// must equal the lookup by ticket id for every failure of every server.
+#[test]
+fn server_contexts_match_context_by_id() {
+    use dcfail::core::mining::FotMiner;
+    use dcfail::sim::{RunOptions, Scenario};
+    for seed in [1, 7, 42] {
+        let trace = Scenario::small()
+            .seed(seed)
+            .simulate(&RunOptions::default())
+            .unwrap();
+        let miner = FotMiner::new(&trace);
+        let mut contexts = 0;
+        for server in trace.servers() {
+            let by_id: Vec<_> = trace
+                .fots_of_server(server.id)
+                .filter(|f| f.is_failure())
+                .map(|f| miner.context(f.id).expect("a trace ticket has a context"))
+                .collect();
+            contexts += by_id.len();
+            assert_eq!(miner.server_contexts(server.id), by_id, "seed {seed}");
+        }
+        assert_eq!(contexts, trace.failures().count(), "seed {seed}");
+    }
+}

@@ -90,7 +90,7 @@ fn csv_round_trip_preserves_every_ticket() {
     let mut buf = Vec::new();
     io::write_fots_csv(trace.fots(), &mut buf).unwrap();
     let back = io::read_fots_csv(&buf[..]).unwrap();
-    assert_eq!(back, trace.fots());
+    assert_eq!(&back, trace.fots());
 }
 
 /// CSV is the one ticket interchange format, so its reader must take any
@@ -104,12 +104,11 @@ fn csv_reader_types_every_truncation_and_flip() {
 
     // The first 30 tickets plus the first false alarm, the first error and
     // the first quoted detail, so every row shape is in the export.
-    let fots = Scenario::small()
+    let trace = Scenario::small()
         .seed(1)
         .simulate(&RunOptions::default())
-        .unwrap()
-        .fots()
-        .to_vec();
+        .unwrap();
+    let fots: Vec<_> = trace.fots().iter().collect();
     let mut picked: Vec<_> = fots[..30].to_vec();
     for shape in [
         fots.iter().find(|f| f.category == FotCategory::FalseAlarm),
@@ -118,12 +117,15 @@ fn csv_reader_types_every_truncation_and_flip() {
     ] {
         let f = shape.expect("the small scenario has every row shape");
         if !picked.contains(f) {
-            picked.push(f.clone());
+            picked.push(*f);
         }
     }
     let mut good = Vec::new();
-    io::write_fots_csv(&picked, &mut good).unwrap();
-    assert_eq!(io::read_fots_csv(&good[..]).unwrap(), picked);
+    io::write_fots_csv(picked.iter().copied(), &mut good).unwrap();
+    assert!(io::read_fots_csv(&good[..])
+        .unwrap()
+        .iter()
+        .eq(picked.iter().copied()));
 
     let typed = |bytes: &[u8], what: &str| match io::read_fots_csv(bytes) {
         Ok(_) | Err(TraceError::Csv { .. } | TraceError::Io(_)) => {}
@@ -134,7 +136,10 @@ fn csv_reader_types_every_truncation_and_flip() {
         let cut = &good[..len];
         if len > 0 && good[len - 1] == b'\n' {
             let loaded = io::read_fots_csv(cut).expect("a cut at a row boundary loads");
-            assert_eq!(loaded[..], picked[..rows], "cut after {rows} rows");
+            assert!(
+                loaded.iter().eq(picked[..rows].iter().copied()),
+                "cut after {rows} rows"
+            );
             rows += 1;
         } else {
             typed(cut, &format!("cut at {len}"));
@@ -162,4 +167,31 @@ fn fots_are_time_sorted_with_dense_unique_ids() {
         prev = Some(fot.error_time);
     }
     assert_eq!(seen.len(), trace.len());
+}
+
+/// The on-disk and export bytes at seed 1: the FNV-1a of the `.dcfsnap`
+/// image and of the CSV export. Both writers read the trace's columns;
+/// these pin their output byte for byte.
+#[test]
+fn golden_snapshot_and_csv_bytes_at_seed_1() {
+    for (scenario, snapshot_fnv, csv_fnv) in [
+        (Scenario::small(), "4c22a3858f45ac28", "ab5903be4f1d7c7a"),
+        (Scenario::medium(), "0a8dd97a3ca2b0b2", "a5dbc262eb1d2df8"),
+    ] {
+        let name = scenario.name;
+        let trace = scenario.seed(1).simulate(&RunOptions::default()).unwrap();
+        let image = io::snapshot::snapshot_to_bytes(&trace);
+        let mut csv = Vec::new();
+        io::write_fots_csv(trace.fots(), &mut csv).unwrap();
+        assert_eq!(
+            format!("{:016x}", io::fnv1a(io::FNV_OFFSET, &image)),
+            snapshot_fnv,
+            "{name} snapshot"
+        );
+        assert_eq!(
+            format!("{:016x}", io::fnv1a(io::FNV_OFFSET, &csv)),
+            csv_fnv,
+            "{name} csv"
+        );
+    }
 }

@@ -44,14 +44,6 @@ fn thread_count_never_changes_the_report() {
 }
 
 #[test]
-fn rebuild_index_is_idempotent_for_reports() {
-    let mut trace = small_trace(SEEDS[1]);
-    let before = report_debug(&trace, 4);
-    trace.rebuild_index();
-    assert_eq!(report_debug(&trace, 4), before);
-}
-
-#[test]
 fn parallel_run_records_every_section_span() {
     let trace = small_trace(SEEDS[2]);
     let registry = MetricsRegistry::new();

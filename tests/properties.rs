@@ -203,7 +203,7 @@ fn csv_reader_survives_corruption() {
         .simulate(&RunOptions::default())
         .unwrap();
     let mut csv = Vec::new();
-    io::write_fots_csv(&trace.fots()[..50.min(trace.len())], &mut csv).unwrap();
+    io::write_fots_csv(trace.fots().iter().take(50), &mut csv).unwrap();
     cases::check("csv_reader_survives_corruption", 48, |rng| {
         let mut mutated = csv.clone();
         let idx = rng.random_range(0..5_000) % mutated.len();

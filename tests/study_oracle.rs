@@ -64,7 +64,7 @@ fn assert_same<T: Debug>(kernel: T, oracle: T, what: &str) {
 
 /// Failures (`D_fixing` + `D_error`) of `class` (`None` = every class), in
 /// ticket order.
-fn failures(trace: &Trace, class: Option<ComponentClass>) -> impl Iterator<Item = &Fot> {
+fn failures(trace: &Trace, class: Option<ComponentClass>) -> impl Iterator<Item = Fot<'_>> {
     trace
         .fots()
         .iter()
@@ -454,7 +454,7 @@ fn hour_of_day(
 }
 
 /// Minutes between consecutive tickets, floored at half a second.
-fn gaps_minutes<'a>(fots: impl Iterator<Item = &'a Fot>) -> Vec<f64> {
+fn gaps_minutes<'a>(fots: impl Iterator<Item = Fot<'a>>) -> Vec<f64> {
     let mut last: Option<u64> = None;
     let mut gaps = Vec::new();
     for fot in fots {
@@ -859,7 +859,7 @@ fn prediction_matches_the_oracle() {
 // ---------------------------------------------------------------------------
 
 /// Response times in days of the responded tickets among `fots`.
-fn rts<'a>(fots: impl Iterator<Item = &'a Fot>) -> Vec<f64> {
+fn rts<'a>(fots: impl Iterator<Item = Fot<'a>>) -> Vec<f64> {
     fots.filter_map(|f| f.response_time())
         .map(|d| d.as_days_f64())
         .collect()
@@ -1162,7 +1162,7 @@ fn causal_examples(
 ) -> Vec<CausalExample> {
     let mut out = Vec::new();
     for server in trace.servers() {
-        let fots: Vec<&Fot> = trace
+        let fots: Vec<Fot> = trace
             .fots()
             .iter()
             .filter(|f| f.server == server.id && f.is_failure())
