@@ -7,12 +7,21 @@
 //! operator console would consume them live:
 //!
 //! * [`ReplayConfig::sigma_window_days`] — a sliding-window μ ± kσ rate
-//!   detector per `(class, data center)`, built on
-//!   [`dcf_stats::anomaly::sigma_outliers`] (the §IV anomaly test).
+//!   detector per `(class, data center)`, the §IV anomaly test of
+//!   [`dcf_stats::anomaly`]. Daily counts are stored day-major, and each
+//!   series keeps a running sum and sum of squares over its window, so a
+//!   day close reads one contiguous row. Most windows are settled in
+//!   exact integer arithmetic; the rest run
+//!   [`dcf_stats::anomaly::last_point_z`], the same fit and z-score
+//!   [`dcf_stats::anomaly::sigma_outliers`] uses, to the bit.
 //! * A batch-burst detector mirroring [`crate::mining::FotMiner`]'s
 //!   `BatchDay` flag with a causal, trend-extrapolated estimate of the
 //!   full-window daily median (fleet intake ramps over the window, so a
 //!   plain running median lags the miner's threshold and over-fires).
+//!   Each class keeps sorted views of its observed days and of their two
+//!   halves in step with the closing day; the half medians are read by
+//!   index, and the full-window median is a binary search over the
+//!   observed days merged with the monotone extrapolated ramp.
 //! * An incremental form of [`crate::prediction::Prediction::evaluate`]
 //!   that resolves warnings as their confirming fatals arrive: one
 //!   `StreamCursor` per component, over the same per-component stream
@@ -20,19 +29,23 @@
 //!
 //! Every event — ticket or detection — is rendered as one canonical JSON
 //! line with a virtual-time offset, and the whole stream is digested with
-//! FNV-1a, so a replay is byte-identical at any playback speed. Ticket
-//! events keep only their trace row: [`replay`] formats each ticket line
-//! into one reused buffer to hash it, and writers format it again from
-//! the trace as they send it ([`ReplayOutcome::for_each_line`]), so a
-//! finished replay holds no ticket text. The final
-//! [`ReplaySummary`] scores each online detector against the offline
-//! study (precision/recall/F1 over the flagged `(class, dc, day)` /
-//! `(class, day)` / predicted-fatal sets).
+//! byte-wise FNV-1a, so a replay is byte-identical at any playback speed.
+//! Ticket events keep only their trace row. One writer formats a ticket
+//! line from the columns: constant stretches (class, type and severity,
+//! category) escaped once into a table, integers two digits at a time.
+//! [`replay`] writes each line into one reused buffer to hash it, and
+//! writers format it again as they send it
+//! ([`ReplayOutcome::for_each_line`]), so a finished replay holds no
+//! ticket text. The final [`ReplaySummary`] scores each online detector
+//! against the offline study (precision/recall/F1 over the flagged
+//! `(class, dc, day)` / `(class, day)` / predicted-fatal sets).
 
-use dcf_trace::columns::category_from_tag;
+use std::sync::OnceLock;
+
 use dcf_trace::io::{fnv1a, FNV_OFFSET};
 use dcf_trace::{
-    ComponentClass, FailureType, FotColumns, Severity, StreamIndex, Trace, SECS_PER_DAY,
+    ComponentClass, FailureType, FotCategory, FotColumns, Severity, StreamIndex, Trace,
+    SECS_PER_DAY,
 };
 
 use crate::prediction::{Horizon, Prediction, PredictorEval, PredictorTally, StreamCursor};
@@ -101,7 +114,9 @@ impl ReplayEvent {
     pub fn write_line(&self, trace: &Trace, out: &mut String) {
         match &self.kind {
             EventKind::Ticket(row) => {
-                write_ticket_line(out, trace.columns(), *row as usize, self.offset_secs)
+                let mut bytes = std::mem::take(out).into_bytes();
+                write_ticket_line(&mut bytes, trace.columns(), *row as usize, self.offset_secs);
+                *out = String::from_utf8(bytes).expect("ticket lines are ASCII");
             }
             EventKind::Detection(line) => out.push_str(line),
         }
@@ -222,84 +237,190 @@ const NO_STREAM: u32 = u32::MAX;
 /// `max(5 × median, BURST_FLOOR)` failures, as in the miner's `BatchDay`.
 const BURST_FLOOR: usize = 10;
 
-/// Appends one canonical JSON event line to a `String`:
+/// Appends one canonical JSON event line to a byte buffer:
 /// `json_line!(out, "type", "key" => writer(value), …)`, where each
 /// writer appends one value. Every key with its punctuation is one
 /// literal.
 macro_rules! json_line {
     ($out:expr, $t:literal $(, $key:literal => $write:ident($value:expr))* $(,)?) => {{
-        let out: &mut String = $out;
-        out.push_str(concat!("{\"t\":\"", $t, "\""));
+        let out: &mut Vec<u8> = $out;
+        out.extend_from_slice(concat!("{\"t\":\"", $t, "\"").as_bytes());
         $(
-            out.push_str(concat!(",\"", $key, "\":"));
+            out.extend_from_slice(concat!(",\"", $key, "\":").as_bytes());
             $write(out, $value);
         )*
-        out.push('}');
+        out.push(b'}');
     }};
 }
 
-/// Appends the decimal digits of `v`.
-fn push_uint(out: &mut String, v: u64) {
+/// Two-digit decimal table: bytes `2n..2n + 2` spell `n`, for `n < 100`.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Appends the decimal digits of `v`, two at a time.
+fn push_uint(out: &mut Vec<u8>, v: u64) {
     let mut digits = [0u8; 20];
     let mut i = digits.len();
     let mut v = v;
-    loop {
-        i -= 1;
-        digits[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
+    while v >= 100 {
+        let pair = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
     }
-    out.push_str(std::str::from_utf8(&digits[i..]).expect("ASCII digits"));
+    if v >= 10 {
+        let pair = v as usize * 2;
+        i -= 2;
+        digits[i..i + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        i -= 1;
+        digits[i] = b'0' + v as u8;
+    }
+    out.extend_from_slice(&digits[i..]);
 }
 
 /// Appends `v` with four decimals.
-fn push_fixed4(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
-    write!(out, "{v:.4}").expect("writing to a String cannot fail");
+fn push_fixed4(out: &mut Vec<u8>, v: f64) {
+    use std::io::Write as _;
+    write!(out, "{v:.4}").expect("writing to a Vec cannot fail");
 }
 
 /// Appends `s` to `out` as a JSON string literal. Class and failure type
 /// names are plain ASCII and are copied as they are; the escapes only
 /// guard the general case.
-fn push_json_str(out: &mut String, s: &str) {
+fn push_json_str(out: &mut Vec<u8>, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
-    out.push('"');
-    if s.bytes().all(|b| b != b'"' && b != b'\\' && b >= b' ') {
-        out.push_str(s);
-    } else {
-        for c in s.chars() {
-            match c {
-                '"' => out.push_str("\\\""),
-                '\\' => out.push_str("\\\\"),
-                c if c < ' ' => {
-                    out.push_str("\\u00");
-                    out.push(HEX[c as usize >> 4] as char);
-                    out.push(HEX[c as usize & 0xf] as char);
-                }
-                c => out.push(c),
+    out.push(b'"');
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b if b < b' ' => {
+                out.extend_from_slice(b"\\u00");
+                out.push(HEX[usize::from(b >> 4)]);
+                out.push(HEX[usize::from(b & 0xf)]);
             }
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
-/// Median (upper middle for even lengths) of `values`, selected in `buf`.
-fn median_in(buf: &mut Vec<usize>, values: &[usize]) -> usize {
-    buf.clear();
-    buf.extend_from_slice(values);
-    select_median(buf)
+/// The constant stretches of a ticket line, each escaped once: per class
+/// `,"class":"HDD","slot":`, per failure type
+/// `,"type":"SMARTFail","sev":"warning","cat":`, and per category
+/// `"D_fixing"}`. Indexed by the columns' tags.
+struct TicketPieces {
+    class_slot: Vec<Vec<u8>>,
+    type_sev: Vec<Vec<u8>>,
+    category: Vec<Vec<u8>>,
 }
 
-fn select_median(v: &mut [usize]) -> usize {
-    let mid = v.len() / 2;
-    *v.select_nth_unstable(mid).1
+impl TicketPieces {
+    /// The one table, built on first use.
+    fn get() -> &'static Self {
+        static PIECES: OnceLock<TicketPieces> = OnceLock::new();
+        PIECES.get_or_init(|| {
+            // `before`, `s` as a JSON string, then `after`.
+            let piece = |before: &str, s: &str, after: &str| {
+                let mut out = before.as_bytes().to_vec();
+                push_json_str(&mut out, s);
+                out.extend_from_slice(after.as_bytes());
+                out
+            };
+            TicketPieces {
+                class_slot: ComponentClass::ALL
+                    .iter()
+                    .map(|class| piece(",\"class\":", class.name(), ",\"slot\":"))
+                    .collect(),
+                type_sev: FailureType::ALL
+                    .iter()
+                    .map(|failure_type| {
+                        let sev = match failure_type.severity() {
+                            Severity::Warning => "warning",
+                            Severity::Fatal => "fatal",
+                        };
+                        [
+                            piece(",\"type\":", failure_type.name(), ""),
+                            piece(",\"sev\":", sev, ",\"cat\":"),
+                        ]
+                        .concat()
+                    })
+                    .collect(),
+                category: FotCategory::ALL
+                    .iter()
+                    .map(|category| piece("", category.name(), "}"))
+                    .collect(),
+            }
+        })
+    }
 }
 
-/// The causal batch-burst threshold for day `d` of `counts`, one class's
-/// daily failure counts over the whole window (days after `d` are not
-/// read).
+/// Appends the JSON line of ticket row `row` at offset `off`, read
+/// straight from the columns: the shared writer of the replay digest and
+/// of [`ReplayEvent::write_line`].
+fn write_ticket_line(out: &mut Vec<u8>, cols: &FotColumns, row: usize, off: u64) {
+    let pieces = TicketPieces::get();
+    out.extend_from_slice(b"{\"t\":\"fot\",\"off\":");
+    push_uint(out, off);
+    out.extend_from_slice(b",\"id\":");
+    push_uint(out, cols.ids()[row]);
+    out.extend_from_slice(b",\"day\":");
+    push_uint(out, cols.error_days()[row].into());
+    out.extend_from_slice(b",\"server\":");
+    push_uint(out, cols.servers()[row].into());
+    out.extend_from_slice(b",\"dc\":");
+    push_uint(out, cols.data_centers()[row].into());
+    out.extend_from_slice(&pieces.class_slot[usize::from(cols.classes()[row])]);
+    push_uint(out, cols.device_slots()[row].into());
+    out.extend_from_slice(&pieces.type_sev[usize::from(cols.failure_types()[row])]);
+    out.extend_from_slice(&pieces.category[usize::from(cols.categories()[row])]);
+}
+
+/// Inserts `value` into the ascending `sorted`.
+fn insert_sorted(sorted: &mut Vec<u32>, value: u32) {
+    let at = sorted.partition_point(|&x| x <= value);
+    sorted.insert(at, value);
+}
+
+/// Removes one copy of `value`, which `sorted` holds, from it.
+fn remove_sorted(sorted: &mut Vec<u32>, value: u32) {
+    let at = sorted.partition_point(|&x| x < value);
+    debug_assert_eq!(sorted.get(at), Some(&value));
+    sorted.remove(at);
+}
+
+/// The element of rank `k` (0-based) in the merge of the ascending `a`
+/// and the ascending sequence `b(0), …, b(b_len - 1)`, found by binary
+/// search over how many of the `k + 1` smallest come from `a`. Requires
+/// `k < a.len() + b_len`.
+fn rank_in_merge(a: &[u32], b_len: usize, b: impl Fn(usize) -> usize, k: usize) -> usize {
+    let take = k + 1;
+    let at = |i: usize| a[i] as usize;
+    let (mut lo, mut hi) = (take.saturating_sub(b_len), take.min(a.len()));
+    loop {
+        let i = lo + (hi - lo) / 2;
+        let j = take - i;
+        if i > 0 && j < b_len && at(i - 1) > b(j) {
+            hi = i - 1;
+        } else if j > 0 && i < a.len() && b(j - 1) > at(i) {
+            lo = i + 1;
+        } else {
+            return match (i, j) {
+                (0, _) => b(j - 1),
+                (_, 0) => at(i - 1),
+                _ => at(i - 1).max(b(j - 1)),
+            };
+        }
+    }
+}
+
+/// The causal batch-burst threshold of one class, kept in step with the
+/// closing day.
 ///
 /// It estimates the *full-window* daily median. Fleet intake ramps over
 /// the window, so the plain running median lags the miner's full-window
@@ -309,56 +430,161 @@ fn select_median(v: &mut [usize]) -> usize {
 /// to the announced window length along that trend, and take the median
 /// of observed + extrapolated. Once past the window midpoint this
 /// converges on the true full-window median for any ~monotone rate curve.
-fn burst_threshold(counts: &[usize], d: usize, buf: &mut Vec<usize>) -> usize {
-    let half = d.div_ceil(2);
-    let m1 = median_in(buf, &counts[..half.max(1)]) as f64;
-    let m2 = median_in(buf, &counts[half..=d]) as f64;
-    // Each half's median sits at the half's center day.
-    let c1 = (half.max(1) as f64 - 1.0) / 2.0;
-    let c2 = half as f64 + (d - half) as f64 / 2.0;
-    let slope = if c2 > c1 { (m2 - m1) / (c2 - c1) } else { 0.0 };
-    buf.clear();
-    buf.extend_from_slice(&counts[..=d]);
-    buf.extend(
-        ((d + 1)..counts.len()).map(|x| (m2 + slope * (x as f64 - c2)).max(0.0).round() as usize),
-    );
-    (select_median(buf) * 5).max(BURST_FLOOR)
+///
+/// Each day adds one count to sorted views of the observed prefix and of
+/// its two halves (and moves at most one count between the halves), so
+/// the half medians are read by index. The extrapolated ramp is monotone,
+/// so the full-window median is a binary search over two sorted
+/// sequences.
+#[derive(Debug)]
+struct BurstState {
+    /// Daily counts closed so far, in day order.
+    counts: Vec<u32>,
+    /// `counts`, sorted.
+    sorted: Vec<u32>,
+    /// The first half `counts[..half.max(1)]`, sorted.
+    first: Vec<u32>,
+    /// The second half `counts[half..]`, sorted.
+    second: Vec<u32>,
+    /// `half = ceil(d / 2)` for the last closed day `d`.
+    half: usize,
 }
 
-/// The z-score of the last point of `window` when
-/// [`dcf_stats::anomaly::sigma_outliers`] flags it, computed in `buf`.
+impl BurstState {
+    /// An empty state with room for a window of `days` days.
+    fn with_capacity(days: usize) -> Self {
+        let half = days / 2 + 1;
+        Self {
+            counts: Vec::with_capacity(days),
+            sorted: Vec::with_capacity(days),
+            first: Vec::with_capacity(half),
+            second: Vec::with_capacity(half),
+            half: 0,
+        }
+    }
+
+    /// Closes the next day with `count` failures.
+    fn push(&mut self, count: u32) {
+        let d = self.counts.len();
+        self.counts.push(count);
+        insert_sorted(&mut self.sorted, count);
+        insert_sorted(&mut self.second, count);
+        let half = d.div_ceil(2);
+        while self.first.len() < half.max(1) {
+            let next = self.counts[self.first.len()];
+            insert_sorted(&mut self.first, next);
+        }
+        while self.half < half {
+            remove_sorted(&mut self.second, self.counts[self.half]);
+            self.half += 1;
+        }
+    }
+
+    /// The threshold for the last closed day of a window of `days` days.
+    fn threshold(&self, days: usize) -> usize {
+        let d = self.counts.len() - 1;
+        let half = self.half;
+        let m1 = f64::from(self.first[self.first.len() / 2]);
+        let m2 = f64::from(self.second[self.second.len() / 2]);
+        // Each half's median sits at the half's center day.
+        let c1 = (half.max(1) as f64 - 1.0) / 2.0;
+        let c2 = half as f64 + (d - half) as f64 / 2.0;
+        let slope = if c2 > c1 { (m2 - m1) / (c2 - c1) } else { 0.0 };
+        let ramp = |x: usize| (m2 + slope * (x as f64 - c2)).max(0.0).round() as usize;
+        // The ramp over days `d + 1..days`, ascending.
+        let ramp_len = days - d - 1;
+        let ascending = |i: usize| {
+            if slope >= 0.0 {
+                ramp(d + 1 + i)
+            } else {
+                ramp(days - 1 - i)
+            }
+        };
+        let median = rank_in_merge(&self.sorted, ramp_len, ascending, days / 2);
+        (median * 5).max(BURST_FLOOR)
+    }
+
+    /// The full-window threshold, the miner's `BatchDay` criterion, once
+    /// every day of the window has closed.
+    fn full_window_threshold(&self) -> Option<usize> {
+        let median = *self.sorted.get(self.sorted.len() / 2)?;
+        Some((median as usize * 5).max(BURST_FLOOR))
+    }
+}
+
+/// Running window sums of every `(class, dc)` daily series, in step with
+/// the closing day: the sliding σ-outlier detector.
 ///
-/// Most windows are settled in exact integer arithmetic first, without
-/// the test. With `n` points, sum `s` and sum of squares `q`,
-/// `n·q − s²` is `n²` times the variance and `(n·x − s)²` is `n²` times
-/// the last point's squared deviation, so their ratio is its exact `z²`:
+/// Most windows are settled in exact integer arithmetic, without the
+/// test. With `n` points, sum `s` and sum of squares `q`, `n·q − s²` is
+/// `n²` times the variance and `(n·x − s)²` is `n²` times the last point's
+/// squared deviation, so their ratio is its exact `z²`:
 ///
 /// * a flat window (all counts equal, all-zero included) has zero
 ///   variance, which the test rejects as degenerate;
 /// * an exact `z²` below `0.99·k²` leaves the last point well inside
 ///   `μ ± kσ`, far beyond the test's floating-point rounding.
 ///
-/// Every other window runs the test itself, so flagged z-scores are its
-/// own, to the bit.
-fn sigma_last_point(window: &[usize], k: f64, buf: &mut Vec<f64>) -> Option<f64> {
-    let (n, last) = (window.len() as i128, *window.last()? as i128);
-    let (s, q) = window.iter().fold((0i128, 0i128), |(s, q), &c| {
-        let c = c as i128;
-        (s + c, q + c * c)
-    });
-    let spread = n * q - s * s;
-    if spread == 0 {
-        return None;
+/// Every other window runs [`dcf_stats::anomaly::last_point_z`], so
+/// flagged z-scores are the test's own, to the bit.
+#[derive(Debug)]
+struct SigmaWindows {
+    /// Window length in days.
+    window: usize,
+    /// Per series, the sum and the sum of squares of its window's counts.
+    sums: Vec<(i128, i128)>,
+}
+
+impl SigmaWindows {
+    fn new(window: usize, series: usize) -> Self {
+        Self {
+            window,
+            sums: vec![(0, 0); series],
+        }
     }
-    let deviation = n * last - s;
-    if k >= 0.0 && ((deviation * deviation) as f64) < 0.99 * k * k * spread as f64 {
-        return None;
+
+    /// Slides every window to end at day `d` of `daily`, the day-major
+    /// counts (`daily[day * series + s]`) of days `0..=d` at least.
+    fn advance(&mut self, daily: &[usize], d: usize) {
+        let series = self.sums.len();
+        let row = &daily[d * series..][..series];
+        for ((s, q), &c) in self.sums.iter_mut().zip(row) {
+            let c = c as i128;
+            *s += c;
+            *q += c * c;
+        }
+        if d >= self.window {
+            let row = &daily[(d - self.window) * series..][..series];
+            for ((s, q), &c) in self.sums.iter_mut().zip(row) {
+                let c = c as i128;
+                *s -= c;
+                *q -= c * c;
+            }
+        }
     }
-    buf.clear();
-    buf.extend(window.iter().map(|&c| c as f64));
-    let hits = dcf_stats::anomaly::sigma_outliers(buf, k).ok()?;
-    let last = window.len() - 1;
-    hits.iter().find(|a| a.index == last).map(|a| a.z_score)
+
+    /// The z-score of series `s`'s count on day `d` when the μ ± kσ test
+    /// over its window (days `d + 1 - window..=d`) flags it. The windows
+    /// must have been advanced to `d`, with `d + 1 >= window`.
+    fn last_point(&self, daily: &[usize], d: usize, s: usize, k: f64) -> Option<f64> {
+        let series = self.sums.len();
+        let last = daily[d * series + s] as i128;
+        let (n, (sum, sum_sq)) = (self.window as i128, self.sums[s]);
+        let spread = n * sum_sq - sum * sum;
+        if spread == 0 {
+            return None;
+        }
+        let deviation = n * last - sum;
+        if k >= 0.0 && ((deviation * deviation) as f64) < 0.99 * k * k * spread as f64 {
+            return None;
+        }
+        let first = (d + 1 - self.window) * series + s;
+        let window = daily[first..=d * series + s]
+            .iter()
+            .step_by(series)
+            .map(|&c| c as f64);
+        dcf_stats::anomaly::last_point_z(window, k).ok().flatten()
+    }
 }
 
 /// The event stream under construction, with its running digest.
@@ -366,63 +592,73 @@ struct Feed {
     events: Vec<ReplayEvent>,
     digest: u64,
     detections: usize,
+    /// The next event's JSON line, one buffer reused for every event.
+    line: Vec<u8>,
 }
 
 impl Feed {
-    /// Folds one event line into the digest.
-    fn hash(&mut self, line: &str) {
-        self.digest = fnv1a(fnv1a(self.digest, line.as_bytes()), b"\n");
+    /// The line buffer, emptied for the next event.
+    fn line(&mut self) -> &mut Vec<u8> {
+        self.line.clear();
+        &mut self.line
     }
 
-    /// Appends the ticket at `row`, whose JSON line is `line`.
-    fn ticket(&mut self, offset_secs: u64, row: u32, line: &str) {
-        self.hash(line);
+    /// Folds the line into the digest.
+    fn hash(&mut self) {
+        self.digest = fnv1a(fnv1a(self.digest, &self.line), b"\n");
+    }
+
+    /// Appends the ticket at `row`, whose JSON line is in the buffer.
+    fn ticket(&mut self, offset_secs: u64, row: u32) {
+        self.hash();
         self.events.push(ReplayEvent {
             offset_secs,
             kind: EventKind::Ticket(row),
         });
     }
 
-    /// Appends a detection event with its JSON line.
-    fn detect(&mut self, offset_secs: u64, line: String) {
-        self.hash(&line);
+    /// Appends a detection event, whose JSON line is in the buffer.
+    fn detect(&mut self, offset_secs: u64) {
+        self.hash();
         self.detections += 1;
+        let line = std::str::from_utf8(&self.line).expect("event lines are UTF-8");
         self.events.push(ReplayEvent {
             offset_secs,
-            kind: EventKind::Detection(line.into_boxed_str()),
+            kind: EventKind::Detection(line.into()),
         });
     }
 }
 
-/// The day-granular detectors: daily failure counts per class and per
-/// `(class, data center)`, and the detections they fired.
+/// The day-granular detectors: daily failure counts per `(class, data
+/// center)` series, the per-class burst states and σ windows over them,
+/// and the detections they fired.
 struct DayDetectors {
     days: usize,
     /// Start of the window and its day index.
     start_secs: u64,
     start_day: u64,
-    /// Daily failure counts per class, full window, zeros included. The
-    /// burst detector reads days up to the one it closes; once the stream
-    /// ends the same counts are the offline truth's input.
-    daily: Vec<Vec<usize>>,
     /// Data-center ids span `0..n_dc`.
     n_dc: usize,
-    /// Daily failure counts per `(class, dc)` series, series
-    /// `class * n_dc + dc` at `[series * days..][..days]`. Ascending
-    /// series order is `(class, dc)` order, the order detections come out
-    /// in at each day close.
+    /// Daily failure counts per `(class, dc)` series, day-major: series
+    /// `class * n_dc + dc` of day `d` at `[d * CLASSES * n_dc + series]`.
+    /// Ascending series order is `(class, dc)` order, the order
+    /// detections come out in at each day close. (`u32` counts would
+    /// halve this table, but at paper scale the smaller free left glibc
+    /// trimming the heap at the end of each paper_offline pass, and the
+    /// next pass's engine assembly took ~7k more page faults.)
     dc_daily: Vec<usize>,
+    /// One burst state per class, over the class's daily totals; once the
+    /// stream ends it holds the offline truth's input.
+    burst_states: Vec<BurstState>,
+    sigma_windows: SigmaWindows,
     /// Online detections, `(class, day)` and `(class, dc, day)`.
     burst: Vec<(usize, usize)>,
     sigma: Vec<(usize, u16, usize)>,
-    counts_buf: Vec<usize>,
-    window_buf: Vec<f64>,
 }
 
 impl DayDetectors {
     fn count(&mut self, class_idx: usize, dc: u16, d: usize) {
-        self.daily[class_idx][d] += 1;
-        self.dc_daily[(class_idx * self.n_dc + dc as usize) * self.days + d] += 1;
+        self.dc_daily[(d * CLASSES + class_idx) * self.n_dc + dc as usize] += 1;
     }
 
     /// Closes day `d`: runs the day-granular detectors over everything
@@ -430,53 +666,55 @@ impl DayDetectors {
     fn close_day(&mut self, d: usize, config: &ReplayConfig, feed: &mut Feed) {
         let off = ((self.start_day + d as u64 + 1) * SECS_PER_DAY).saturating_sub(self.start_secs);
         let day = self.start_day + d as u64;
-        if d + 1 >= config.burst_warmup_days {
-            for (class_idx, counts) in self.daily.iter().enumerate() {
-                let count = counts[d];
-                // The threshold is at least the floor: skip computing it
-                // for days that cannot exceed it.
-                if count <= BURST_FLOOR {
-                    continue;
-                }
-                let threshold = burst_threshold(counts, d, &mut self.counts_buf);
-                if count > threshold {
-                    self.burst.push((class_idx, d));
-                    let mut line = String::with_capacity(128);
-                    json_line!(
-                        &mut line,
-                        "burst",
-                        "off" => push_uint(off),
-                        "day" => push_uint(day),
-                        "class" => push_json_str(ComponentClass::ALL[class_idx].name()),
-                        "count" => push_uint(count as u64),
-                        "threshold" => push_uint(threshold as u64),
-                    );
-                    feed.detect(off, line);
-                }
+        let series = CLASSES * self.n_dc;
+        let row = &self.dc_daily[d * series..][..series];
+        for (class_idx, state) in self.burst_states.iter_mut().enumerate() {
+            let count: usize = row[class_idx * self.n_dc..][..self.n_dc].iter().sum();
+            state.push(u32::try_from(count).expect("a day's count fits a row index"));
+            // The threshold is at least the floor: skip computing it for
+            // days that cannot exceed it.
+            if d + 1 < config.burst_warmup_days || count <= BURST_FLOOR {
+                continue;
+            }
+            let threshold = state.threshold(self.days);
+            if count > threshold {
+                self.burst.push((class_idx, d));
+                json_line!(
+                    feed.line(),
+                    "burst",
+                    "off" => push_uint(off),
+                    "day" => push_uint(day),
+                    "class" => push_json_str(ComponentClass::ALL[class_idx].name()),
+                    "count" => push_uint(count as u64),
+                    "threshold" => push_uint(threshold as u64),
+                );
+                feed.detect(off);
             }
         }
         // Sliding-window σ-outlier per (class, dc).
+        self.sigma_windows.advance(&self.dc_daily, d);
         let w = config.sigma_window_days;
         if d + 1 >= w && w >= 3 {
-            for (series, counts) in self.dc_daily.chunks_exact(self.days).enumerate() {
-                let window = &counts[d + 1 - w..=d];
-                let Some(z) = sigma_last_point(window, config.sigma_k, &mut self.window_buf) else {
+            for s in 0..series {
+                let Some(z) = self
+                    .sigma_windows
+                    .last_point(&self.dc_daily, d, s, config.sigma_k)
+                else {
                     continue;
                 };
-                let (class_idx, dc) = (series / self.n_dc, (series % self.n_dc) as u16);
+                let (class_idx, dc) = (s / self.n_dc, (s % self.n_dc) as u16);
                 self.sigma.push((class_idx, dc, d));
-                let mut line = String::with_capacity(128);
                 json_line!(
-                    &mut line,
+                    feed.line(),
                     "sigma",
                     "off" => push_uint(off),
                     "day" => push_uint(day),
                     "class" => push_json_str(ComponentClass::ALL[class_idx].name()),
                     "dc" => push_uint(dc as u64),
-                    "count" => push_uint(counts[d] as u64),
+                    "count" => push_uint(self.dc_daily[d * series + s] as u64),
                     "z" => push_fixed4(z),
                 );
-                feed.detect(off, line);
+                feed.detect(off);
             }
         }
     }
@@ -510,18 +748,20 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         events: Vec::with_capacity(trace.fots().len() + 1024),
         digest: FNV_OFFSET,
         detections: 0,
+        line: Vec::with_capacity(256),
     };
     let mut detectors = DayDetectors {
         days,
         start_secs: start.as_secs(),
         start_day,
-        daily: vec![vec![0usize; days]; CLASSES],
         n_dc,
-        dc_daily: vec![0usize; CLASSES * n_dc * days],
+        dc_daily: vec![0; days * CLASSES * n_dc],
+        burst_states: (0..CLASSES)
+            .map(|_| BurstState::with_capacity(days))
+            .collect(),
+        sigma_windows: SigmaWindows::new(config.sigma_window_days, CLASSES * n_dc),
         burst: Vec::new(),
         sigma: Vec::new(),
-        counts_buf: Vec::with_capacity(days),
-        window_buf: Vec::with_capacity(config.sigma_window_days),
     };
 
     // Incremental predictor: one cursor per component stream, looked up
@@ -541,7 +781,6 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     let mut online_predicted: Vec<((u32, u8, u8), usize)> = Vec::new(); // (component, seq)
 
     let mut cur_day = 0usize;
-    let mut line = String::with_capacity(256);
     let (classes, types, days_of) = (cols.classes(), cols.failure_types(), cols.error_days());
     for row in 0..trace.len() {
         let t = cols.error_secs(row);
@@ -554,9 +793,8 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
             cur_day += 1;
         }
         let off = t.saturating_sub(start.as_secs());
-        line.clear();
-        write_ticket_line(&mut line, cols, row, off);
-        feed.ticket(off, row as u32, &line);
+        write_ticket_line(feed.line(), cols, row, off);
+        feed.ticket(off, row as u32);
         if !cols.is_failure(row) {
             continue; // false alarms ride the feed but feed no detector
         }
@@ -571,9 +809,8 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         let warning = FailureType::ALL[types[row] as usize].severity() == Severity::Warning;
         if let Some(seq) = cursors[c].advance(streams, c, (t, warning), horizon, &mut tally) {
             online_predicted.push((streams.component(c), seq));
-            let mut line = String::with_capacity(128);
             json_line!(
-                &mut line,
+                feed.line(),
                 "predict",
                 "off" => push_uint(off),
                 "day" => push_uint(days_of[row].into()),
@@ -581,7 +818,7 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
                 "class" => push_json_str(ComponentClass::ALL[class_idx].name()),
                 "slot" => push_uint(cols.device_slots()[row].into()),
             );
-            feed.detect(off, line);
+            feed.detect(off);
         }
     }
     while cur_day < days {
@@ -593,13 +830,13 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     // ---- Offline ground truths ----
     // Burst: FotMiner's BatchDay criterion with the full-window median.
     let mut truth_burst: Vec<(usize, usize)> = Vec::new();
-    for (class_idx, counts) in detectors.daily.iter().enumerate() {
-        if counts.is_empty() {
-            continue; // a zero-day window has no days to flag
-        }
-        let threshold = (median_in(&mut detectors.counts_buf, counts) * 5).max(BURST_FLOOR);
-        for (d, &count) in counts.iter().enumerate() {
-            if count > threshold {
+    for (class_idx, state) in detectors.burst_states.iter().enumerate() {
+        // A zero-day window has no days to flag.
+        let Some(threshold) = state.full_window_threshold() else {
+            continue;
+        };
+        for (d, &count) in state.counts.iter().enumerate() {
+            if count as usize > threshold {
                 truth_burst.push((class_idx, d));
             }
         }
@@ -607,10 +844,18 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     truth_burst.sort_unstable();
     // Sigma: the §IV test over each full (class, dc) daily series.
     let mut truth_sigma: Vec<(usize, u16, usize)> = Vec::new();
-    for (series, counts) in detectors.dc_daily.chunks_exact(days.max(1)).enumerate() {
-        let values: Vec<f64> = counts.iter().map(|&c| c as f64).collect();
+    let series = CLASSES * n_dc;
+    let mut values = Vec::with_capacity(days);
+    for s in 0..series {
+        values.clear();
+        values.extend(
+            detectors.dc_daily[s..]
+                .iter()
+                .step_by(series)
+                .map(|&c| c as f64),
+        );
         if let Ok(hits) = dcf_stats::anomaly::sigma_outliers(&values, config.sigma_k) {
-            let (class_idx, dc) = (series / n_dc, (series % n_dc) as u16);
+            let (class_idx, dc) = (s / n_dc, (s % n_dc) as u16);
             truth_sigma.extend(hits.iter().map(|hit| (class_idx, dc, hit.index)));
         }
     }
@@ -640,31 +885,6 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         summary,
         summary_line,
     }
-}
-
-/// Appends the JSON line of ticket row `row` at offset `off`, read
-/// straight from the columns.
-fn write_ticket_line(out: &mut String, cols: &FotColumns, row: usize, off: u64) {
-    let failure_type = FailureType::ALL[cols.failure_types()[row] as usize];
-    let sev = match failure_type.severity() {
-        Severity::Warning => "warning",
-        Severity::Fatal => "fatal",
-    };
-    let class = ComponentClass::ALL[cols.classes()[row] as usize];
-    json_line!(
-        out,
-        "fot",
-        "off" => push_uint(off),
-        "id" => push_uint(cols.ids()[row]),
-        "day" => push_uint(cols.error_days()[row].into()),
-        "server" => push_uint(cols.servers()[row].into()),
-        "dc" => push_uint(cols.data_centers()[row].into()),
-        "class" => push_json_str(class.name()),
-        "slot" => push_uint(cols.device_slots()[row].into()),
-        "type" => push_json_str(failure_type.name()),
-        "sev" => push_json_str(sev),
-        "cat" => push_json_str(category_from_tag(cols.categories()[row]).name()),
-    );
 }
 
 fn score_json(score: &DetectorScore) -> String {
@@ -876,14 +1096,81 @@ mod tests {
     #[test]
     fn json_escape_handles_specials() {
         let escaped = |s: &str| {
-            let mut out = String::new();
+            let mut out = Vec::new();
             push_json_str(&mut out, s);
-            out
+            String::from_utf8(out).expect("escaping keeps UTF-8")
         };
         assert_eq!(escaped("HDD"), "\"HDD\"");
         assert_eq!(escaped("a\"b"), "\"a\\\"b\"");
         assert_eq!(escaped("a\\b"), "\"a\\\\b\"");
         assert_eq!(escaped("a\nb"), "\"a\\u000ab\"");
+        assert_eq!(escaped("né"), "\"né\"");
+    }
+
+    #[test]
+    fn table_written_integers_match_display() {
+        let mut values = vec![0, u64::MAX, u64::MAX - 1];
+        for p in 0..20 {
+            let ten = 10u64.pow(p);
+            values.extend([
+                ten - 1,
+                ten,
+                ten + 1,
+                ten.saturating_mul(7).saturating_add(3),
+            ]);
+        }
+        let mut state = 0x0D16_u64;
+        values.extend((0..1_000).map(|_| splitmix(&mut state) >> (splitmix(&mut state) % 64)));
+        for v in values {
+            let mut out = Vec::new();
+            push_uint(&mut out, v);
+            assert_eq!(out, v.to_string().into_bytes(), "{v}");
+        }
+    }
+
+    /// Ticket lines built from the escaped-once pieces, against the line
+    /// spelled out field by field with `format!`.
+    #[test]
+    fn ticket_lines_match_a_format_reference() {
+        let trace = medium_trace();
+        let cols = trace.columns();
+        let mut types_seen = [false; FailureType::ALL.len()];
+        let mut line = String::new();
+        for (row, f) in trace.fots().iter().enumerate() {
+            types_seen[f.failure_type.index()] = true;
+            let off = f.error_time.as_secs() * 3 + row as u64;
+            let sev = match f.failure_type.severity() {
+                Severity::Warning => "warning",
+                Severity::Fatal => "fatal",
+            };
+            let reference = format!(
+                "{{\"t\":\"fot\",\"off\":{off},\"id\":{},\"day\":{},\"server\":{},\"dc\":{},\"class\":\"{}\",\"slot\":{},\"type\":\"{}\",\"sev\":\"{sev}\",\"cat\":\"{}\"}}",
+                f.id.raw(),
+                f.error_time.day_index(),
+                f.server.raw(),
+                f.data_center.raw(),
+                f.device.name(),
+                f.device_slot,
+                f.failure_type.name(),
+                f.category.name(),
+            );
+            let mut bytes = Vec::new();
+            write_ticket_line(&mut bytes, cols, row, off);
+            assert_eq!(String::from_utf8(bytes).expect("ASCII"), reference);
+            // The public writer appends the same line.
+            line.clear();
+            line.push_str("prefix ");
+            ReplayEvent {
+                offset_secs: off,
+                kind: EventKind::Ticket(row as u32),
+            }
+            .write_line(&trace, &mut line);
+            assert_eq!(line, format!("prefix {reference}"));
+        }
+        assert!(
+            types_seen.iter().filter(|&&seen| seen).count() > 20,
+            "the fixture covers most failure types"
+        );
     }
 
     /// Tickets before the window start and after its end stream and feed
@@ -952,7 +1239,9 @@ mod tests {
         z ^ (z >> 31)
     }
 
-    /// The burst threshold as first written: full sorts of fresh copies.
+    /// The burst threshold as first written: for day `d` of `counts`,
+    /// one class's daily counts over the whole window, full sorts of fresh
+    /// copies of the observed halves and of observed + extrapolated.
     fn burst_threshold_by_sorting(counts: &[usize], d: usize) -> usize {
         let days = counts.len();
         let half = d.div_ceil(2);
@@ -972,35 +1261,61 @@ mod tests {
         (median_of(padded) * 5).max(10)
     }
 
+    /// The incremental burst state, closed day by day, gives the sorting
+    /// formula's threshold on every day, and its full-window threshold is
+    /// the miner's.
     #[test]
-    fn burst_threshold_matches_the_sorting_formula() {
+    fn burst_state_matches_the_sorting_formula() {
         let mut state = 0xB057_u64;
-        let mut buf = Vec::new();
-        for case in 0..200 {
-            let days = 1 + (splitmix(&mut state) % 400) as usize;
-            // Ramping, flat and spiky series, all with small counts.
-            let ramp = splitmix(&mut state) % 3;
-            let counts: Vec<usize> = (0..days)
-                .map(|x| {
-                    let base = (splitmix(&mut state) % 8) as usize + x * ramp as usize / 40;
-                    if splitmix(&mut state).is_multiple_of(50) {
-                        base * 20
-                    } else {
-                        base
-                    }
-                })
-                .collect();
-            for d in 0..days {
+        let mut series: Vec<Vec<usize>> = (0..200)
+            .map(|_| {
+                let days = 1 + (splitmix(&mut state) % 400) as usize;
+                // Ramping, flat and spiky series, all with small counts.
+                let ramp = splitmix(&mut state) % 3;
+                (0..days)
+                    .map(|x| {
+                        let base = (splitmix(&mut state) % 8) as usize + x * ramp as usize / 40;
+                        if splitmix(&mut state).is_multiple_of(50) {
+                            base * 20
+                        } else {
+                            base
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        // A ramp down (negative slope, extrapolated to the zero floor), a
+        // flat series and a one-day series.
+        series.push(
+            (0..300)
+                .map(|x| 60usize.saturating_sub(x / 4) + (x % 7 == 3) as usize * 90)
+                .collect(),
+        );
+        series.push(vec![4; 120]);
+        series.push(vec![37]);
+        for (case, counts) in series.iter().enumerate() {
+            let days = counts.len();
+            let mut burst = BurstState::with_capacity(days);
+            for (d, &count) in counts.iter().enumerate() {
+                burst.push(count as u32);
                 assert_eq!(
-                    burst_threshold(&counts, d, &mut buf),
-                    burst_threshold_by_sorting(&counts, d),
+                    burst.threshold(days),
+                    burst_threshold_by_sorting(counts, d),
                     "case {case} day {d} of {days}"
                 );
             }
+            let mut sorted = counts.clone();
+            sorted.sort_unstable();
+            assert_eq!(
+                burst.full_window_threshold(),
+                Some((sorted[days / 2] * 5).max(BURST_FLOOR)),
+                "case {case}"
+            );
         }
+        assert_eq!(BurstState::with_capacity(0).full_window_threshold(), None);
     }
 
-    /// The σ check as first written: the full test on every window.
+    /// The σ check as first written: the full test on one window.
     fn sigma_last_point_by_test(window: &[usize], k: f64) -> Option<f64> {
         let values: Vec<f64> = window.iter().map(|&c| c as f64).collect();
         let hits = dcf_stats::anomaly::sigma_outliers(&values, k).ok()?;
@@ -1009,41 +1324,78 @@ mod tests {
             .map(|a| a.z_score)
     }
 
+    /// The sliding σ state, advanced day by day over whole series stored
+    /// day-major, flags the last point of every window exactly when the
+    /// full test does, with its z-score to the bit.
     #[test]
-    fn sigma_last_point_matches_the_full_test() {
-        let mut windows: Vec<Vec<usize>> = vec![
-            vec![0; 30],
-            vec![7; 30],
-            [vec![0; 29], vec![1]].concat(),
-            [vec![2; 29], vec![40]].concat(),
+    fn sigma_windows_match_the_full_test() {
+        let fixed: Vec<Vec<usize>> = vec![
+            vec![0; 40],
+            vec![7; 40],
+            [vec![0; 29], vec![1], vec![0; 5]].concat(),
+            [vec![2; 29], vec![40], vec![2; 29]].concat(),
             [vec![40], vec![2; 29]].concat(),
-            [vec![5; 29], vec![0]].concat(),
+            [vec![5; 29], vec![0], vec![5; 3]].concat(),
             vec![1, 2, 3],
             vec![0, 0, 9],
         ];
+        let mut cases: Vec<(usize, Vec<Vec<usize>>)> = vec![(30, fixed.clone()), (3, fixed)];
         let mut state = 0x0005_163A_u64;
-        for _ in 0..5_000 {
-            let len = 3 + (splitmix(&mut state) % 40) as usize;
-            let scale = 1 + splitmix(&mut state) % 12;
-            let mut w: Vec<usize> = (0..len)
-                .map(|_| (splitmix(&mut state) % scale) as usize)
+        for _ in 0..200 {
+            let window = 3 + (splitmix(&mut state) % 40) as usize;
+            let days = window + (splitmix(&mut state) % 80) as usize;
+            let series = (1..=4)
+                .map(|_| {
+                    let scale = 1 + splitmix(&mut state) % 12;
+                    (0..days)
+                        .map(|_| {
+                            let base = (splitmix(&mut state) % scale) as usize;
+                            if splitmix(&mut state).is_multiple_of(8) {
+                                base + (splitmix(&mut state) % 30) as usize
+                            } else {
+                                base
+                            }
+                        })
+                        .collect()
+                })
                 .collect();
-            if splitmix(&mut state).is_multiple_of(4) {
-                *w.last_mut().expect("non-empty") += (splitmix(&mut state) % 30) as usize;
-            }
-            windows.push(w);
+            cases.push((window, series));
         }
-        let mut buf = Vec::new();
+        let mut flagged = 0;
         for k in [0.0, 1.0, 2.0, 2.5, 3.0] {
-            for w in &windows {
-                let fast = sigma_last_point(w, k, &mut buf);
-                let full = sigma_last_point_by_test(w, k);
-                assert_eq!(
-                    fast.map(f64::to_bits),
-                    full.map(f64::to_bits),
-                    "k {k} window {w:?}"
-                );
+            for (window, series) in &cases {
+                // Day-major rows over the series; shorter series pad with
+                // zeros and are checked only over their own days.
+                let days = series.iter().map(Vec::len).max().expect("series");
+                let n = series.len();
+                let mut daily = vec![0usize; days * n];
+                for (s, counts) in series.iter().enumerate() {
+                    for (d, &c) in counts.iter().enumerate() {
+                        daily[d * n + s] = c;
+                    }
+                }
+                let mut sigma = SigmaWindows::new(*window, n);
+                for d in 0..days {
+                    sigma.advance(&daily, d);
+                    if d + 1 < *window {
+                        continue;
+                    }
+                    for (s, counts) in series.iter().enumerate() {
+                        if d >= counts.len() {
+                            continue;
+                        }
+                        let fast = sigma.last_point(&daily, d, s, k);
+                        let full = sigma_last_point_by_test(&counts[d + 1 - window..=d], k);
+                        assert_eq!(
+                            fast.map(f64::to_bits),
+                            full.map(f64::to_bits),
+                            "k {k} window {window} series {s} day {d}"
+                        );
+                        flagged += usize::from(full.is_some());
+                    }
+                }
             }
         }
+        assert!(flagged > 1_000, "the cases flag often: {flagged}");
     }
 }

@@ -38,27 +38,12 @@ pub struct Anomaly {
 /// assert_eq!(idx, vec![22, 35]);
 /// ```
 pub fn sigma_outliers(values: &[f64], k_sigma: f64) -> Result<Vec<Anomaly>, StatsError> {
-    if values.len() < 3 {
-        return Err(StatsError::EmptySample);
-    }
-    for &v in values {
-        if !v.is_finite() {
-            return Err(StatsError::NonFiniteSample { value: v });
-        }
-    }
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-    if var <= 0.0 {
-        return Err(StatsError::DegenerateSample);
-    }
-    let std = var.sqrt();
+    let band = SigmaBand::fit(values.iter().copied())?;
     let mut out: Vec<Anomaly> = values
         .iter()
         .enumerate()
         .filter_map(|(index, &value)| {
-            let z_score = (value - mean) / std;
-            (z_score.abs() > k_sigma).then_some(Anomaly {
+            band.outlier_z(value, k_sigma).map(|z_score| Anomaly {
                 index,
                 value,
                 z_score,
@@ -72,6 +57,77 @@ pub fn sigma_outliers(values: &[f64], k_sigma: f64) -> Result<Vec<Anomaly>, Stat
             .expect("finite z-scores")
     });
     Ok(out)
+}
+
+/// The z-score of the last entry of `window` when the μ ± kσ test over the
+/// window flags it: the `z_score` [`sigma_outliers`] reports for the last
+/// index, bit for bit, computed without allocating.
+///
+/// # Errors
+///
+/// As [`sigma_outliers`].
+pub fn last_point_z<I>(window: I, k_sigma: f64) -> Result<Option<f64>, StatsError>
+where
+    I: IntoIterator<Item = f64>,
+    I::IntoIter: Clone,
+{
+    let window = window.into_iter();
+    let band = SigmaBand::fit(window.clone())?;
+    Ok(window.last().and_then(|last| band.outlier_z(last, k_sigma)))
+}
+
+/// The μ ± kσ band of a sample: its mean and population (1/n) standard
+/// deviation, the one estimate every σ test here flags against.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct SigmaBand {
+    /// The sample mean μ.
+    mean: f64,
+    /// The population standard deviation σ (positive).
+    std: f64,
+}
+
+impl SigmaBand {
+    /// Estimates μ and σ over `values`, summed in iteration order.
+    ///
+    /// # Errors
+    ///
+    /// As [`sigma_outliers`].
+    fn fit<I>(values: I) -> Result<Self, StatsError>
+    where
+        I: IntoIterator<Item = f64>,
+        I::IntoIter: Clone,
+    {
+        let values = values.into_iter();
+        let (mut len, mut non_finite) = (0usize, None);
+        for v in values.clone() {
+            len += 1;
+            if !v.is_finite() && non_finite.is_none() {
+                non_finite = Some(v);
+            }
+        }
+        if len < 3 {
+            return Err(StatsError::EmptySample);
+        }
+        if let Some(value) = non_finite {
+            return Err(StatsError::NonFiniteSample { value });
+        }
+        let n = len as f64;
+        let mean = values.clone().sum::<f64>() / n;
+        let var = values.map(|v| (v - mean).powi(2)).sum::<f64>() / n;
+        if var <= 0.0 {
+            return Err(StatsError::DegenerateSample);
+        }
+        Ok(Self {
+            mean,
+            std: var.sqrt(),
+        })
+    }
+
+    /// The z-score of `value` when it lies outside `mean ± k_sigma · std`.
+    fn outlier_z(&self, value: f64, k_sigma: f64) -> Option<f64> {
+        let z_score = (value - self.mean) / self.std;
+        (z_score.abs() > k_sigma).then_some(z_score)
+    }
 }
 
 #[cfg(test)]
@@ -130,6 +186,31 @@ mod tests {
         assert_eq!(hits[0].index, 5);
         assert_eq!(hits[1].index, 9);
         assert!(hits[0].z_score > hits[1].z_score);
+    }
+
+    #[test]
+    fn last_point_z_is_the_last_hit_of_the_full_test() {
+        let mut values = vec![3.0; 29];
+        values[4] = 1.0;
+        for last in [3.0, 3.5, 9.0, -4.0] {
+            values.push(last);
+            let full = sigma_outliers(&values, 2.0)
+                .unwrap()
+                .iter()
+                .find(|a| a.index == values.len() - 1)
+                .map(|a| a.z_score.to_bits());
+            let fast = last_point_z(values.iter().copied(), 2.0).unwrap();
+            assert_eq!(fast.map(f64::to_bits), full, "last {last}");
+            values.pop();
+        }
+        assert!(matches!(
+            last_point_z([2.0; 5], 2.0),
+            Err(StatsError::DegenerateSample)
+        ));
+        assert!(matches!(
+            last_point_z([1.0, f64::INFINITY], 2.0),
+            Err(StatsError::EmptySample)
+        ));
     }
 
     #[test]

@@ -7,10 +7,10 @@ pub mod spill;
 
 use std::io::{BufRead, BufReader, Read, Write};
 
-use crate::columns::{ColumnsBuilder, FotColumns};
+use crate::columns::{ColumnsBuilder, FotColumns, NO_RESPONSE_DAY};
 use crate::{
     ComponentClass, DataCenterId, FailureType, Fot, FotCategory, FotId, OperatorAction, OperatorId,
-    OperatorResponse, ProductLineId, RackPosition, ServerId, SimTime, TraceError,
+    OperatorResponse, ProductLineId, RackPosition, ServerId, SimTime, TraceError, SECS_PER_DAY,
 };
 
 /// The CSV header for the ticket table, mirroring the paper's field list.
@@ -351,14 +351,41 @@ fn split_csv_line(line: &str) -> Vec<String> {
     fields
 }
 
+/// Parses one unsigned integer field as `T`, rejecting values `T` cannot
+/// hold instead of narrowing them.
+fn parse_field<T>(s: &str, what: &str) -> Result<T, String>
+where
+    T: std::str::FromStr<Err = std::num::ParseIntError>,
+{
+    s.parse::<T>().map_err(|e| format!("bad {what} {s:?}: {e}"))
+}
+
+/// Parses a time field whose day must be at most `last_day`, the last
+/// day the `u32` day columns store.
+fn parse_time(s: &str, what: &str, last_day: u32) -> Result<SimTime, String> {
+    let secs: u64 = parse_field(s, what)?;
+    if secs / SECS_PER_DAY > u64::from(last_day) {
+        return Err(format!(
+            "{what} {secs} falls after day {last_day}, the last the day column stores"
+        ));
+    }
+    Ok(SimTime::from_secs(secs))
+}
+
 /// Reads a ticket table from CSV written by [`write_fots_csv`], as
 /// columns in file order with details interned in first-appearance order
 /// (so reading back `trace.fots()`'s export gives a store equal to it).
 ///
+/// Each row is checked on its own: every integer must fit its column, an
+/// operator response is present exactly when the category has one
+/// ([`FotCategory::has_response`]), and it does not precede the error.
+/// Row order and id uniqueness are a whole-trace property, checked when a
+/// [`crate::Trace`] is built from the columns.
+///
 /// # Errors
 ///
 /// Returns [`TraceError::Csv`] with the offending line number on any
-/// malformed field.
+/// malformed field or row.
 pub fn read_fots_csv<R: Read>(reader: R) -> Result<FotColumns, TraceError> {
     let mut out = ColumnsBuilder::default();
     for (lineno, line) in BufReader::new(reader).lines().enumerate() {
@@ -375,63 +402,83 @@ pub fn read_fots_csv<R: Read>(reader: R) -> Result<FotColumns, TraceError> {
         if line.trim().is_empty() {
             continue;
         }
-        let fields = split_csv_line(&line);
-        let err = |message: String| TraceError::Csv {
+        push_csv_row(&mut out, &line).map_err(|message| TraceError::Csv {
             line: lineno + 1,
             message,
-        };
-        if fields.len() != 14 {
-            return Err(err(format!("expected 14 fields, found {}", fields.len())));
-        }
-        let parse_u64 = |s: &str, what: &str| {
-            s.parse::<u64>()
-                .map_err(|_| err(format!("bad {what}: {s:?}")))
-        };
-        let device_idx = parse_u64(&fields[4], "error_device")? as usize;
-        let device = *ComponentClass::ALL
-            .get(device_idx)
-            .ok_or_else(|| err(format!("bad component index {device_idx}")))?;
-        let failure_type = FailureType::ALL
-            .iter()
-            .copied()
-            .find(|t| t.name() == fields[6])
-            .ok_or_else(|| err(format!("unknown error_type {:?}", fields[6])))?;
-        let category = match fields[9].as_str() {
-            "D_fixing" => FotCategory::Fixing,
-            "D_error" => FotCategory::Error,
-            "D_falsealarm" => FotCategory::FalseAlarm,
-            other => return Err(err(format!("unknown category {other:?}"))),
-        };
-        let response = if fields[10].is_empty() {
-            None
-        } else {
-            let action = match fields[12].as_str() {
-                "RO" => OperatorAction::IssueRepairOrder,
-                "FA" => OperatorAction::MarkFalseAlarm,
-                other => return Err(err(format!("unknown action {other:?}"))),
-            };
-            Some(OperatorResponse {
-                op_time: SimTime::from_secs(parse_u64(&fields[10], "op_time")?),
-                operator: OperatorId::new(parse_u64(&fields[11], "operator")? as u16),
-                action,
-            })
-        };
-        out.push(&Fot {
-            id: FotId::new(parse_u64(&fields[0], "id")?),
-            server: ServerId::new(parse_u64(&fields[1], "host_id")? as u32),
-            data_center: DataCenterId::new(parse_u64(&fields[2], "host_idc")? as u16),
-            product_line: ProductLineId::new(parse_u64(&fields[3], "product_line")? as u16),
-            device,
-            device_slot: parse_u64(&fields[5], "device_slot")? as u8,
-            failure_type,
-            error_time: SimTime::from_secs(parse_u64(&fields[7], "error_time")?),
-            rack_position: RackPosition::new(parse_u64(&fields[8], "error_position")? as u8),
-            category,
-            response,
-            detail: &fields[13],
-        });
+        })?;
     }
     Ok(out.finish())
+}
+
+/// Parses and checks one CSV record, and appends it to `out`.
+fn push_csv_row(out: &mut ColumnsBuilder, line: &str) -> Result<(), String> {
+    let fields = split_csv_line(line);
+    if fields.len() != 14 {
+        return Err(format!("expected 14 fields, found {}", fields.len()));
+    }
+    let device_idx: usize = parse_field(&fields[4], "error_device")?;
+    let device = *ComponentClass::ALL
+        .get(device_idx)
+        .ok_or_else(|| format!("bad component index {device_idx}"))?;
+    let failure_type = FailureType::ALL
+        .iter()
+        .copied()
+        .find(|t| t.name() == fields[6])
+        .ok_or_else(|| format!("unknown error_type {:?}", fields[6]))?;
+    let category = match fields[9].as_str() {
+        "D_fixing" => FotCategory::Fixing,
+        "D_error" => FotCategory::Error,
+        "D_falsealarm" => FotCategory::FalseAlarm,
+        other => return Err(format!("unknown category {other:?}")),
+    };
+    let error_time = parse_time(&fields[7], "error_time", u32::MAX)?;
+    let response_fields = &fields[10..13];
+    let response = if category.has_response() {
+        if response_fields.iter().any(String::is_empty) {
+            return Err(format!(
+                "{} needs op_time, operator and action",
+                category.name()
+            ));
+        }
+        let action = match fields[12].as_str() {
+            "RO" => OperatorAction::IssueRepairOrder,
+            "FA" => OperatorAction::MarkFalseAlarm,
+            other => return Err(format!("unknown action {other:?}")),
+        };
+        let op_time = parse_time(&fields[10], "op_time", NO_RESPONSE_DAY - 1)?;
+        if op_time < error_time {
+            return Err(format!(
+                "op_time {} precedes error_time {}",
+                op_time.as_secs(),
+                error_time.as_secs()
+            ));
+        }
+        Some(OperatorResponse {
+            op_time,
+            operator: OperatorId::new(parse_field(&fields[11], "operator")?),
+            action,
+        })
+    } else {
+        if response_fields.iter().any(|f| !f.is_empty()) {
+            return Err(format!("{} has no operator response", category.name()));
+        }
+        None
+    };
+    out.push(&Fot {
+        id: FotId::new(parse_field(&fields[0], "id")?),
+        server: ServerId::new(parse_field(&fields[1], "host_id")?),
+        data_center: DataCenterId::new(parse_field(&fields[2], "host_idc")?),
+        product_line: ProductLineId::new(parse_field(&fields[3], "product_line")?),
+        device,
+        device_slot: parse_field(&fields[5], "device_slot")?,
+        failure_type,
+        error_time,
+        rack_position: RackPosition::new(parse_field(&fields[8], "error_position")?),
+        category,
+        response,
+        detail: &fields[13],
+    });
+    Ok(())
 }
 
 #[cfg(test)]

@@ -60,12 +60,15 @@ fn golden_digests_at_seed_1() {
 
 /// The report and replay bytes at seed 1: the FNV-1a of `render_all`
 /// (the `reproduce` default output) and the replay event digest. They
-/// move only together with the trace digests above.
+/// move only together with the trace digests above. Small and medium
+/// fire few batch-burst days; the paper row (328,149 replay events)
+/// pins the online detectors at the scale where they fire often.
 #[test]
 fn golden_report_and_replay_digests_at_seed_1() {
     for (scenario, report_fnv, replay_digest) in [
         (Scenario::small(), "7c941b7a9239f4ac", "ab7211e1dc58f2b8"),
         (Scenario::medium(), "cfa1d206f4251bbc", "15fd2c8638e6ec50"),
+        (Scenario::paper(), "894bc9148a7a04d9", "f9f33f4c351e2bfb"),
     ] {
         let name = scenario.name;
         let trace = scenario.seed(1).simulate(&RunOptions::default()).unwrap();
@@ -152,6 +155,73 @@ fn csv_reader_types_every_truncation_and_flip() {
             typed(&bytes, &format!("byte {at} ^ {mask:#04x}"));
         }
     }
+}
+
+/// Rows the columns cannot hold, or that break a ticket's own
+/// invariants, are `Csv` errors on their line: an integer too wide for
+/// its column, a day past the `u32` day column, response fields that do
+/// not match the category, and an operator response before the error.
+#[test]
+fn csv_reader_rejects_rows_its_columns_cannot_hold() {
+    use dcfail::trace::{FailureType, TraceError};
+
+    let row = |fields: [&str; 14]| format!("{}\n{}\n", io::CSV_HEADER, fields.join(","));
+    let good = [
+        "0",
+        "4",
+        "1",
+        "2",
+        "0",
+        "3",
+        FailureType::SmartFail.name(),
+        "432000",
+        "22",
+        "D_fixing",
+        "777600",
+        "7",
+        "RO",
+        "x",
+    ];
+    let loaded = io::read_fots_csv(row(good).as_bytes()).expect("the base row loads");
+    assert_eq!(loaded.len(), 1);
+
+    // 4294967296 days, the first past `u32::MAX`, in seconds.
+    let past_last_day = ((u64::from(u32::MAX) + 1) * 86_400).to_string();
+    let last_day = (u64::from(u32::MAX) * 86_400).to_string();
+    let cases: Vec<(&str, usize, String)> = vec![
+        ("host_id 2^32 + 1", 1, "4294967297".into()),
+        ("host_idc 2^16 + 1", 2, "65537".into()),
+        ("product_line 2^16", 3, "65536".into()),
+        ("device_slot 300", 5, "300".into()),
+        ("error_time past the day column", 7, past_last_day.clone()),
+        ("error_position 256", 8, "256".into()),
+        ("operator 2^16", 11, "65536".into()),
+        // The op-time day column keeps `u32::MAX` for "no response".
+        ("op_time on the sentinel day", 10, last_day),
+        ("op_time past the day column", 10, past_last_day),
+        ("op_time before error_time", 10, "431999".into()),
+        ("D_fixing without a response", 10, String::new()),
+    ];
+    let rejected = |what: &str, bytes: String| match io::read_fots_csv(bytes.as_bytes()) {
+        Err(TraceError::Csv { line: 2, message }) => message,
+        other => panic!("{what}: expected a Csv error on line 2, got {other:?}"),
+    };
+    for (what, field, value) in cases {
+        let mut fields = good;
+        fields[field] = &value;
+        rejected(what, row(fields));
+    }
+    let mut fields = good;
+    fields[9] = "D_error";
+    let message = rejected("D_error with a response", row(fields));
+    assert!(message.contains("no operator response"), "{message}");
+    fields[10..13].copy_from_slice(&["", "7", ""]);
+    rejected("D_error with an operator only", row(fields));
+    fields[10..13].copy_from_slice(&["", "", ""]);
+    assert!(
+        io::read_fots_csv(row(fields).as_bytes()).is_ok(),
+        "D_error without a response"
+    );
 }
 
 #[test]
