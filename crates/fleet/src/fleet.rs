@@ -112,13 +112,15 @@ impl Fleet {
     }
 
     /// Servers on one PDU (all racks in the PDU group), the §V-A Case 3
-    /// blast radius.
-    pub fn servers_of_pdu(&self, dc: DataCenterId, pdu: u32) -> Vec<ServerId> {
-        let dcenter = self.data_center(dc);
-        dcenter
+    /// blast radius: one slice per rack, in rack order.
+    pub fn servers_of_pdu(
+        &self,
+        dc: DataCenterId,
+        pdu: u32,
+    ) -> impl Iterator<Item = &[ServerId]> + '_ {
+        self.data_center(dc)
             .racks_of_pdu(pdu)
-            .flat_map(|rack| self.servers_of_rack(dc, rack).iter().copied())
-            .collect()
+            .map(move |rack| self.servers_of_rack(dc, rack))
     }
 
     /// The spatial failure multiplier for a server (its DC's cooling profile
@@ -177,9 +179,26 @@ mod tests {
     fn pdu_groups_cover_multiple_racks() {
         let fleet = small_fleet();
         let dc = fleet.data_centers()[0].id();
-        let on_pdu = fleet.servers_of_pdu(dc, 0);
-        let per_rack = fleet.servers_of_rack(dc, dcf_trace::RackId::new(0)).len();
-        assert!(on_pdu.len() > per_rack, "PDU spans several racks");
+        let racks: Vec<&[ServerId]> = fleet.servers_of_pdu(dc, 0).collect();
+        assert!(racks.len() > 1, "PDU spans several racks");
+        for (i, rack) in racks.iter().enumerate() {
+            assert_eq!(
+                *rack,
+                fleet.servers_of_rack(dc, dcf_trace::RackId::new(i as u32))
+            );
+        }
+        // Every server sits on exactly one PDU of its DC.
+        let dcenter = fleet.data_center(dc);
+        let on_pdus: usize = (0..dcenter.pdu_count())
+            .flat_map(|pdu| fleet.servers_of_pdu(dc, pdu))
+            .map(<[ServerId]>::len)
+            .sum();
+        let in_dc = fleet
+            .servers()
+            .iter()
+            .filter(|s| s.data_center == dc)
+            .count();
+        assert_eq!(on_pdus, in_dc);
     }
 
     #[test]

@@ -23,13 +23,14 @@
 
 use dcf_stats::rng::{Rng, StdRng};
 
-use dcf_failmodel::{sample_type, HazardTable};
+use dcf_failmodel::{sample_type, BatchEvent, HazardTable};
 use dcf_fleet::{Fleet, UtilizationProfile};
 use dcf_fms::{FmsMetrics, OperatorModel};
 use dcf_obs::MetricsRegistry;
 use dcf_trace::io::spill::SpillRecord;
 use dcf_trace::{
-    ComponentClass, FailureType, FotCategory, ServerId, Severity, SimDuration, SimTime,
+    ComponentClass, FailureType, FotCategory, ProductLineId, ServerId, ServerMeta, Severity,
+    SimDuration, SimTime,
 };
 
 use crate::config::SimConfig;
@@ -305,7 +306,7 @@ pub(crate) fn per_server_records(
     config: &SimConfig,
     fleet: &Fleet,
     global: &GlobalPhase,
-    servers: &[dcf_trace::ServerMeta],
+    servers: &[ServerMeta],
     n_threads: usize,
 ) -> (Vec<Vec<SpillRecord>>, ServerCounts) {
     let chunk = servers.len().div_ceil(n_threads).max(1);
@@ -427,6 +428,113 @@ pub fn expected_background_failures(config: &SimConfig, fleet: &Fleet) -> f64 {
     total
 }
 
+/// A maximal stretch of consecutive server ids in one (product line, DC)
+/// bucket whose servers agree on every field a line-scoped batch event
+/// filters on: generation, deploy time and the component counts.
+#[derive(Clone)]
+struct ServerRun {
+    first: u32,
+    len: u32,
+    deploy_time: SimTime,
+    generation: u8,
+    /// `component_count` per class, indexed by [`ComponentClass::index`].
+    counts: [u8; ComponentClass::ALL.len()],
+}
+
+/// Line-scoped batch-event candidates as runs: `buckets[line * n_dcs +
+/// dc]` lists that bucket's [`ServerRun`]s in server-id order, so an
+/// event tests one entry per run instead of one `ServerMeta` per server.
+/// The fleet builder places whole racks of identical servers, which
+/// collapses a 640k-server fleet to under 18k runs; a fleet whose
+/// neighbours differ only gets shorter runs, never different candidates.
+struct RunTable {
+    n_dcs: usize,
+    buckets: Vec<Vec<ServerRun>>,
+}
+
+impl RunTable {
+    /// Builds the table in one pass over `servers`, which must be in
+    /// id order (as [`Fleet::servers`] is).
+    fn build(servers: &[ServerMeta], n_lines: usize, n_dcs: usize) -> Self {
+        let mut buckets: Vec<Vec<ServerRun>> = vec![Vec::new(); n_lines * n_dcs];
+        for s in servers {
+            let run = ServerRun {
+                first: s.id.raw(),
+                len: 1,
+                deploy_time: s.deploy_time,
+                generation: s.generation,
+                counts: ComponentClass::ALL.map(|c| s.component_count(c) as u8),
+            };
+            let bucket = &mut buckets[s.product_line.index() * n_dcs + s.data_center.index()];
+            match bucket.last_mut() {
+                Some(last)
+                    if last.first + last.len == run.first
+                        && last.deploy_time == run.deploy_time
+                        && last.generation == run.generation
+                        && last.counts == run.counts =>
+                {
+                    last.len += 1
+                }
+                _ => bucket.push(run),
+            }
+        }
+        Self { n_dcs, buckets }
+    }
+
+    /// Appends the candidates of a line-scoped `event` on `line` to
+    /// `pool` as `(server, slot count of the event's class)`, in
+    /// server-id order: exactly the servers of the (line, DC) bucket that
+    /// match the event's generation, are old enough and carry the class.
+    fn extend_candidates(
+        &self,
+        event: &BatchEvent,
+        line: ProductLineId,
+        pool: &mut Vec<(ServerId, u8)>,
+    ) {
+        let class = event.class.index();
+        let min_age = SimDuration::from_days(event.min_age_days);
+        for run in &self.buckets[line.index() * self.n_dcs + event.dc.index()] {
+            let slots = run.counts[class];
+            if event.generation.is_none_or(|g| run.generation == g)
+                && run.deploy_time + min_age <= event.start
+                && slots > 0
+            {
+                pool.extend((run.first..run.first + run.len).map(|id| (ServerId::new(id), slots)));
+            }
+        }
+    }
+}
+
+/// Replaces `pool` with the candidates of `event`, in the order the
+/// Fisher–Yates draw in [`apply_batch_events`] consumes them: server-id
+/// order for line-scoped events, rack order for PDU events.
+fn event_candidates(
+    fleet: &Fleet,
+    runs: &RunTable,
+    event: &BatchEvent,
+    pool: &mut Vec<(ServerId, u8)>,
+) {
+    pool.clear();
+    match (event.line, event.pdu) {
+        (Some(line), _) => runs.extend_candidates(event, line, pool),
+        (None, Some(pdu)) => {
+            let min_age = SimDuration::from_days(event.min_age_days);
+            pool.extend(
+                fleet
+                    .servers_of_pdu(event.dc, pdu)
+                    .flatten()
+                    .filter_map(|&sid| {
+                        let s = fleet.server(sid);
+                        let slots = s.component_count(event.class);
+                        (s.deploy_time + min_age <= event.start && slots > 0)
+                            .then_some((sid, slots as u8))
+                    }),
+            );
+        }
+        (None, None) => {}
+    }
+}
+
 /// Expands batch events into per-server direct occurrences, staged as
 /// `(server index, occurrence)` pairs for [`DirectOccurrences::build`].
 /// Returns `(events generated, occurrences scheduled)`.
@@ -440,56 +548,29 @@ fn apply_batch_events(
 ) -> (u64, u64) {
     let mut scheduled: u64 = 0;
     let events = config.batch.generate(fleet, start, end, config.seed);
-    // Line-scoped events only ever match servers of one (line, DC) pair;
-    // bucketing the fleet once replaces a full line scan (with a random
-    // `ServerMeta` lookup per server) by a scan of the ~1/n_dcs bucket.
-    // Built in server-id order, so each bucket lists ids in the same
-    // order the line scan produced them and the Fisher–Yates sampling
-    // below sees an identical candidate list (no RNG drift).
-    let n_dcs = fleet.data_centers().len();
-    let mut by_line_dc: Vec<Vec<ServerId>> = vec![Vec::new(); fleet.product_lines().len() * n_dcs];
-    for s in fleet.servers() {
-        by_line_dc[s.product_line.index() * n_dcs + s.data_center.index()].push(s.id);
-    }
+    let runs = RunTable::build(
+        fleet.servers(),
+        fleet.product_lines().len(),
+        fleet.data_centers().len(),
+    );
+    // One candidate buffer for every event; each entry carries its slot
+    // count, so the draw below never looks a server up.
+    let mut pool: Vec<(ServerId, u8)> = Vec::new();
     for event in &events {
-        // Candidate servers for this event.
-        let candidates: Vec<ServerId> = match (event.line, event.pdu) {
-            (Some(line), _) => by_line_dc[line.index() * n_dcs + event.dc.index()]
-                .iter()
-                .copied()
-                .filter(|&sid| {
-                    let s = fleet.server(sid);
-                    event.generation.is_none_or(|g| s.generation == g)
-                        && s.deploy_time + SimDuration::from_days(event.min_age_days) <= event.start
-                        && s.component_count(event.class) > 0
-                })
-                .collect(),
-            (None, Some(pdu)) => fleet
-                .servers_of_pdu(event.dc, pdu)
-                .into_iter()
-                .filter(|&sid| {
-                    let s = fleet.server(sid);
-                    s.deploy_time + SimDuration::from_days(event.min_age_days) <= event.start
-                        && s.component_count(event.class) > 0
-                })
-                .collect(),
-            (None, None) => Vec::new(),
-        };
-        if candidates.is_empty() {
+        event_candidates(fleet, &runs, event, &mut pool);
+        if pool.is_empty() {
             continue;
         }
         let target = match event.cluster_fraction {
-            Some(f) => ((candidates.len() as f64 * f) as usize).max(1),
-            None => event.target_size.min(candidates.len()),
+            Some(f) => ((pool.len() as f64 * f) as usize).max(1),
+            None => event.target_size,
         };
         // Partial Fisher–Yates to sample `target` servers without replacement.
-        let mut pool = candidates;
         let target = target.min(pool.len());
         for i in 0..target {
             let j = rng.random_range(i..pool.len());
             pool.swap(i, j);
-            let sid = pool[i];
-            let server = fleet.server(sid);
+            let (sid, slots) = pool[i];
             let offset = SimDuration::from_secs(
                 (rng.random::<f64>() * event.window.as_secs() as f64) as u64,
             );
@@ -497,7 +578,6 @@ fn apply_batch_events(
             if t >= end {
                 continue;
             }
-            let slots = server.component_count(event.class).max(1) as u8;
             staged.push((
                 sid.raw(),
                 Occurrence {
@@ -549,23 +629,23 @@ fn apply_sync_groups(
     // emission loop below drops any occurrence that would land before the
     // member's deploy date, so late-deployed servers can join an episode
     // but never receive pre-deploy tickets.
-    let eligible_by_rack: Vec<Vec<Vec<ServerId>>> = fleet
-        .racks()
-        .iter()
-        .map(|dc| {
-            dc.iter()
-                .map(|rack| {
-                    rack.iter()
-                        .copied()
-                        .filter(|&sid| {
-                            let s = fleet.server(sid);
-                            s.hdd_count > 0 && s.warranty_end() > end
-                        })
-                        .collect()
-                })
-                .collect()
-        })
-        .collect();
+    //
+    // One flat id buffer: rack `k` (DCs in order, racks in order within
+    // each) owns `eligible[rack_offsets[k]..rack_offsets[k + 1]]`, in the
+    // rack's own server order, and DC `d`'s first rack is `dc_racks[d]`.
+    let mut eligible: Vec<ServerId> = Vec::new();
+    let mut rack_offsets: Vec<usize> = vec![0];
+    let mut dc_racks: Vec<usize> = Vec::with_capacity(fleet.racks().len());
+    for dc in fleet.racks() {
+        dc_racks.push(rack_offsets.len() - 1);
+        for rack in dc {
+            eligible.extend(rack.iter().copied().filter(|&sid| {
+                let s = fleet.server(sid);
+                s.hdd_count > 0 && s.warranty_end() > end
+            }));
+            rack_offsets.push(eligible.len());
+        }
+    }
     let window_days = end.since(start).as_days_f64() as u64;
     for _ in 0..groups {
         // Find a rack with at least group_size HDD-bearing servers.
@@ -576,14 +656,15 @@ fn apply_sync_groups(
                 continue;
             }
             let rack_idx = rng.random_range(0..fleet.racks()[dc_idx].len());
-            let eligible = &eligible_by_rack[dc_idx][rack_idx];
-            if eligible.len() >= config.sync_repeat.group_size as usize {
-                found = Some(eligible);
+            let k = dc_racks[dc_idx] + rack_idx;
+            let rack = &eligible[rack_offsets[k]..rack_offsets[k + 1]];
+            if rack.len() >= config.sync_repeat.group_size as usize {
+                found = Some(rack);
                 break;
             }
         }
-        let Some(eligible) = found else { continue };
-        let members = &eligible[..config.sync_repeat.group_size as usize];
+        let Some(rack) = found else { continue };
+        let members = &rack[..config.sync_repeat.group_size as usize];
         let first = start
             + SimDuration::from_days(rng.random_range(0..window_days.saturating_sub(60).max(1)));
         let (times, offsets) = config.sync_repeat.sample_group_schedule(rng, first, end);
@@ -870,5 +951,131 @@ fn simulate_server(
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Scenario;
+    use dcf_fleet::FleetBuilder;
+
+    /// The per-`ServerMeta` filter the run table replaces: every server of
+    /// the event's (line, DC) — or of its PDU's racks — that matches the
+    /// event, with its slot count.
+    fn naive_candidates(
+        fleet: &Fleet,
+        servers: &[ServerMeta],
+        event: &BatchEvent,
+    ) -> Vec<(ServerId, u8)> {
+        let eligible = |s: &ServerMeta| {
+            s.deploy_time + SimDuration::from_days(event.min_age_days) <= event.start
+                && s.component_count(event.class) > 0
+        };
+        let slots = |s: &ServerMeta| (s.id, s.component_count(event.class).max(1) as u8);
+        match (event.line, event.pdu) {
+            (Some(line), _) => servers
+                .iter()
+                .filter(|s| {
+                    s.product_line == line
+                        && s.data_center == event.dc
+                        && event.generation.is_none_or(|g| s.generation == g)
+                        && eligible(s)
+                })
+                .map(slots)
+                .collect(),
+            (None, Some(pdu)) => {
+                let dc = fleet.data_center(event.dc);
+                servers
+                    .iter()
+                    .filter(|s| s.data_center == event.dc && dc.pdu_of_rack(s.rack) == pdu)
+                    .filter(|s| eligible(s))
+                    .map(slots)
+                    .collect()
+            }
+            (None, None) => Vec::new(),
+        }
+    }
+
+    fn fleet_and_events(scenario: &Scenario) -> (Fleet, Vec<BatchEvent>) {
+        let config = &scenario.config;
+        let fleet = FleetBuilder::new(config.fleet.clone())
+            .seed(config.seed)
+            .build()
+            .unwrap();
+        let start = SimTime::from_days(config.fleet.pre_window_days);
+        let end = start + SimDuration::from_days(config.fleet.window_days);
+        let events = config.batch.generate(&fleet, start, end, config.seed);
+        (fleet, events)
+    }
+
+    fn run_count(runs: &RunTable) -> usize {
+        runs.buckets.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn run_table_candidates_match_the_per_server_filter() {
+        let (mut line_events, mut pdu_events) = (0, 0);
+        for scenario in [Scenario::small(), Scenario::medium()] {
+            for seed in [1, 7] {
+                let (fleet, events) = fleet_and_events(&scenario.clone().seed(seed));
+                let (n_lines, n_dcs) = (fleet.product_lines().len(), fleet.data_centers().len());
+                let runs = RunTable::build(fleet.servers(), n_lines, n_dcs);
+                assert!(
+                    run_count(&runs) < fleet.servers().len() / 4,
+                    "{} seed {seed}: whole racks should share a run",
+                    scenario.name
+                );
+                line_events += events.iter().filter(|e| e.line.is_some()).count();
+                pdu_events += events.iter().filter(|e| e.pdu.is_some()).count();
+                let mut pool = Vec::new();
+                for (i, event) in events.iter().enumerate() {
+                    event_candidates(&fleet, &runs, event, &mut pool);
+                    assert_eq!(
+                        pool,
+                        naive_candidates(&fleet, fleet.servers(), event),
+                        "{} seed {seed}: event {i}",
+                        scenario.name
+                    );
+                }
+
+                // Break every bucket into short runs: every other server
+                // differs from its neighbours in deploy day, generation,
+                // one component count, or its line (which leaves id gaps
+                // between otherwise identical servers).
+                let perturbations: [fn(&mut ServerMeta, usize); 4] = [
+                    |s, _| s.deploy_time += SimDuration::from_days(1),
+                    |s, _| s.generation ^= 1,
+                    |s, _| s.hdd_count = if s.hdd_count == 0 { 3 } else { s.hdd_count - 1 },
+                    |s, n_lines| {
+                        let next = (s.product_line.index() + 1) % n_lines;
+                        s.product_line = ProductLineId::new(next as _);
+                    },
+                ];
+                for (p, perturb) in perturbations.iter().enumerate() {
+                    let mut servers = fleet.servers().to_vec();
+                    for s in servers.iter_mut().skip(1).step_by(2) {
+                        perturb(s, n_lines);
+                    }
+                    let short = RunTable::build(&servers, n_lines, n_dcs);
+                    assert!(run_count(&short) > servers.len() / 2);
+                    for (i, event) in events.iter().enumerate() {
+                        let Some(line) = event.line else { continue };
+                        pool.clear();
+                        short.extend_candidates(event, line, &mut pool);
+                        assert_eq!(
+                            pool,
+                            naive_candidates(&fleet, &servers, event),
+                            "{} seed {seed}: perturbation {p}, event {i}",
+                            scenario.name
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            line_events > 0 && pdu_events > 0,
+            "{line_events} / {pdu_events}"
+        );
     }
 }
