@@ -7,8 +7,11 @@
 //!           [--spill-dir PATH] [--digest PATH]
 //! reproduce snapshot --out PATH [simulation flags]
 //! reproduce snapshot --in PATH [analysis flags]
-//! reproduce serve [--addr HOST:PORT] [--workers N] [--cache-entries N]
-//!                 [--catalog DIR] [--max-conns N] [--idle-timeout-ms N]
+//! reproduce export [--out PATH] [--from-day D] [--to-day D] [--dc IDX]
+//!                  [simulation flags]
+//! reproduce serve [--addr HOST:PORT] [--workers N] [--loops N]
+//!                 [--cache-entries N] [--catalog DIR] [--max-conns N]
+//!                 [--idle-timeout-ms N]
 //! reproduce replay [--scenario paper|medium|small] [--seed N] [--threads N]
 //!                  [--snapshot-in PATH] [--speed DAYS_PER_SEC] [--quiet]
 //!                  [--digest PATH] [--metrics PATH]
@@ -25,7 +28,9 @@
 //! SIGHUP (or `POST /catalog/reload`) rescans the directory without a
 //! restart. `--max-conns` and `--idle-timeout-ms` tune the event loop
 //! (defaults: 12000 connections, 10000 ms); the readiness backend is the
-//! platform's one poller (epoll on Linux).
+//! platform's one poller (epoll on Linux). `--loops N` runs N event loops
+//! (`0` = one per core); loop 0 accepts on the one listener and hands
+//! connections round-robin to the others.
 //!
 //! `reproduce replay` streams a trace back as a live virtual-time ticket
 //! feed on stdout (NDJSON, one FOT per line) with three *online* detectors
@@ -47,6 +52,14 @@
 //! `--in PATH` loads such a snapshot instead of simulating and runs the
 //! regular analysis flags against it. The write and load are timed under
 //! the `trace.snapshot_write` / `trace.snapshot_load` phases.
+//!
+//! `reproduce export` simulates once and writes the ticket table as CSV
+//! (reloadable with `dcf_trace::io::read_fots_csv`, losslessly) to `--out
+//! PATH`, or to stdout without it. `--from-day D` / `--to-day D` keep the
+//! tickets whose error time falls in `[D_from, D_to)` and `--dc IDX` those
+//! of one data center. It takes every simulation flag, including
+//! `--digest` (of the exported rows), and like `snapshot --out` it rejects
+//! `--experiment`, `--markdown` and `--score`.
 //!
 //! `ID` is one of: `table1 table2 table3 table4 table5 table6 table7 table8
 //! fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 prediction backlog all`
@@ -91,9 +104,21 @@ use dcf_core::{paper, FailureStudy, StudyOptions, StudyReport};
 use dcf_obs::MetricsRegistry;
 use dcf_report::{experiments, pct, TextTable};
 use dcf_sim::{RunOptions, Scenario};
-use dcf_trace::{io, Trace};
+use dcf_trace::{io, DataCenterId, SimTime, Trace};
+
+/// Which run `reproduce` makes with the shared flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// The default: one report (an experiment, `--markdown` or `--score`).
+    Report,
+    /// `reproduce snapshot`: write (`--out`) or analyze (`--in`) a snapshot.
+    Snapshot,
+    /// `reproduce export`: the ticket table as CSV.
+    Export,
+}
 
 struct Args {
+    mode: Mode,
     scenario: String,
     seed: u64,
     /// `None` unless `--experiment` was given (the default output is `all`).
@@ -107,12 +132,17 @@ struct Args {
     shard_workers: u32,
     spill_dir: Option<String>,
     digest: Option<String>,
-    snapshot_out: Option<String>,
+    /// `snapshot --out` file, or the `export` CSV (stdout when absent).
+    out: Option<String>,
     snapshot_in: Option<String>,
+    from_day: Option<u64>,
+    to_day: Option<u64>,
+    dc: Option<u16>,
 }
 
-fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
+fn parse_args(mode: Mode) -> Result<Args, String> {
     let mut args = Args {
+        mode,
         scenario: "paper".into(),
         seed: 1,
         experiment: None,
@@ -125,10 +155,13 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
         shard_workers: 0,
         spill_dir: None,
         digest: None,
-        snapshot_out: None,
+        out: None,
         snapshot_in: None,
+        from_day: None,
+        to_day: None,
+        dc: None,
     };
-    let mut it = std::env::args().skip(if snapshot_mode { 2 } else { 1 });
+    let mut it = std::env::args().skip(if mode == Mode::Report { 1 } else { 2 });
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--scenario" => {
@@ -191,26 +224,35 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
             "--digest" => {
                 args.digest = Some(it.next().ok_or("--digest needs a value")?);
             }
-            "--out" if snapshot_mode => {
-                args.snapshot_out = Some(it.next().ok_or("--out needs a value")?);
+            "--out" if mode != Mode::Report => {
+                args.out = Some(it.next().ok_or("--out needs a value")?);
             }
-            "--in" if snapshot_mode => {
+            "--in" if mode == Mode::Snapshot => {
                 args.snapshot_in = Some(it.next().ok_or("--in needs a value")?);
             }
+            "--from-day" if mode == Mode::Export => {
+                args.from_day = Some(parse_value(it.next(), "--from-day")?);
+            }
+            "--to-day" if mode == Mode::Export => {
+                args.to_day = Some(parse_value(it.next(), "--to-day")?);
+            }
+            "--dc" if mode == Mode::Export => {
+                args.dc = Some(parse_value(it.next(), "--dc")?);
+            }
             "--help" | "-h" => {
-                return Err(if snapshot_mode {
-                    "usage: reproduce snapshot (--out PATH | --in PATH) [reproduce flags]".into()
-                } else {
-                    "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none | --markdown | --score] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--digest PATH]".into()
+                return Err(match mode {
+                    Mode::Snapshot => "usage: reproduce snapshot (--out PATH | --in PATH) [reproduce flags]".into(),
+                    Mode::Export => "usage: reproduce export [--out PATH] [--from-day D] [--to-day D] [--dc IDX] [simulation flags]".into(),
+                    Mode::Report => "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none | --markdown | --score] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--digest PATH]".into(),
                 });
             }
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if snapshot_mode && args.snapshot_out.is_none() && args.snapshot_in.is_none() {
+    if mode == Mode::Snapshot && args.out.is_none() && args.snapshot_in.is_none() {
         return Err("reproduce snapshot needs --out PATH or --in PATH".into());
     }
-    if args.snapshot_out.is_some() && args.snapshot_in.is_some() {
+    if args.out.is_some() && args.snapshot_in.is_some() {
         return Err("--out and --in are mutually exclusive".into());
     }
     let outputs = [args.experiment.is_some(), args.markdown, args.score]
@@ -220,13 +262,28 @@ fn parse_args(snapshot_mode: bool) -> Result<Args, String> {
     if outputs > 1 {
         return Err("--experiment, --markdown and --score are mutually exclusive".into());
     }
-    if args.snapshot_out.is_some() && outputs > 0 {
-        return Err(
-            "reproduce snapshot --out prints no report; drop --experiment, --markdown and --score"
-                .into(),
-        );
+    if outputs > 0 && (mode == Mode::Export || args.out.is_some()) {
+        let run = if mode == Mode::Export {
+            "export"
+        } else {
+            "snapshot --out"
+        };
+        return Err(format!(
+            "reproduce {run} prints no report; drop --experiment, --markdown and --score"
+        ));
     }
     Ok(args)
+}
+
+/// Parses the value of `flag` (`None` when the command line ended).
+fn parse_value<T: std::str::FromStr>(value: Option<String>, flag: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .ok_or(format!("{flag} needs a value"))?
+        .parse()
+        .map_err(|e| format!("bad {flag} value: {e}"))
 }
 
 /// Writes the JSON `RunReport` to `args.metrics` (no-op when the flag is
@@ -290,7 +347,6 @@ fn serve_main(mut it: impl Iterator<Item = String>) -> ExitCode {
     let mut max_conns: Option<usize> = None;
     let mut idle_timeout_ms: Option<u64> = None;
     let mut loops = 1usize;
-    let mut no_reuseport = false;
     while let Some(flag) = it.next() {
         let parsed = match flag.as_str() {
             "--addr" => it.next().map(|v| {
@@ -322,13 +378,9 @@ fn serve_main(mut it: impl Iterator<Item = String>) -> ExitCode {
             "--loops" => it
                 .next()
                 .map(|v| v.parse().map(|n| loops = n).map_err(|_| flag.clone())),
-            "--no-reuseport" => {
-                no_reuseport = true;
-                Some(Ok(()))
-            }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: reproduce serve [--addr HOST:PORT] [--workers N] [--loops N (0 = one per core)] [--no-reuseport] [--cache-entries N] [--catalog DIR] [--max-conns N] [--idle-timeout-ms N]"
+                    "usage: reproduce serve [--addr HOST:PORT] [--workers N] [--loops N (0 = one per core)] [--cache-entries N] [--catalog DIR] [--max-conns N] [--idle-timeout-ms N]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -373,7 +425,7 @@ fn serve_main(mut it: impl Iterator<Item = String>) -> ExitCode {
     if let Some(ms) = idle_timeout_ms {
         config = config.idle_timeout(std::time::Duration::from_millis(ms));
     }
-    config = config.loops(loops).reuseport(!no_reuseport);
+    config = config.loops(loops);
     let effective_loops = match loops {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
@@ -638,17 +690,17 @@ fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut snapshot_mode = false;
-    {
+    let mode = {
         let mut raw = std::env::args().skip(1);
         match raw.next().as_deref() {
             Some("serve") => return serve_main(raw),
             Some("replay") => return replay_main(raw),
-            Some("snapshot") => snapshot_mode = true,
-            _ => {}
+            Some("snapshot") => Mode::Snapshot,
+            Some("export") => Mode::Export,
+            _ => Mode::Report,
         }
-    }
-    let mut args = match parse_args(snapshot_mode) {
+    };
+    let mut args = match parse_args(mode) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("{msg}");
@@ -739,18 +791,32 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let next = if args.mode == Mode::Export {
+            "exporting"
+        } else {
+            "running analyses…\n"
+        };
         eprintln!(
-            "generated {} FOTs in {:?}; running analyses…\n",
+            "generated {} FOTs in {:?}; {next}",
             trace.len(),
             t0.elapsed()
         );
         trace
     };
+    if args.mode == Mode::Export {
+        return match export(&args, trace) {
+            Ok(()) => finish(&args, &registry),
+            Err(msg) => {
+                eprintln!("{msg}");
+                ExitCode::FAILURE
+            }
+        };
+    }
     if let Err(msg) = write_digest(&args, &trace) {
         eprintln!("{msg}");
         return ExitCode::FAILURE;
     }
-    if let Some(path) = &args.snapshot_out {
+    if let Some(path) = &args.out {
         let span = registry.phase("trace.snapshot_write");
         if let Err(e) = io::snapshot::write_snapshot(&trace, path) {
             eprintln!("cannot write snapshot {path}: {e}");
@@ -823,6 +889,37 @@ fn main() -> ExitCode {
     println!("{text}");
     drop(analysis_span);
     finish(&args, &registry)
+}
+
+/// The `export` run: restricts `trace` to `--from-day`/`--to-day` and
+/// `--dc`, writes the digest of what is left (under `--digest`), and
+/// writes its ticket CSV to `--out` or stdout.
+fn export(args: &Args, mut trace: Trace) -> Result<(), String> {
+    use std::io::Write as _;
+    if args.from_day.is_some() || args.to_day.is_some() {
+        let from = SimTime::from_days(args.from_day.unwrap_or(0));
+        let to = SimTime::from_days(args.to_day.unwrap_or(u64::MAX / dcf_trace::SECS_PER_DAY));
+        trace = trace.restrict(from, to).map_err(|e| e.to_string())?;
+    }
+    if let Some(dc) = args.dc {
+        trace = trace
+            .restrict_dc(DataCenterId::new(dc))
+            .map_err(|e| e.to_string())?;
+    }
+    write_digest(args, &trace)?;
+    let sink: Box<dyn std::io::Write> = match &args.out {
+        Some(path) => {
+            Box::new(std::fs::File::create(path).map_err(|e| format!("cannot write {path}: {e}"))?)
+        }
+        None => Box::new(std::io::stdout().lock()),
+    };
+    let mut sink = std::io::BufWriter::new(sink);
+    io::write_fots_csv(trace.fots(), &mut sink).map_err(|e| e.to_string())?;
+    sink.flush().map_err(|e| e.to_string())?;
+    if let Some(path) = &args.out {
+        eprintln!("wrote {} tickets to {path}", trace.len());
+    }
+    Ok(())
 }
 
 /// The `--score` report: every headline metric of the run's `report`

@@ -2,15 +2,14 @@
 //! owning its own sockets.
 //!
 //! This is the epoll core the service runs on. Each event-loop thread
-//! owns its listener (its `SO_REUSEPORT` share of the address, or — in
-//! handoff mode — only loop 0 has one), the [`Waker`] receive half, and
-//! every connection it accepted or adopted; it never blocks on any one
-//! socket. Workers never touch sockets at all — they pop [`Job`]s from
-//! the bounded queue, compute a [`Response`], push it onto the owning
-//! loop's completion list, and ring that loop's waker so it wakes up
-//! and writes the bytes out. In handoff mode loop 0 additionally
-//! round-robins accepted sockets to its peers through per-loop inboxes,
-//! using the same waker.
+//! owns the [`Waker`] receive half and every connection it accepted or
+//! adopted, and loop 0 also owns the service's one listener; no loop
+//! ever blocks on any one socket. Workers never touch sockets at all —
+//! they pop [`Job`]s from the bounded queue, compute a [`Response`],
+//! push it onto the owning loop's completion list, and ring that loop's
+//! waker so it wakes up and writes the bytes out. With more than one
+//! loop, loop 0 round-robins accepted sockets to its peers through
+//! per-loop inboxes, using the same waker.
 //!
 //! Each connection is a small state machine:
 //!
@@ -46,6 +45,9 @@
 //! (`serve.idle_closed`), stalled writes are reaped, and `Draining`
 //! connections are dropped at their grace deadline. `InFlight`
 //! connections are bounded by the worker-side request deadline instead.
+//! An accept that fails for want of resources (`EMFILE`, `ENFILE`,
+//! `ENOBUFS`) takes the level-triggered listener out of the poller until
+//! the next sweep, so a full descriptor table cannot spin the loop.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -187,18 +189,15 @@ pub(crate) struct EventLoop {
     /// Index into `shared.loops`: which completion list, waker, and
     /// inbox are this loop's.
     loop_id: usize,
-    /// Handoff round-robin width: `0` when every accepted socket is
-    /// served locally (single loop, or per-loop `SO_REUSEPORT`
-    /// listeners); `> 0` when loop 0's accepts are spread across this
-    /// many loops through their inboxes.
-    fanout: usize,
     /// Next round-robin handoff target.
     next_loop: usize,
     poller: Poller,
-    /// This loop's listener: its `SO_REUSEPORT` share, the sole
-    /// listener (single loop / handoff loop 0), or `None` for handoff
-    /// peers, which only adopt from their inbox.
+    /// The service's listener on loop 0; `None` on its peers, which
+    /// only adopt from their inbox.
     listener: Option<TcpListener>,
+    /// The listener is out of the poller after a failed accept; the next
+    /// sweep registers it again.
+    accept_paused: bool,
     waker_rx: TcpStream,
     conns: HashMap<u64, Connection>,
     next_token: u64,
@@ -222,7 +221,6 @@ impl EventLoop {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         loop_id: usize,
-        fanout: usize,
         mut poller: Poller,
         listener: Option<TcpListener>,
         waker_rx: TcpStream,
@@ -237,10 +235,10 @@ impl EventLoop {
         poller.register(raw_fd(&waker_rx), WAKER_TOKEN, Interest::READ)?;
         Ok(EventLoop {
             loop_id,
-            fanout,
             next_loop: 0,
             poller,
             listener,
+            accept_paused: false,
             waker_rx,
             conns: HashMap::new(),
             next_token: FIRST_CONN_TOKEN,
@@ -341,19 +339,23 @@ impl EventLoop {
     }
 
     /// Accepts every pending connection (level-triggered: stop at
-    /// `WouldBlock`). In handoff mode the accepted socket is round-robined
-    /// across all loops: peers get it through their inbox + waker, the
-    /// local share is adopted directly.
+    /// `WouldBlock`). With several loops the accepted socket is
+    /// round-robined across all of them: peers get it through their
+    /// inbox + waker, the local share is adopted directly. Any other
+    /// accept error (out of descriptors or buffers) leaves connections
+    /// pending, so the listener would poll ready again at once: it leaves
+    /// the poller until the next sweep.
     fn accept_ready(&mut self) {
+        let width = self.shared.loops.len();
         loop {
             let Some(listener) = &self.listener else {
                 return;
             };
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.fanout > 1 {
+                    if width > 1 {
                         let target = self.next_loop;
-                        self.next_loop = (self.next_loop + 1) % self.fanout;
+                        self.next_loop = (self.next_loop + 1) % width;
                         if target != self.loop_id {
                             let lane = &self.shared.loops[target];
                             lane.inbox.lock().expect("inbox poisoned").push(stream);
@@ -367,6 +369,8 @@ impl EventLoop {
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
                     self.shared.metrics.add("serve.io_errors", 1);
+                    self.poller.deregister(raw_fd(listener));
+                    self.accept_paused = true;
                     return;
                 }
             }
@@ -411,12 +415,12 @@ impl EventLoop {
         }
     }
 
-    /// Adopts sockets the accepting loop handed to this loop's inbox
-    /// (handoff mode only). During drain handed-off sockets are simply
-    /// closed — the peer sees a connection reset instead of waiting on a
-    /// loop that will never serve it.
+    /// Adopts sockets the accepting loop 0 handed to this loop's inbox
+    /// (loop 0 itself never receives any). During drain handed-off
+    /// sockets are simply closed — the peer sees a connection reset
+    /// instead of waiting on a loop that will never serve it.
     fn adopt_inbox(&mut self) {
-        if self.fanout == 0 {
+        if self.loop_id == 0 {
             return;
         }
         let handed: Vec<TcpStream> = {
@@ -803,8 +807,16 @@ impl EventLoop {
     }
 
     /// Periodic timeout pass; see the module docs for which states are
-    /// covered here versus by the worker deadline.
+    /// covered here versus by the worker deadline. A listener paused by a
+    /// failed accept rejoins the poller here.
     fn sweep(&mut self, now: Instant) {
+        if let (true, Some(listener)) = (self.accept_paused, &self.listener) {
+            let fd = raw_fd(listener);
+            self.accept_paused = self
+                .poller
+                .register(fd, LISTENER_TOKEN, Interest::READ)
+                .is_err();
+        }
         let victims: Vec<(u64, bool)> = self
             .conns
             .iter()

@@ -30,10 +30,10 @@
 //! `--loops L` sharded event-loop threads each own a disjoint slice of
 //! the sockets on their own [`poller`] instance (raw-syscall epoll on
 //! Linux, a portable timed scan elsewhere) and speak pipelined HTTP/1.1
-//! keep-alive with per-connection buffers and idle timeouts. Accepts
-//! spread over the loops via a group of `SO_REUSEPORT` listeners where
-//! the platform supports it, or a round-robin handoff from loop 0
-//! otherwise; a connection never migrates after adoption. A bounded
+//! keep-alive with per-connection buffers and idle timeouts. Loop 0
+//! owns the one listener, bound with a 1024-deep accept backlog, and
+//! hands accepted sockets round-robin to its peers; a connection never
+//! migrates after adoption. A bounded
 //! queue feeds a shared worker pool that computes responses and hands
 //! them back through per-loop completion lists + [`poller::Waker`]s.
 //! The run cache, gzip section cache, and snapshot [`catalog`] are

@@ -2,7 +2,9 @@
 //!
 //! The workspace is zero-dependency, so — like [`crate::signal`] — the
 //! three primitives the event loop needs are issued directly as Linux
-//! syscalls: `epoll_create1(2)` / `epoll_ctl(2)` / `epoll_pwait(2)`.
+//! syscalls: `epoll_create1(2)` / `epoll_ctl(2)` / `epoll_pwait(2)`,
+//! plus the `listen(2)` with which [`bind_listener`] deepens the
+//! service listener's accept backlog.
 //! Each platform has exactly one backend, fixed at compile time: `epoll`
 //! on Linux x86_64/aarch64, and everywhere else a timed readiness *scan*
 //! that reports every registered token ready after a short sleep. The
@@ -99,10 +101,7 @@ pub(crate) mod sys {
         pub const EPOLL_PWAIT: usize = 281;
         pub const MMAP: usize = 9;
         pub const MUNMAP: usize = 11;
-        pub const SOCKET: usize = 41;
-        pub const BIND: usize = 49;
         pub const LISTEN: usize = 50;
-        pub const SETSOCKOPT: usize = 54;
     }
     #[cfg(target_arch = "aarch64")]
     pub mod nr {
@@ -112,10 +111,7 @@ pub(crate) mod sys {
         pub const EPOLL_PWAIT: usize = 22;
         pub const MMAP: usize = 222;
         pub const MUNMAP: usize = 215;
-        pub const SOCKET: usize = 198;
-        pub const BIND: usize = 200;
         pub const LISTEN: usize = 201;
-        pub const SETSOCKOPT: usize = 208;
     }
 
     #[cfg(target_arch = "x86_64")]
@@ -304,111 +300,32 @@ mod epoll_imp {
     }
 }
 
-/// Whether this build can create `SO_REUSEPORT` listener groups (same
-/// raw-syscall platforms as the epoll backend).
-pub const REUSEPORT_SUPPORTED: bool = SYSCALL_SUPPORTED;
-
-/// Creates a nonblocking IPv4 `TcpListener` bound to `addr` with
-/// `SO_REUSEPORT` (and `SO_REUSEADDR`) set before the bind, so several
-/// event loops can each own a listener on the same address and let the
-/// kernel spread incoming connections across them.
+/// Binds the service's nonblocking listener on `addr`. On the
+/// raw-syscall platforms a second `listen(2)` deepens the accept backlog
+/// to 1024; elsewhere the listener keeps std's default backlog.
+///
+/// std's `TcpListener::bind` listens with a backlog of 128, and a burst
+/// of connects beyond it waits out SYN retransmits (a second and up)
+/// until the loop accepts; the deeper queue absorbs the burst instead.
 ///
 /// # Errors
 ///
-/// `Unsupported` on platforms without the raw-syscall backends or for
-/// IPv6 addresses (callers fall back to the single-acceptor handoff);
-/// otherwise propagates the socket/bind/listen failure.
-pub fn reuseport_listener(addr: std::net::SocketAddr) -> io::Result<TcpListener> {
+/// Propagates bind, listen and `set_nonblocking` failures.
+pub fn bind_listener(addr: impl std::net::ToSocketAddrs) -> io::Result<TcpListener> {
+    let listener = TcpListener::bind(addr)?;
     #[cfg(all(
         target_os = "linux",
         any(target_arch = "x86_64", target_arch = "aarch64")
     ))]
     {
-        use std::os::unix::io::FromRawFd;
-
-        const AF_INET: usize = 2;
-        const SOCK_STREAM: usize = 1;
-        const SOCK_CLOEXEC: usize = 0x8_0000;
-        const SOL_SOCKET: usize = 1;
-        const SO_REUSEADDR: usize = 2;
-        const SO_REUSEPORT: usize = 15;
         const BACKLOG: usize = 1024;
-
-        let std::net::SocketAddr::V4(v4) = addr else {
-            return Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "SO_REUSEPORT listener groups are IPv4-only here",
-            ));
-        };
-        let fd = sys::check(unsafe {
-            sys::syscall6(
-                sys::nr::SOCKET,
-                AF_INET,
-                SOCK_STREAM | SOCK_CLOEXEC,
-                0,
-                0,
-                0,
-                0,
-            )
-        })? as RawFd;
-        // From here on the fd must reach TcpListener (which owns closing
-        // it) or be closed on the error path.
-        let result = (|| {
-            let one: i32 = 1;
-            for opt in [SO_REUSEADDR, SO_REUSEPORT] {
-                sys::check(unsafe {
-                    sys::syscall6(
-                        sys::nr::SETSOCKOPT,
-                        fd as usize,
-                        SOL_SOCKET,
-                        opt,
-                        std::ptr::addr_of!(one) as usize,
-                        std::mem::size_of::<i32>(),
-                        0,
-                    )
-                })?;
-            }
-            // struct sockaddr_in: family, big-endian port, big-endian
-            // address, 8 bytes of zero padding.
-            let mut sockaddr = [0u8; 16];
-            sockaddr[0..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
-            sockaddr[2..4].copy_from_slice(&v4.port().to_be_bytes());
-            sockaddr[4..8].copy_from_slice(&v4.ip().octets());
-            sys::check(unsafe {
-                sys::syscall6(
-                    sys::nr::BIND,
-                    fd as usize,
-                    sockaddr.as_ptr() as usize,
-                    sockaddr.len(),
-                    0,
-                    0,
-                    0,
-                )
-            })?;
-            sys::check(unsafe {
-                sys::syscall6(sys::nr::LISTEN, fd as usize, BACKLOG, 0, 0, 0, 0)
-            })?;
-            Ok(())
-        })();
-        if let Err(e) = result {
-            let _ = unsafe { sys::syscall6(sys::nr::CLOSE, fd as usize, 0, 0, 0, 0, 0) };
-            return Err(e);
-        }
-        let listener = unsafe { TcpListener::from_raw_fd(fd) };
-        listener.set_nonblocking(true)?;
-        Ok(listener)
+        let fd = raw_fd(&listener) as usize;
+        // SAFETY: listen(2) takes a descriptor the listener owns and an
+        // integer by value; the kernel reads no memory of ours.
+        sys::check(unsafe { sys::syscall6(sys::nr::LISTEN, fd, BACKLOG, 0, 0, 0, 0) })?;
     }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let _ = addr;
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "SO_REUSEPORT listener groups need the raw-syscall backends",
-        ))
-    }
+    listener.set_nonblocking(true)?;
+    Ok(listener)
 }
 
 /// The portable backend where raw syscalls are unavailable: report every
@@ -689,34 +606,6 @@ mod tests {
         events.clear();
         scan.wait(&mut events, Duration::from_millis(20)).unwrap();
         assert_eq!(events, vec![expect(8, true, true)]);
-    }
-
-    #[test]
-    fn reuseport_listeners_share_an_address() {
-        if !REUSEPORT_SUPPORTED {
-            return;
-        }
-        let first = reuseport_listener("127.0.0.1:0".parse().unwrap()).expect("first listener");
-        let addr = first.local_addr().expect("bound address");
-        assert_ne!(addr.port(), 0, "bind resolved an ephemeral port");
-        let second = reuseport_listener(addr).expect("second listener on the same port");
-        let _client = TcpStream::connect(addr).expect("connect into the group");
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        let mut accepted = false;
-        while std::time::Instant::now() < deadline && !accepted {
-            for listener in [&first, &second] {
-                match listener.accept() {
-                    Ok(_) => {
-                        accepted = true;
-                        break;
-                    }
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(e) => panic!("accept failed: {e}"),
-                }
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        assert!(accepted, "no listener in the group saw the connection");
     }
 
     #[test]

@@ -1,28 +1,28 @@
 //! The service itself: configuration, worker pool, endpoint dispatch,
 //! and lifecycle around the event loop.
 //!
-//! Threading model: [`Server::start`] binds the listeners, opens one
+//! Threading model: [`Server::start`] binds the one listener (with a
+//! 1024-deep accept backlog, see [`poller::bind_listener`]), opens one
 //! [`Poller`] per event loop, loads the snapshot catalog, and spawns one
 //! supervisor thread that owns a `std::thread::scope`. Inside the
 //! scope, `workers` scoped threads pop jobs from a [`BoundedQueue`] and
 //! compute responses (simulate, render, page), while `loops` scoped
 //! threads each run an independent readiness event loop with its own
 //! poller and connection table (the supervisor thread runs loop 0
-//! itself). With `SO_REUSEPORT` support every loop accepts from its own
-//! kernel-balanced listener on the shared address; otherwise loop 0 owns
-//! the sole listener and round-robins accepted sockets to its peers
-//! through per-loop inboxes. The run cache, single-flight map, and
-//! snapshot catalog are shared behind one `Arc`, so cached bodies are
-//! byte-identical regardless of which loop serves them. A full queue is
-//! the load-shed signal: the event loop answers `503` + `Retry-After`
-//! with `Connection: close` instead of queueing unboundedly.
+//! itself). Loop 0 owns the listener; with more than one loop it
+//! round-robins accepted sockets to its peers through per-loop inboxes.
+//! The run cache, single-flight map, and snapshot catalog are shared
+//! behind one `Arc`, so cached bodies are byte-identical regardless of
+//! which loop serves them. A full queue is the load-shed signal: the
+//! event loop answers `503` + `Retry-After` with `Connection: close`
+//! instead of queueing unboundedly.
 //!
 //! Shutdown flips the shared stop flag and rings every loop's waker:
 //! each loop stops accepting, flushes every in-flight response
 //! (`Connection: close`), and exits; the queue is closed, workers drain,
 //! the scope joins, and the final metrics report is returned.
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -79,10 +79,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Event-loop (poller thread) count; `0` = one per available core.
     pub loops: usize,
-    /// Whether a multi-loop server may use `SO_REUSEPORT` listeners.
-    /// `false` forces the portable handoff path (loop 0 accepts and
-    /// round-robins), which tests use for deterministic placement.
-    pub reuseport: bool,
     /// Bodies larger than this many bytes are spilled onto the chunked
     /// transfer path instead of being framed with `content-length`, so a
     /// slow client backpressures instead of pinning a multi-MB buffer.
@@ -103,7 +99,6 @@ impl Default for ServeConfig {
             max_connections: 12_000,
             idle_timeout: Duration::from_secs(10),
             loops: 1,
-            reuseport: true,
             spill_threshold: 256 * 1024,
         }
     }
@@ -181,15 +176,6 @@ impl ServeConfig {
         self
     }
 
-    /// Allows or forbids `SO_REUSEPORT` accept sharding (forbidding it
-    /// selects the portable handoff path even when the kernel supports
-    /// shared listeners).
-    #[must_use]
-    pub fn reuseport(mut self, allowed: bool) -> Self {
-        self.reuseport = allowed;
-        self
-    }
-
     /// Sets the body size above which responses spill onto the chunked
     /// transfer path.
     #[must_use]
@@ -223,16 +209,16 @@ pub(crate) struct Completion {
     pub(crate) keep_alive: bool,
 }
 
-/// Per-event-loop mailboxes: the lanes through which workers (and, in
-/// handoff mode, the accepting loop) reach one specific loop.
+/// Per-event-loop mailboxes: the lanes through which workers (and the
+/// accepting loop 0) reach one specific loop.
 pub(crate) struct LoopShared {
     /// Responses computed by workers, drained by this loop.
     pub(crate) completions: Mutex<Vec<Completion>>,
     /// Rings this loop out of its wait (completion ready, inbox handoff,
     /// shutdown).
     pub(crate) waker: Waker,
-    /// Accepted sockets handed off by the fallback acceptor (loop 0)
-    /// when `SO_REUSEPORT` isn't in play; the loop adopts them on wake.
+    /// Accepted sockets handed off by the acceptor (loop 0); the loop
+    /// adopts them on wake.
     pub(crate) inbox: Mutex<Vec<TcpStream>>,
 }
 
@@ -290,29 +276,9 @@ impl Server {
         };
         let metrics = config.metrics.clone();
 
-        // Listener plan: a single loop keeps the classic one-listener
-        // setup; multiple loops prefer a SO_REUSEPORT group (each loop
-        // accepts its own kernel-balanced share of the address) and fall
-        // back to loop 0 owning the sole listener and handing accepted
-        // sockets to its peers round-robin.
-        let mut listeners: Vec<Option<TcpListener>> = Vec::new();
-        let mut accept_mode = "reuseport";
-        if loops > 1 && config.reuseport && poller::REUSEPORT_SUPPORTED {
-            if let Some(group) = reuseport_group(&config.addr, loops) {
-                listeners = group.into_iter().map(Some).collect();
-            }
-        }
-        if listeners.is_empty() {
-            accept_mode = if loops > 1 { "handoff" } else { "single" };
-            let listener = TcpListener::bind(&config.addr)?;
-            listener.set_nonblocking(true)?;
-            listeners.push(Some(listener));
-            listeners.resize_with(loops, || None);
-        }
-        let addr = listeners[0]
-            .as_ref()
-            .expect("loop 0 always has a listener")
-            .local_addr()?;
+        let listener = poller::bind_listener(config.addr.as_str())?;
+        let addr = listener.local_addr()?;
+        let mut listener = Some(listener);
 
         let cache = ResponseCache::new(config.cache_entries);
         let catalog = match &config.catalog {
@@ -351,19 +317,14 @@ impl Server {
         // Each loop polices its share of the connection budget.
         let per_loop_conns = config.max_connections.max(8).div_ceil(loops);
         let idle_timeout = config.idle_timeout;
-        // Round-robin fanout is only live in handoff mode; REUSEPORT
-        // loops (and a single loop) serve everything they accept.
-        let fanout = if accept_mode == "handoff" { loops } else { 0 };
 
         let mut event_loops = Vec::with_capacity(loops);
-        for (loop_id, ((poller, waker_rx), listener)) in
-            loop_parts.into_iter().zip(listeners).enumerate()
-        {
+        for (loop_id, (poller, waker_rx)) in loop_parts.into_iter().enumerate() {
             event_loops.push(EventLoop::new(
                 loop_id,
-                fanout,
                 poller,
-                listener,
+                // Loop 0 takes the listener; its peers only adopt.
+                listener.take(),
                 waker_rx,
                 Arc::clone(&queue),
                 Arc::clone(&shared),
@@ -458,22 +419,6 @@ impl Drop for Server {
             let _ = handle.join();
         }
     }
-}
-
-/// Binds `count` `SO_REUSEPORT` listeners on `addr` — the first bind
-/// resolves a `:0` port so the rest share it. `None` when the address
-/// doesn't resolve to IPv4 or any bind fails; the caller falls back to
-/// the single-listener handoff plan.
-fn reuseport_group(addr: &str, count: usize) -> Option<Vec<TcpListener>> {
-    use std::net::ToSocketAddrs;
-    let target = addr.to_socket_addrs().ok()?.find(SocketAddr::is_ipv4)?;
-    let first = poller::reuseport_listener(target).ok()?;
-    let resolved = first.local_addr().ok()?;
-    let mut group = vec![first];
-    for _ in 1..count {
-        group.push(poller::reuseport_listener(resolved).ok()?);
-    }
-    Some(group)
 }
 
 /// Worker thread body: pop, enforce the queued-time deadline, dispatch,

@@ -1005,16 +1005,14 @@ fn get_gzip_keep_alive(path: &str) -> String {
 
 #[test]
 fn gzip_sections_decode_byte_identical_across_two_loops() {
-    // Two event loops in deterministic handoff mode: loop 0 accepts and
-    // round-robins connections, so consecutive one-shot clients land on
-    // alternating loops.
+    // Two event loops: loop 0 accepts and round-robins connections, so
+    // consecutive one-shot clients land on alternating loops.
     let metrics = MetricsRegistry::new();
     let server = Server::start(
         ServeConfig::default()
             .addr("127.0.0.1:0")
             .workers(2)
             .loops(2)
-            .reuseport(false)
             .metrics(&metrics),
     )
     .expect("two-loop server starts");
@@ -1221,7 +1219,6 @@ fn two_loop_server_balances_accepts_and_drains_gracefully() {
         .addr("127.0.0.1:0")
         .workers(2)
         .loops(2)
-        .reuseport(false)
         .metrics(&metrics);
     config.compute_delay = Duration::from_millis(200);
     let server = Server::start(config).expect("two-loop server starts");
@@ -1289,7 +1286,6 @@ fn keep_alive_fleet(loops: usize) -> dcf_obs::RunReport {
             .addr("127.0.0.1:0")
             .workers(2)
             .loops(loops)
-            .reuseport(false)
             .metrics(&metrics),
     )
     .expect("server starts");

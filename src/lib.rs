@@ -24,7 +24,7 @@
 //! | [`report`] | `dcf-report` | text tables, ASCII charts, per-figure renderers, run-report markdown |
 //!
 //! The `reproduce` binary (`dcf-bench`) regenerates every paper artifact;
-//! the `dcfgen` binary exports a synthetic ticket table as CSV.
+//! `reproduce export` writes a synthetic ticket table as CSV.
 //!
 //! ```
 //! use dcfail::core::FailureStudy;
