@@ -899,7 +899,18 @@ fn export(args: &Args, mut trace: Trace) -> Result<(), String> {
     if args.from_day.is_some() || args.to_day.is_some() {
         let from = SimTime::from_days(args.from_day.unwrap_or(0));
         let to = SimTime::from_days(args.to_day.unwrap_or(u64::MAX / dcf_trace::SECS_PER_DAY));
+        let info = trace.info();
+        let (first, last) = (
+            info.start.day_index(),
+            info.start.day_index() + info.days.max(1) - 1,
+        );
         trace = trace.restrict(from, to).map_err(|e| e.to_string())?;
+        if trace.is_empty() {
+            eprintln!(
+                "warning: --from-day/--to-day kept no tickets; days count from the \
+                 simulation origin, and this run's observation window is days {first} to {last}"
+            );
+        }
     }
     if let Some(dc) = args.dc {
         trace = trace

@@ -91,6 +91,10 @@ fn export_keeps_only_the_window_and_data_center() {
         "500",
     ]);
     assert!(out.status.success(), "export failed");
+    assert!(
+        !String::from_utf8_lossy(&out.stderr).contains("warning"),
+        "a window with tickets warns"
+    );
     let columns = dcf_trace::io::read_fots_csv(out.stdout.as_slice()).expect("the CSV reads back");
     assert!(!columns.is_empty(), "the window holds tickets");
     let window = from * dcf_trace::SECS_PER_DAY..to * dcf_trace::SECS_PER_DAY;
@@ -102,6 +106,40 @@ fn export_keeps_only_the_window_and_data_center() {
             columns.error_secs(i)
         );
     }
+}
+
+/// Days before the observation window keep no tickets: the export still
+/// succeeds with a header-only CSV, and warns on stderr that days count
+/// from the simulation origin, naming the window (medium: days 730 to
+/// 2140).
+#[test]
+fn export_of_an_empty_day_window_warns() {
+    let out = reproduce(&[
+        "export",
+        "--scenario",
+        "medium",
+        "--seed",
+        "1",
+        "--from-day",
+        "400",
+        "--to-day",
+        "500",
+    ]);
+    assert!(out.status.success(), "an empty window is not an error");
+    let columns = dcf_trace::io::read_fots_csv(out.stdout.as_slice()).expect("the CSV reads back");
+    assert!(columns.is_empty(), "days 400..500 precede the window");
+    assert_eq!(
+        out.stdout.iter().filter(|&&b| b == b'\n').count(),
+        1,
+        "header only"
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("warning: --from-day/--to-day kept no tickets")
+            && stderr.contains("simulation origin")
+            && stderr.contains("days 730 to 2140"),
+        "missing or vague warning: {stderr}"
+    );
 }
 
 /// A service limited to 64 descriptors and holding 100 connections runs

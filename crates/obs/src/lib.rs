@@ -12,14 +12,19 @@
 //! * [`Stopwatch`] and hierarchical phase spans — [`MetricsRegistry::phase`]
 //!   returns a guard that records a named wall-clock span (with nesting
 //!   depth) when dropped, mirroring the `info_span!`-per-phase pattern of
-//!   tracing-instrumented simulators.
+//!   tracing-instrumented simulators. The log is bounded: the first
+//!   [`SPAN_CAP`] spans are kept as they are, and each later one folds
+//!   into its name's [`FoldedPhase`] totals (count, total and max
+//!   duration) without allocating, so an always-on server registry holds
+//!   flat memory however many requests it serves.
 //! * Atomic [`Counter`]s and [`Gauge`]s grouped in a [`MetricsRegistry`] —
 //!   named `sim.occurrences.batch`-style metrics. Counters never touch RNG
 //!   streams, so instrumented and uninstrumented runs produce bit-identical
 //!   traces, and counter values are deterministic in the seed.
-//! * [`RunReport`] — a snapshot of all spans, counters and gauges that
-//!   serializes to JSON ([`RunReport::to_json`] / [`RunReport::from_json`])
-//!   and is rendered as a Markdown summary by `dcf-report`. The underlying
+//! * [`RunReport`] — a snapshot of all spans, folded totals, counters and
+//!   gauges that serializes to JSON ([`RunReport::to_json`] /
+//!   [`RunReport::from_json`]) and is rendered as a Markdown summary by
+//!   `dcf-report`. The underlying
 //!   dependency-free writer/parser is exported as the [`json`] module and is
 //!   also the wire format of the `dcf-serve` query service.
 //!
@@ -56,4 +61,4 @@ mod timer;
 pub use mem::peak_rss_bytes;
 pub use metrics::{Counter, Gauge, MetricsRegistry};
 pub use report::{ReportError, RunReport};
-pub use timer::{PhaseGuard, PhaseSpan, Stopwatch};
+pub use timer::{FoldedPhase, PhaseGuard, PhaseSpan, Stopwatch, SPAN_CAP};

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::report::RunReport;
-use crate::timer::{PhaseGuard, PhaseSpan};
+use crate::timer::{PhaseGuard, SpanLog};
 
 /// A handle to one named monotonic counter.
 ///
@@ -85,12 +85,21 @@ pub(crate) struct Inner {
     pub(crate) spans: Mutex<SpanLog>,
 }
 
-/// The phase log: finished + open spans in opening order, plus the current
-/// nesting depth.
-#[derive(Debug, Default)]
-pub(crate) struct SpanLog {
-    pub(crate) spans: Vec<PhaseSpan>,
-    pub(crate) depth: usize,
+/// The cell registered under `name` in `map`, registering one holding
+/// `initial` on first use. The name is looked up by `&str` first, so
+/// only a first registration allocates.
+fn registered(
+    map: &Mutex<BTreeMap<String, Arc<AtomicU64>>>,
+    name: &str,
+    initial: u64,
+) -> Arc<AtomicU64> {
+    let mut map = map.lock().expect("metric map poisoned");
+    if let Some(cell) = map.get(name) {
+        return Arc::clone(cell);
+    }
+    let cell = Arc::new(AtomicU64::new(initial));
+    map.insert(name.to_string(), Arc::clone(&cell));
+    cell
 }
 
 /// A registry of named counters, gauges and phase spans.
@@ -129,16 +138,11 @@ impl MetricsRegistry {
 
     /// Returns (registering on first use) the counter handle for `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        match &self.inner {
-            None => Counter::noop(),
-            Some(inner) => {
-                let mut counters = inner.counters.lock().expect("counter map poisoned");
-                let cell = counters
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0)))
-                    .clone();
-                Counter { cell: Some(cell) }
-            }
+        Counter {
+            cell: self
+                .inner
+                .as_ref()
+                .map(|inner| registered(&inner.counters, name, 0)),
         }
     }
 
@@ -151,16 +155,11 @@ impl MetricsRegistry {
 
     /// Returns (registering on first use) the gauge handle for `name`.
     pub fn gauge(&self, name: &str) -> Gauge {
-        match &self.inner {
-            None => Gauge::noop(),
-            Some(inner) => {
-                let mut gauges = inner.gauges.lock().expect("gauge map poisoned");
-                let cell = gauges
-                    .entry(name.to_string())
-                    .or_insert_with(|| Arc::new(AtomicU64::new(0.0f64.to_bits())))
-                    .clone();
-                Gauge { cell: Some(cell) }
-            }
+        Gauge {
+            cell: self
+                .inner
+                .as_ref()
+                .map(|inner| registered(&inner.gauges, name, 0.0f64.to_bits())),
         }
     }
 
@@ -212,20 +211,27 @@ impl MetricsRegistry {
         }
     }
 
-    /// Snapshots all spans, counters and gauges into a [`RunReport`].
+    /// Snapshots all spans, folded span totals (sorted by name), counters
+    /// and gauges into a [`RunReport`].
     ///
     /// For a disabled registry the report is empty (but valid). Call after
-    /// all phase guards have dropped; still-open spans report duration 0.
+    /// all phase guards have dropped; still-open spans report duration 0
+    /// and still-open folded spans are not yet counted.
     pub fn report(&self, label: &str) -> RunReport {
         let Some(inner) = &self.inner else {
             return RunReport {
                 label: label.to_string(),
                 phases: Vec::new(),
+                folded: Vec::new(),
                 counters: Vec::new(),
                 gauges: Vec::new(),
             };
         };
-        let phases = inner.spans.lock().expect("span log poisoned").spans.clone();
+        let (phases, mut folded) = {
+            let log = inner.spans.lock().expect("span log poisoned");
+            (log.spans.clone(), log.folded.clone())
+        };
+        folded.sort_by(|a, b| a.name.cmp(&b.name));
         let counters = inner
             .counters
             .lock()
@@ -243,6 +249,7 @@ impl MetricsRegistry {
         RunReport {
             label: label.to_string(),
             phases,
+            folded,
             counters,
             gauges,
         }

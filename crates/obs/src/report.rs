@@ -3,10 +3,11 @@
 use std::fmt;
 
 use crate::json::{self, Value};
-use crate::timer::PhaseSpan;
+use crate::timer::{FoldedPhase, PhaseSpan};
 
 /// Everything a [`crate::MetricsRegistry`] recorded over one run: the
-/// hierarchical phase log, all counters and all gauges.
+/// hierarchical phase log with the folded totals of spans past
+/// [`crate::SPAN_CAP`], all counters and all gauges.
 ///
 /// Serializes to JSON with [`RunReport::to_json`] and back with
 /// [`RunReport::from_json`]; `dcf-report::run_report_markdown` renders the
@@ -16,8 +17,12 @@ use crate::timer::PhaseSpan;
 pub struct RunReport {
     /// Free-text label for the run (scenario, seed, invocation).
     pub label: String,
-    /// Phase spans in opening (pre-)order.
+    /// Phase spans in opening (pre-)order: the first
+    /// [`crate::SPAN_CAP`] opened.
     pub phases: Vec<PhaseSpan>,
+    /// Per-name totals of the spans opened after those, sorted by name
+    /// (empty for runs that stayed under the cap).
+    pub folded: Vec<FoldedPhase>,
     /// `(name, value)` counters, sorted by name.
     pub counters: Vec<(String, u64)>,
     /// `(name, value)` gauges, sorted by name.
@@ -60,20 +65,25 @@ impl RunReport {
         self.gauges.iter().find(|(n, _)| n == name).map(|(_, v)| *v)
     }
 
-    /// Total duration of all phases named `name`, in milliseconds, or
-    /// `None` if no span carries the name.
+    /// Total duration of all phases named `name`, kept and folded, in
+    /// milliseconds, or `None` if no span carries the name.
     ///
     /// Repeated names arise from per-shard execution (one
-    /// `engine.shard.simulate` span per shard); summing reports the
-    /// phase's aggregate wall-clock.
+    /// `engine.shard.simulate` span per shard) and from a server's
+    /// per-request spans; summing reports the phase's aggregate
+    /// wall-clock.
     pub fn phase_ms(&self, name: &str) -> Option<f64> {
-        let mut total = 0.0;
+        let mut total_us = 0u64;
         let mut seen = false;
         for p in self.phases.iter().filter(|p| p.name == name) {
-            total += p.duration_ms();
+            total_us = total_us.saturating_add(p.duration_us);
             seen = true;
         }
-        seen.then_some(total)
+        if let Some(f) = self.folded.iter().find(|f| f.name == name) {
+            total_us = total_us.saturating_add(f.total_us);
+            seen = true;
+        }
+        seen.then_some(total_us as f64 / 1e3)
     }
 
     /// Serializes the report as pretty-printed JSON.
@@ -94,6 +104,21 @@ impl RunReport {
             ));
         }
         if !self.phases.is_empty() {
+            out.push_str("\n  ");
+        }
+        out.push_str("],\n  \"folded\": [");
+        for (i, f) in self.folded.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str("\n    {\"name\": ");
+            json::write_string(&mut out, &f.name);
+            out.push_str(&format!(
+                ", \"count\": {}, \"total_us\": {}, \"max_us\": {}}}",
+                f.count, f.total_us, f.max_us
+            ));
+        }
+        if !self.folded.is_empty() {
             out.push_str("\n  ");
         }
         out.push_str("],\n  \"counters\": {");
@@ -172,6 +197,32 @@ impl RunReport {
             });
         }
 
+        // Reports written before the span log was bounded have no
+        // `folded` field.
+        let mut folded = Vec::new();
+        if let Some(items) = value.get("folded") {
+            let items = items
+                .as_array()
+                .ok_or_else(|| ReportError::new("field 'folded' is not an array"))?;
+            for item in items {
+                let field = |key: &str| {
+                    item.get(key)
+                        .and_then(Value::as_u64)
+                        .ok_or_else(|| ReportError::new(format!("folded phase missing '{key}'")))
+                };
+                folded.push(FoldedPhase {
+                    name: item
+                        .get("name")
+                        .and_then(Value::as_str)
+                        .ok_or_else(|| ReportError::new("folded phase missing 'name'"))?
+                        .to_string(),
+                    count: field("count")?,
+                    total_us: field("total_us")?,
+                    max_us: field("max_us")?,
+                });
+            }
+        }
+
         let mut counters = Vec::new();
         for (name, v) in value
             .get("counters")
@@ -199,6 +250,7 @@ impl RunReport {
         Ok(Self {
             label,
             phases,
+            folded,
             counters,
             gauges,
         })

@@ -177,6 +177,7 @@ fn run_report_json_round_trips() {
                 duration_us: u64::MAX,
             },
         ],
+        folded: Vec::new(),
         counters: vec![
             ("sim.occurrences.batch".into(), 12_345),
             ("sim.tickets.total".into(), u64::MAX),

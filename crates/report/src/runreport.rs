@@ -5,8 +5,9 @@ use dcf_obs::RunReport;
 use crate::table::TextTable;
 
 /// Renders a [`RunReport`] as a markdown fragment: the hierarchical phase
-/// log (children indented under their parent, in opening order), then the
-/// counter and gauge tables.
+/// log (children indented under their parent, in opening order), the
+/// folded totals of spans past the log's cap, then the counter and gauge
+/// tables.
 ///
 /// Counter values are deterministic in the simulation seed; the timing
 /// column is wall-clock and varies run to run.
@@ -40,6 +41,20 @@ pub fn run_report_markdown(report: &RunReport) -> String {
             t.row(vec![
                 format!("{indent}{}", phase.name),
                 format!("{:.1} ms", phase.duration_ms()),
+            ]);
+        }
+        out.push_str(&t.render_markdown());
+    }
+
+    if !report.folded.is_empty() {
+        out.push_str("\n### Folded phases\n\n");
+        let mut t = TextTable::new(vec!["Phase", "Count", "Total", "Max"]);
+        for f in &report.folded {
+            t.row(vec![
+                f.name.clone(),
+                f.count.to_string(),
+                format!("{:.1} ms", f.total_us as f64 / 1e3),
+                format!("{:.1} ms", f.max_us as f64 / 1e3),
             ]);
         }
         out.push_str(&t.render_markdown());
@@ -79,10 +94,18 @@ mod tests {
         }
         registry.add("sim.tickets.total", 42);
         registry.set_gauge("trace.fots", 42.0);
-        let md = run_report_markdown(&registry.report("test-run"));
+        let mut report = registry.report("test-run");
+        report.folded.push(dcf_obs::FoldedPhase {
+            name: "serve.request".into(),
+            count: 9,
+            total_us: 4_500,
+            max_us: 2_000,
+        });
+        let md = run_report_markdown(&report);
         assert!(md.contains("## Run metrics — test-run"));
         assert!(md.contains("| engine.global |"));
         assert!(md.contains("| · engine.global.batch |"));
+        assert!(md.contains("| serve.request | 9 | 4.5 ms | 2.0 ms |"));
         assert!(md.contains("| sim.tickets.total | 42 |"));
         assert!(md.contains("| trace.fots | 42 |"));
     }
@@ -92,6 +115,7 @@ mod tests {
         let report = dcf_obs::RunReport {
             label: "empty".into(),
             phases: Vec::new(),
+            folded: Vec::new(),
             counters: Vec::new(),
             gauges: Vec::new(),
         };

@@ -11,6 +11,15 @@
 //! OS byte 255), which is what lets compressed section bodies be cached
 //! per run entry and stay byte-identical across event loops.
 //!
+//! The parse is part of that contract: a position's match is the longest
+//! among the first 64 hash-chain candidates (nearest first, ties to the
+//! nearest), and the lazy step defers only to a strictly longer
+//! match. The match finder's shortcuts never change that choice: it
+//! skips a candidate that differs from the current position at the best
+//! length so far (it cannot beat it), compares eight bytes at a time,
+//! and reuses the lazy step's lookup as the next position's. Tier-1
+//! `tests/serve_bytes.rs` pins the output bytes.
+//!
 //! The decoder ([`gunzip`]) handles exactly what the encoder emits —
 //! stored and fixed-Huffman blocks, FLG=0 headers — and verifies both
 //! the CRC32 and ISIZE trailers. It exists so tests (including the
@@ -99,10 +108,12 @@ const DIST_TABLE: [(u16, u8); 30] = [
     (24577, 13),
 ];
 
-/// The standard IEEE CRC32 table (polynomial `0xEDB88320`), built at
-/// compile time so the crate stays free of lazy-init machinery.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the IEEE CRC32 (polynomial `0xEDB88320`),
+/// built at compile time so the crate stays free of lazy-init
+/// machinery. Row 0 is the classic byte-at-a-time table; row `k` carries
+/// a byte's contribution across `k` further bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut n = 0;
     while n < 256 {
         let mut c = n as u32;
@@ -115,17 +126,42 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[n] = c;
+        tables[0][n] = c;
         n += 1;
     }
-    table
+    let mut n = 0;
+    while n < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let c = tables[k - 1][n];
+            tables[k][n] = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
+            k += 1;
+        }
+        n += 1;
+    }
+    tables
 };
 
-/// IEEE CRC32 over `bytes` — the checksum gzip trailers carry.
+/// IEEE CRC32 over `bytes` — the checksum gzip trailers carry. Eight
+/// bytes per step (slicing-by-8); the value is the bytewise CRC's.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -138,41 +174,34 @@ struct BitWriter {
 }
 
 impl BitWriter {
-    fn new() -> Self {
+    fn with_capacity(bytes: usize) -> Self {
         Self {
-            out: Vec::new(),
+            out: Vec::with_capacity(bytes),
             bit_buf: 0,
             bit_count: 0,
         }
     }
 
-    /// Writes `count` bits of `value`, LSB first.
+    /// Writes the low `count` (at most 32) bits of `value`, LSB first;
+    /// `value` has no bits above them.
     fn write_bits(&mut self, value: u32, count: u32) {
         self.bit_buf |= u64::from(value) << self.bit_count;
         self.bit_count += count;
-        while self.bit_count >= 8 {
-            self.out.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf >>= 8;
-            self.bit_count -= 8;
+        if self.bit_count >= 32 {
+            self.out
+                .extend_from_slice(&(self.bit_buf as u32).to_le_bytes());
+            self.bit_buf >>= 32;
+            self.bit_count -= 32;
         }
     }
 
-    /// Writes a Huffman code: codes are defined MSB-first, so reverse the
-    /// bits before the LSB-first write.
-    fn write_code(&mut self, code: u32, len: u32) {
-        let mut rev = 0u32;
-        for i in 0..len {
-            rev |= ((code >> i) & 1) << (len - 1 - i);
-        }
-        self.write_bits(rev, len);
-    }
-
-    /// Pads to the next byte boundary with zero bits.
+    /// Flushes every buffered bit, padding to the next byte boundary
+    /// with zero bits.
     fn align(&mut self) {
-        if self.bit_count > 0 {
-            self.out.push((self.bit_buf & 0xFF) as u8);
-            self.bit_buf = 0;
-            self.bit_count = 0;
+        while self.bit_count > 0 {
+            self.out.push(self.bit_buf as u8);
+            self.bit_buf >>= 8;
+            self.bit_count = self.bit_count.saturating_sub(8);
         }
     }
 
@@ -182,39 +211,117 @@ impl BitWriter {
     }
 }
 
-/// Fixed-Huffman code for literal/length symbol `sym` (RFC 1951 §3.2.6).
-fn fixed_litlen_code(sym: u16) -> (u32, u32) {
-    match sym {
-        0..=143 => (0b0011_0000 + u32::from(sym), 8),
-        144..=255 => (0b1_1001_0000 + u32::from(sym - 144), 9),
-        256..=279 => (u32::from(sym - 256), 7),
-        _ => (0b1100_0000 + u32::from(sym - 280), 8),
+/// `code`'s low `len` bits in reverse order. Huffman codes are defined
+/// MSB-first, so the LSB-first writer emits them reversed.
+const fn reverse_bits(code: u32, len: u32) -> u32 {
+    let mut rev = 0;
+    let mut i = 0;
+    while i < len {
+        rev |= ((code >> i) & 1) << (len - 1 - i);
+        i += 1;
     }
+    rev
 }
 
-/// Emits a length/distance pair with the fixed tables.
+/// Fixed-Huffman `(reversed code, length)` per literal/length symbol
+/// (RFC 1951 §3.2.6).
+const FIXED_LITLEN: [(u16, u8); 288] = {
+    let mut table = [(0u16, 0u8); 288];
+    let mut sym = 0;
+    while sym < 288 {
+        let (code, len) = match sym {
+            0..=143 => (0b0011_0000 + sym, 8),
+            144..=255 => (0b1_1001_0000 + sym - 144, 9),
+            256..=279 => (sym - 256, 7),
+            _ => (0b1100_0000 + sym - 280, 8),
+        };
+        table[sym] = (reverse_bits(code as u32, len) as u16, len as u8);
+        sym += 1;
+    }
+    table
+};
+
+/// Reversed 5-bit fixed code per distance code.
+const FIXED_DIST: [u8; 30] = {
+    let mut table = [0u8; 30];
+    let mut code = 0;
+    while code < 30 {
+        table[code] = reverse_bits(code as u32, 5) as u8;
+        code += 1;
+    }
+    table
+};
+
+/// Length code (index into [`LENGTH_TABLE`]) per match length: the last
+/// code whose base does not exceed the length.
+const LENGTH_CODE: [u8; MAX_MATCH + 1] = {
+    let mut table = [0u8; MAX_MATCH + 1];
+    let mut code = 0;
+    let mut len = MIN_MATCH;
+    while len <= MAX_MATCH {
+        while code + 1 < LENGTH_TABLE.len() && LENGTH_TABLE[code + 1].0 as usize <= len {
+            code += 1;
+        }
+        table[len] = code as u8;
+        len += 1;
+    }
+    table
+};
+
+/// The last distance code whose base does not exceed `dist`.
+const fn dist_code_of(dist: usize) -> u8 {
+    let mut code = 0;
+    while code + 1 < DIST_TABLE.len() && DIST_TABLE[code + 1].0 as usize <= dist {
+        code += 1;
+    }
+    code as u8
+}
+
+/// Distance codes by `dist - 1`: entries `0..256` for distances up to
+/// 256, entries `256 + ((dist - 1) >> 7)` beyond, where every code's
+/// base minus one is a multiple of 128 (zlib's `dist_code` layout).
+const DIST_CODE: [u8; 512] = {
+    let mut table = [0u8; 512];
+    let mut d = 0;
+    while d < 256 {
+        table[d] = dist_code_of(d + 1);
+        d += 1;
+    }
+    let mut hi = 2;
+    while hi < 256 {
+        table[256 + hi] = dist_code_of((hi << 7) + 1);
+        hi += 1;
+    }
+    table
+};
+
+/// Emits literal byte `byte` with the fixed table.
+fn write_literal(bw: &mut BitWriter, byte: u8) {
+    let (code, bits) = FIXED_LITLEN[usize::from(byte)];
+    bw.write_bits(u32::from(code), u32::from(bits));
+}
+
+/// Emits a length/distance pair with the fixed tables, each code with
+/// its extra bits in one write.
 fn write_match(bw: &mut BitWriter, len: usize, dist: usize) {
-    let lcode = LENGTH_TABLE
-        .iter()
-        .rposition(|&(base, _)| usize::from(base) <= len)
-        .expect("len >= 3");
-    // Code 284 tops out at 257; 258 is exactly code 285.
-    let lcode = if len == MAX_MATCH { 28 } else { lcode.min(27) };
+    let lcode = usize::from(LENGTH_CODE[len]);
     let (lbase, lextra) = LENGTH_TABLE[lcode];
-    let (code, bits) = fixed_litlen_code(257 + lcode as u16);
-    bw.write_code(code, bits);
-    if lextra > 0 {
-        bw.write_bits((len - usize::from(lbase)) as u32, u32::from(lextra));
-    }
-    let dcode = DIST_TABLE
-        .iter()
-        .rposition(|&(base, _)| usize::from(base) <= dist)
-        .expect("dist >= 1");
+    let (code, bits) = FIXED_LITLEN[257 + lcode];
+    bw.write_bits(
+        u32::from(code) | ((len - usize::from(lbase)) as u32) << bits,
+        u32::from(bits) + u32::from(lextra),
+    );
+    let d = dist - 1;
+    let dcode = usize::from(if d < 256 {
+        DIST_CODE[d]
+    } else {
+        DIST_CODE[256 + (d >> 7)]
+    });
     let (dbase, dextra) = DIST_TABLE[dcode];
-    bw.write_code(dcode as u32, 5);
-    if dextra > 0 {
-        bw.write_bits((dist - usize::from(dbase)) as u32, u32::from(dextra));
-    }
+    bw.write_bits(
+        u32::from(FIXED_DIST[dcode]) | ((dist - usize::from(dbase)) as u32) << 5,
+        5 + u32::from(dextra),
+    );
 }
 
 fn hash3(data: &[u8], i: usize) -> usize {
@@ -222,49 +329,77 @@ fn hash3(data: &[u8], i: usize) -> usize {
     (h.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `data[a..]` and `data[b..]`, capped at
+/// `limit`; `b + limit` must not pass the end. Compares eight bytes at a
+/// time: the first differing byte is the lowest set byte of the XOR.
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"));
+    let mut l = 0;
+    while l + 8 <= limit {
+        let diff = word(a + l) ^ word(b + l);
+        if diff != 0 {
+            return l + (diff.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && data[a + l] == data[b + l] {
+        l += 1;
+    }
+    l
+}
+
+/// Empty slot in the hash-chain tables.
+const NIL: u32 = u32::MAX;
+
 /// Hash-chain LZ77 state over one input buffer.
 struct Matcher<'a> {
     data: &'a [u8],
-    head: Vec<usize>,
-    prev: Vec<usize>,
+    /// Latest indexed position per 3-byte hash.
+    head: Vec<u32>,
+    /// Per position, the next older indexed position with its hash.
+    prev: Vec<u32>,
 }
 
 impl<'a> Matcher<'a> {
     fn new(data: &'a [u8]) -> Self {
+        assert!(data.len() < NIL as usize, "gzip input must be under 4 GiB");
         Self {
             data,
-            head: vec![usize::MAX; 1 << HASH_BITS],
-            prev: vec![usize::MAX; data.len()],
+            head: vec![NIL; 1 << HASH_BITS],
+            prev: vec![NIL; data.len()],
         }
     }
 
-    /// Longest `(len, dist)` match for position `i` among the chained
-    /// earlier occurrences of its 3-byte head; `(0, 0)` when none
-    /// reaches [`MIN_MATCH`]. Does not index `i` — see [`Self::insert`].
+    /// Longest `(len, dist)` match for position `i` among the first
+    /// [`MAX_CHAIN`] chained earlier occurrences of its 3-byte head,
+    /// the nearest winning ties; `(0, 0)` when none reaches
+    /// [`MIN_MATCH`]. Does not index `i` — see [`Self::insert`].
     fn find(&self, i: usize) -> (usize, usize) {
         let data = self.data;
         if i + MIN_MATCH > data.len() {
             return (0, 0);
         }
+        let limit = (data.len() - i).min(MAX_MATCH);
+        let floor = i.saturating_sub(WINDOW);
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let mut cand = self.head[hash3(data, i)];
-        let floor = i.saturating_sub(WINDOW);
         let mut chain = 0;
-        while cand != usize::MAX && cand >= floor && chain < MAX_CHAIN {
-            let limit = (data.len() - i).min(MAX_MATCH);
-            let mut l = 0;
-            while l < limit && data[cand + l] == data[i + l] {
-                l += 1;
-            }
-            if l > best_len {
-                best_len = l;
-                best_dist = i - cand;
-                if l == MAX_MATCH {
-                    break;
+        while cand != NIL && cand as usize >= floor && chain < MAX_CHAIN {
+            let c = cand as usize;
+            // A candidate that differs at `best_len` cannot beat it.
+            if data[c + best_len] == data[i + best_len] {
+                let l = match_len(data, c, i, limit);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l == limit {
+                        // Nothing further down the chain can be longer.
+                        break;
+                    }
                 }
             }
-            cand = self.prev[cand];
+            cand = self.prev[c];
             chain += 1;
         }
         if best_len >= MIN_MATCH {
@@ -279,7 +414,7 @@ impl<'a> Matcher<'a> {
         if i + MIN_MATCH <= self.data.len() {
             let h = hash3(self.data, i);
             self.prev[i] = self.head[h];
-            self.head[h] = i;
+            self.head[h] = i as u32;
         }
     }
 }
@@ -290,28 +425,30 @@ impl<'a> Matcher<'a> {
 /// and let the longer match win. On the service's JSON bodies this
 /// recovers most of the ratio a greedy parse leaves behind.
 fn deflate_fixed(data: &[u8]) -> Vec<u8> {
-    let mut bw = BitWriter::new();
+    let mut bw = BitWriter::with_capacity(data.len() / 4 + 16);
     bw.write_bits(1, 1); // BFINAL
     bw.write_bits(1, 2); // BTYPE = 01 (fixed Huffman)
     let mut m = Matcher::new(data);
     let mut i = 0;
+    // `find(i)`, when the previous step already computed it.
+    let mut lookahead = None;
     while i < data.len() {
-        let (len, dist) = m.find(i);
+        let (len, dist) = lookahead.take().unwrap_or_else(|| m.find(i));
         m.insert(i);
         if len == 0 {
-            let (code, bits) = fixed_litlen_code(u16::from(data[i]));
-            bw.write_code(code, bits);
+            write_literal(&mut bw, data[i]);
             i += 1;
             continue;
         }
         if len < MAX_MATCH && i + 1 + MIN_MATCH <= data.len() {
-            let (next_len, _) = m.find(i + 1);
-            if next_len > len {
+            let next = m.find(i + 1);
+            if next.0 > len {
                 // Defer: the literal costs ~8 bits but the longer match
-                // at i + 1 more than pays for it.
-                let (code, bits) = fixed_litlen_code(u16::from(data[i]));
-                bw.write_code(code, bits);
+                // at i + 1 more than pays for it. Nothing is indexed
+                // before the next step's lookup, so `next` is its answer.
+                write_literal(&mut bw, data[i]);
                 i += 1;
+                lookahead = Some(next);
                 continue;
             }
         }
@@ -321,15 +458,15 @@ fn deflate_fixed(data: &[u8]) -> Vec<u8> {
         }
         i += len;
     }
-    let (code, bits) = fixed_litlen_code(256); // end of block
-    bw.write_code(code, bits);
+    let (code, bits) = FIXED_LITLEN[256]; // end of block
+    bw.write_bits(u32::from(code), u32::from(bits));
     bw.finish()
 }
 
 /// `data` as a run of stored (BTYPE=00) blocks — the incompressible-input
 /// fallback, and the trivial encoding the checker must also accept.
 fn deflate_stored(data: &[u8]) -> Vec<u8> {
-    let mut bw = BitWriter::new();
+    let mut bw = BitWriter::with_capacity(data.len() + 5 * data.len().div_ceil(STORED_MAX) + 5);
     let mut chunks = data.chunks(STORED_MAX).peekable();
     loop {
         let chunk: &[u8] = chunks.next().unwrap_or(b"");

@@ -22,15 +22,17 @@
 //! (`Connection: close`), and exits; the queue is closed, workers drain,
 //! the scope joins, and the final metrics report is returned.
 
+use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use dcf_core::StudyOptions;
+use dcf_obs::json::write_string;
 use dcf_obs::{MetricsRegistry, RunReport};
 use dcf_sim::{RunOptions, Scenario};
-use dcf_trace::{ComponentClass, FailureType, FotCategory};
+use dcf_trace::{ComponentClass, FailureType, FotCategory, FotColumns};
 
 use crate::cache::{scenario_hash, CacheKey, ResponseCache, RunArtifacts, RunEntry};
 use crate::catalog::{Catalog, ReloadSummary};
@@ -817,42 +819,21 @@ fn handle_fots(shared: &Shared, request: &Request, digest: &str) -> Response {
     let start = offset.min(total);
     let end = start.saturating_add(limit).min(total);
 
-    let mut body = String::from("{");
-    dcf_obs::json::write_string(&mut body, "digest");
+    let mut body = String::with_capacity(96 + (end - start) * PAGE_ROW_BYTES);
+    body.push('{');
+    write_string(&mut body, "digest");
     body.push(':');
-    dcf_obs::json::write_string(&mut body, digest);
-    body.push_str(&format!(
+    write_string(&mut body, digest);
+    let _ = write!(
+        body,
         ",\"offset\":{start},\"limit\":{limit},\"total\":{total},\"fots\":["
-    ));
-    // The page gathers straight from the typed columns (positions equal
-    // row indices), reconstructing the names and paths the ticket rows
-    // carry.
+    );
     let cols = trace.columns();
-    for (i, row_idx) in (start..end).enumerate() {
-        if i > 0 {
+    for row in start..end {
+        if row > start {
             body.push(',');
         }
-        let class = ComponentClass::ALL[cols.classes()[row_idx] as usize];
-        let mut row = Obj::new();
-        row.uint("id", cols.ids()[row_idx])
-            .uint("server", cols.servers()[row_idx] as u64)
-            .uint("data_center", cols.data_centers()[row_idx] as u64)
-            .uint("product_line", cols.product_lines()[row_idx] as u64)
-            .str("device", class.name())
-            .str(
-                "device_path",
-                &dcf_trace::device_path_for(class, cols.device_slots()[row_idx]),
-            )
-            .str(
-                "failure_type",
-                FailureType::ALL[cols.failure_types()[row_idx] as usize].name(),
-            )
-            .uint("error_time_secs", cols.error_secs(row_idx))
-            .str(
-                "category",
-                FotCategory::ALL[cols.categories()[row_idx] as usize].name(),
-            );
-        body.push_str(&row.finish());
+        write_page_row(&mut body, cols, row);
     }
     body.push_str("]}");
     if request.accept_gzip {
@@ -866,6 +847,43 @@ fn handle_fots(shared: &Shared, request: &Request, digest: &str) -> Response {
         }
     }
     Response::ok(body)
+}
+
+/// About the length of one ticket object on a page, for sizing it.
+const PAGE_ROW_BYTES: usize = 180;
+
+/// Appends ticket row `row` as a page object, straight from the typed
+/// columns (positions equal row indices): the names and device path the
+/// ticket view carries, in its key order, with nothing allocated.
+fn write_page_row(out: &mut String, cols: &FotColumns, row: usize) {
+    let class = ComponentClass::ALL[usize::from(cols.classes()[row])];
+    let _ = write!(
+        out,
+        "{{\"id\":{},\"server\":{},\"data_center\":{},\"product_line\":{},\"device\":",
+        cols.ids()[row],
+        cols.servers()[row],
+        cols.data_centers()[row],
+        cols.product_lines()[row],
+    );
+    write_string(out, class.name());
+    // Device paths are ASCII letters, digits and `_`: nothing to escape.
+    out.push_str(",\"device_path\":\"");
+    dcf_trace::write_device_path(out, class, cols.device_slots()[row]);
+    out.push_str("\",\"failure_type\":");
+    write_string(
+        out,
+        FailureType::ALL[usize::from(cols.failure_types()[row])].name(),
+    );
+    let _ = write!(
+        out,
+        ",\"error_time_secs\":{},\"category\":",
+        cols.error_secs(row)
+    );
+    write_string(
+        out,
+        FotCategory::ALL[usize::from(cols.categories()[row])].name(),
+    );
+    out.push('}');
 }
 
 /// `GET /v1/replay/{scenario}?speed=N[&seed=..&threads=..]` — streams

@@ -143,19 +143,27 @@ impl Fot<'_> {
 /// renderer behind [`Fot::device_path`] and the columnar ticket views,
 /// which only carry dense class tags and slot numbers.
 pub fn device_path_for(class: ComponentClass, slot: u8) -> String {
-    match class {
-        ComponentClass::Hdd => format!("sd{}", (b'a' + slot % 26) as char),
-        ComponentClass::Ssd => format!("nvme{slot}"),
-        ComponentClass::Memory => format!("dimm{slot}"),
-        ComponentClass::Power => format!("psu_{slot}"),
-        ComponentClass::Fan => format!("fan_{slot}"),
-        ComponentClass::RaidCard => "raid0".to_string(),
-        ComponentClass::FlashCard => format!("flash{slot}"),
-        ComponentClass::Motherboard => "mb0".to_string(),
-        ComponentClass::HddBackboard => "backboard0".to_string(),
-        ComponentClass::Cpu => format!("cpu{slot}"),
-        ComponentClass::Miscellaneous => "host".to_string(),
-    }
+    let mut path = String::new();
+    write_device_path(&mut path, class, slot);
+    path
+}
+
+/// Appends the [`device_path_for`] path to `out` without allocating.
+pub fn write_device_path(out: &mut String, class: ComponentClass, slot: u8) {
+    use std::fmt::Write as _;
+    let _ = match class {
+        ComponentClass::Hdd => write!(out, "sd{}", (b'a' + slot % 26) as char),
+        ComponentClass::Ssd => write!(out, "nvme{slot}"),
+        ComponentClass::Memory => write!(out, "dimm{slot}"),
+        ComponentClass::Power => write!(out, "psu_{slot}"),
+        ComponentClass::Fan => write!(out, "fan_{slot}"),
+        ComponentClass::RaidCard => write!(out, "raid0"),
+        ComponentClass::FlashCard => write!(out, "flash{slot}"),
+        ComponentClass::Motherboard => write!(out, "mb0"),
+        ComponentClass::HddBackboard => write!(out, "backboard0"),
+        ComponentClass::Cpu => write!(out, "cpu{slot}"),
+        ComponentClass::Miscellaneous => write!(out, "host"),
+    };
 }
 
 #[cfg(test)]

@@ -42,7 +42,9 @@ pub use columns::{ColumnsBuilder, FotColumns, FotRows};
 pub use component::ComponentClass;
 pub use error::TraceError;
 pub use failure_type::{FailureType, Severity};
-pub use fot::{device_path_for, Fot, FotCategory, OperatorAction, OperatorResponse};
+pub use fot::{
+    device_path_for, write_device_path, Fot, FotCategory, OperatorAction, OperatorResponse,
+};
 pub use ids::{DataCenterId, FotId, OperatorId, ProductLineId, RackId, RackPosition, ServerId};
 pub use index::{FotIter, TraceIndex};
 pub use meta::{DataCenterMeta, FaultTolerance, ProductLineMeta, ServerMeta, WorkloadKind};
