@@ -1,21 +1,25 @@
 //! Regenerates every table and figure of the paper from a simulated trace.
 //!
 //! ```text
-//! reproduce [--scenario paper|medium|small] [--seed N]
-//!           [--experiment ID | --markdown | --score] [--metrics PATH]
-//!           [--threads N] [--servers N] [--shards K] [--shard-workers W]
-//!           [--spill-dir PATH] [--digest PATH]
-//! reproduce snapshot --out PATH [simulation flags]
-//! reproduce snapshot --in PATH [analysis flags]
+//! reproduce [--experiment ID|all|none | --markdown | --score] [trace flags]
+//! reproduce snapshot (--out PATH | --in PATH) [trace flags]
 //! reproduce export [--out PATH] [--from-day D] [--to-day D] [--dc IDX]
-//!                  [simulation flags]
+//!                  [trace flags]
+//! reproduce replay [--in PATH] [--speed DAYS_PER_SEC] [--quiet] [trace flags]
 //! reproduce serve [--addr HOST:PORT] [--workers N] [--loops N]
 //!                 [--cache-entries N] [--catalog DIR] [--max-conns N]
 //!                 [--idle-timeout-ms N]
-//! reproduce replay [--scenario paper|medium|small] [--seed N] [--threads N]
-//!                  [--snapshot-in PATH] [--speed DAYS_PER_SEC] [--quiet]
-//!                  [--digest PATH] [--metrics PATH]
+//!
+//! trace flags: [--scenario paper|medium|small] [--seed N] [--threads N]
+//!              [--servers N] [--shards K] [--shard-workers W]
+//!              [--spill-dir PATH] [--digest PATH] [--metrics PATH]
 //! ```
+//!
+//! Every run but `serve` takes the trace flags and gets its trace one
+//! way: `--in PATH` loads a `.dcfsnap` snapshot (`snapshot` and `replay`
+//! only; timed under `trace.snapshot_load`), and otherwise the scenario is
+//! simulated. The scenario defaults to `paper` at seed 1, except for
+//! `replay`, which defaults to `medium` at seed 0.
 //!
 //! `reproduce serve` runs the `dcf-serve` HTTP query service instead of a
 //! one-shot reproduction: simulate + study results are computed on demand
@@ -36,40 +40,38 @@
 //! feed on stdout (NDJSON, one FOT per line) with three *online* detectors
 //! attached — a sliding-window σ-outlier rate detector per (class, DC), a
 //! causal batch-burst detector, and an incremental prior-failure predictor
-//! — each emitting detection events inline and a final summary line scoring
-//! them against the offline study (precision/recall/F1; EXPERIMENTS.md).
-//! `--speed N` paces playback at N simulated days per wall second (`0`,
-//! the default, streams with no sleeps); the event sequence and its digest
-//! are byte-identical at every speed. `--quiet` suppresses the event lines
+//! — each emitting detection events inline, and a final summary line
+//! scoring the σ and burst detectors against the offline study and
+//! reporting the predictor's evaluation (EXPERIMENTS.md). `--speed N`
+//! paces playback at N simulated days per wall second (`0`, the default,
+//! streams with no sleeps); the event sequence and its digest are
+//! byte-identical at every speed. `--quiet` suppresses the event lines
 //! (summary only), `--digest PATH` writes the 16-hex event-stream digest,
 //! and `--metrics PATH` writes the run's `RunReport` (with the
 //! `replay.build` / `replay.stream` spans). The same feed is served over
 //! chunked HTTP by `reproduce serve` at `GET /v1/replay/{scenario}?speed=N`.
 //!
 //! `reproduce snapshot --out PATH` simulates once and persists the trace as
-//! a versioned binary snapshot (`dcf-trace::io::snapshot`); it prints no
-//! report, so it rejects `--experiment`, `--markdown` and `--score`.
-//! `--in PATH` loads such a snapshot instead of simulating and runs the
-//! regular analysis flags against it. The write and load are timed under
-//! the `trace.snapshot_write` / `trace.snapshot_load` phases.
+//! a versioned binary snapshot (`dcf-trace::io::snapshot`), timed under
+//! `trace.snapshot_write`. `--in PATH` loads such a snapshot instead of
+//! simulating and runs the regular report flags against it.
 //!
-//! `reproduce export` simulates once and writes the ticket table as CSV
-//! (reloadable with `dcf_trace::io::read_fots_csv`, losslessly) to `--out
-//! PATH`, or to stdout without it. `--from-day D` / `--to-day D` keep the
-//! tickets whose error time falls in `[D_from, D_to)` and `--dc IDX` those
-//! of one data center. It takes every simulation flag, including
-//! `--digest` (of the exported rows), and like `snapshot --out` it rejects
-//! `--experiment`, `--markdown` and `--score`.
+//! `reproduce export` writes the ticket table as CSV (reloadable with
+//! `dcf_trace::io::read_fots_csv`, losslessly) to `--out PATH`, or to
+//! stdout without it. `--from-day D` / `--to-day D` keep the tickets whose
+//! error time falls in `[D_from, D_to)` and `--dc IDX` those of one data
+//! center; `--digest` is the digest of the exported rows.
 //!
-//! `ID` is one of: `table1 table2 table3 table4 table5 table6 table7 table8
-//! fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 prediction backlog all`
-//! (default `all`), or `none` to skip the study entirely — engine-only
+//! `--experiment ID` renders one paper artifact; `reproduce --help` lists
+//! the IDs (`dcf_report::experiments::EXPERIMENTS`). `all`, the default,
+//! renders every one, and `none` skips the study entirely — engine-only
 //! digest runs.
 //! `--markdown` prints the headline paper-vs-measured table and `--score`
 //! a verdict per headline metric plus the share that agrees. Both format
 //! the one `StudyReport` the run analyzes, under its `--threads` and
 //! `--metrics`. `--experiment`, `--markdown` and `--score` each pick the
-//! run's one output, so at most one of them may be given.
+//! run's one output, so at most one of them may be given, and `snapshot
+//! --out`, `export` and `replay`, which print no report, take none of them.
 //! `--metrics PATH` enables the `dcf-obs` instrumentation layer: the run's
 //! phase timings and event counters are written to `PATH` as a JSON
 //! `RunReport` and summarized on stderr. Counter values are deterministic
@@ -96,17 +98,18 @@
 //! spill it wrote when it ends.
 //! `--digest PATH` writes the 16-hex-digit FNV-1a digest of the trace's
 //! ticket CSV — the byte-identity fingerprint CI diffs across engine
-//! thread counts and shard counts.
+//! thread counts and shard counts (for `replay`, of its event lines).
 
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 use dcf_core::{paper, FailureStudy, StudyOptions, StudyReport};
 use dcf_obs::MetricsRegistry;
 use dcf_report::{experiments, pct, TextTable};
-use dcf_sim::{RunOptions, Scenario};
+use dcf_sim::{RunOptions, Scenario, SimConfig};
 use dcf_trace::{io, DataCenterId, SimTime, Trace};
 
-/// Which run `reproduce` makes with the shared flags.
+/// Which run `reproduce` makes with the trace flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// The default: one report (an experiment, `--markdown` or `--score`).
@@ -115,6 +118,9 @@ enum Mode {
     Snapshot,
     /// `reproduce export`: the ticket table as CSV.
     Export,
+    /// `reproduce replay`: the trace as a virtual-time feed with online
+    /// detectors.
+    Replay,
 }
 
 struct Args {
@@ -134,17 +140,23 @@ struct Args {
     digest: Option<String>,
     /// `snapshot --out` file, or the `export` CSV (stdout when absent).
     out: Option<String>,
+    /// The `--in` snapshot that replaces the simulation.
     snapshot_in: Option<String>,
     from_day: Option<u64>,
     to_day: Option<u64>,
     dc: Option<u16>,
+    /// `replay --speed`: simulated days per wall second (`0` = no pacing).
+    speed: f64,
+    /// `replay --quiet`: print the summary line only.
+    quiet: bool,
 }
 
-fn parse_args(mode: Mode) -> Result<Args, String> {
+fn parse_args(mode: Mode, mut it: impl Iterator<Item = String>) -> Result<Args, String> {
+    let replay = mode == Mode::Replay;
     let mut args = Args {
         mode,
-        scenario: "paper".into(),
-        seed: 1,
+        scenario: if replay { "medium" } else { "paper" }.into(),
+        seed: u64::from(!replay),
         experiment: None,
         markdown: false,
         score: false,
@@ -160,93 +172,50 @@ fn parse_args(mode: Mode) -> Result<Args, String> {
         from_day: None,
         to_day: None,
         dc: None,
+        speed: 0.0,
+        quiet: false,
     };
-    let mut it = std::env::args().skip(if mode == Mode::Report { 1 } else { 2 });
     while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--scenario" => {
-                args.scenario = it.next().ok_or("--scenario needs a value")?;
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad seed: {e}"))?;
-            }
-            "--experiment" => {
-                args.experiment = Some(it.next().ok_or("--experiment needs a value")?);
-            }
+        let flag = flag.as_str();
+        match flag {
+            "--scenario" => args.scenario = parse_value(it.next(), flag)?,
+            "--seed" => args.seed = parse_value(it.next(), flag)?,
+            "--experiment" => args.experiment = Some(parse_value(it.next(), flag)?),
             "--markdown" => args.markdown = true,
             "--score" => args.score = true,
-            "--metrics" => {
-                args.metrics = Some(it.next().ok_or("--metrics needs a value")?);
+            "--metrics" => args.metrics = Some(parse_value(it.next(), flag)?),
+            "--threads" => args.threads = parse_value(it.next(), flag)?,
+            "--servers" => args.servers = Some(parse_value(it.next(), flag)?),
+            "--shards" => args.shards = parse_value(it.next(), flag)?,
+            "--shard-workers" => args.shard_workers = parse_value(it.next(), flag)?,
+            "--spill-dir" => args.spill_dir = Some(parse_value(it.next(), flag)?),
+            "--digest" => args.digest = Some(parse_value(it.next(), flag)?),
+            "--out" if matches!(mode, Mode::Snapshot | Mode::Export) => {
+                args.out = Some(parse_value(it.next(), flag)?);
             }
-            "--threads" => {
-                args.threads = it
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad thread count: {e}"))?;
-            }
-            "--servers" => {
-                let n: usize = it
-                    .next()
-                    .ok_or("--servers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad server count: {e}"))?;
-                if n == 0 {
-                    return Err("--servers must be at least 1".into());
-                }
-                args.servers = Some(n);
-            }
-            "--shards" => {
-                let k: u32 = it
-                    .next()
-                    .ok_or("--shards needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad shard count: {e}"))?;
-                if k == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-                args.shards = k;
-            }
-            "--shard-workers" => {
-                args.shard_workers = it
-                    .next()
-                    .ok_or("--shard-workers needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad shard worker count: {e}"))?;
-            }
-            "--spill-dir" => {
-                args.spill_dir = Some(it.next().ok_or("--spill-dir needs a value")?);
-            }
-            "--digest" => {
-                args.digest = Some(it.next().ok_or("--digest needs a value")?);
-            }
-            "--out" if mode != Mode::Report => {
-                args.out = Some(it.next().ok_or("--out needs a value")?);
-            }
-            "--in" if mode == Mode::Snapshot => {
-                args.snapshot_in = Some(it.next().ok_or("--in needs a value")?);
+            "--in" if matches!(mode, Mode::Snapshot | Mode::Replay) => {
+                args.snapshot_in = Some(parse_value(it.next(), flag)?);
             }
             "--from-day" if mode == Mode::Export => {
-                args.from_day = Some(parse_value(it.next(), "--from-day")?);
+                args.from_day = Some(parse_value(it.next(), flag)?);
             }
-            "--to-day" if mode == Mode::Export => {
-                args.to_day = Some(parse_value(it.next(), "--to-day")?);
-            }
-            "--dc" if mode == Mode::Export => {
-                args.dc = Some(parse_value(it.next(), "--dc")?);
-            }
-            "--help" | "-h" => {
-                return Err(match mode {
-                    Mode::Snapshot => "usage: reproduce snapshot (--out PATH | --in PATH) [reproduce flags]".into(),
-                    Mode::Export => "usage: reproduce export [--out PATH] [--from-day D] [--to-day D] [--dc IDX] [simulation flags]".into(),
-                    Mode::Report => "usage: reproduce [--scenario paper|medium|small] [--seed N] [--experiment ID|none | --markdown | --score] [--metrics PATH] [--threads N] [--servers N] [--shards K] [--shard-workers W] [--spill-dir PATH] [--digest PATH]".into(),
-                });
-            }
+            "--to-day" if mode == Mode::Export => args.to_day = Some(parse_value(it.next(), flag)?),
+            "--dc" if mode == Mode::Export => args.dc = Some(parse_value(it.next(), flag)?),
+            "--speed" if replay => args.speed = parse_value(it.next(), flag)?,
+            "--quiet" if replay => args.quiet = true,
+            "--help" | "-h" => return Err(usage(mode)),
             other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    if args.servers == Some(0) || args.shards == 0 {
+        return Err("--servers and --shards must be at least 1".into());
+    }
+    if !(args.speed.is_finite() && args.speed >= 0.0) {
+        return Err("--speed must be a finite, non-negative number".into());
+    }
+    if let Some(id) = args.experiment.as_deref() {
+        if !matches!(id, "all" | "none") && experiments::by_id(id).is_none() {
+            return Err(format!("unknown experiment {id}\n{}", usage(mode)));
         }
     }
     if mode == Mode::Snapshot && args.out.is_none() && args.snapshot_in.is_none() {
@@ -262,17 +231,45 @@ fn parse_args(mode: Mode) -> Result<Args, String> {
     if outputs > 1 {
         return Err("--experiment, --markdown and --score are mutually exclusive".into());
     }
-    if outputs > 0 && (mode == Mode::Export || args.out.is_some()) {
-        let run = if mode == Mode::Export {
-            "export"
-        } else {
-            "snapshot --out"
-        };
+    let reportless = match mode {
+        Mode::Export => Some("export"),
+        Mode::Replay => Some("replay"),
+        _ => args.out.as_ref().map(|_| "snapshot --out"),
+    };
+    if let Some(run) = reportless.filter(|_| outputs > 0) {
         return Err(format!(
             "reproduce {run} prints no report; drop --experiment, --markdown and --score"
         ));
     }
+    if args.snapshot_in.is_some() {
+        args.scenario = "snapshot".into();
+    }
     Ok(args)
+}
+
+/// The usage line of `mode`, listing the experiment IDs and scenarios.
+fn usage(mode: Mode) -> String {
+    let own = match mode {
+        Mode::Report => {
+            let ids: Vec<&str> = experiments::EXPERIMENTS
+                .iter()
+                .flat_map(|e| e.ids.iter().copied())
+                .collect();
+            format!(
+                "[--experiment {}|all|none | --markdown | --score]",
+                ids.join("|")
+            )
+        }
+        Mode::Snapshot => "snapshot (--out PATH | --in PATH)".into(),
+        Mode::Export => "export [--out PATH] [--from-day D] [--to-day D] [--dc IDX]".into(),
+        Mode::Replay => "replay [--in PATH] [--speed DAYS_PER_SEC] [--quiet]".into(),
+    };
+    let scenarios: Vec<&str> = Scenario::names().collect();
+    format!(
+        "usage: reproduce {own} [--scenario {}] [--seed N] [--threads N] [--servers N] \
+         [--shards K] [--shard-workers W] [--spill-dir PATH] [--digest PATH] [--metrics PATH]",
+        scenarios.join("|")
+    )
 }
 
 /// Parses the value of `flag` (`None` when the command line ended).
@@ -313,9 +310,9 @@ fn write_digest(args: &Args, trace: &Trace) -> Result<(), String> {
     write_digest_value(path, io::fots_digest(trace.fots()))
 }
 
-/// Writes an already-computed ticket-CSV digest to `path` — the
-/// digest-only path streams the merge into the digest without ever holding
-/// a trace.
+/// Writes an already-computed digest to `path` — the digest-only path
+/// streams the merge into the digest without ever holding a trace, and
+/// the replay digests its event lines.
 fn write_digest_value(path: &str, digest: u64) -> Result<(), String> {
     let line = format!("{digest:016x}\n");
     std::fs::write(path, &line).map_err(|e| format!("cannot write {path}: {e}"))?;
@@ -337,69 +334,65 @@ fn run_options(args: &Args, registry: &MetricsRegistry) -> RunOptions {
     options
 }
 
+/// The config `--scenario`, `--servers` and `--seed` name.
+fn sim_config(args: &Args) -> Result<SimConfig, String> {
+    let mut scenario = Scenario::by_name(&args.scenario).ok_or_else(|| {
+        let names: Vec<&str> = Scenario::names().collect();
+        format!(
+            "unknown scenario {} (expected {})",
+            args.scenario,
+            names.join("|")
+        )
+    })?;
+    if let Some(n) = args.servers {
+        scenario.config.fleet.servers = n;
+    }
+    eprintln!(
+        "running scenario '{}' (seed {}) — {} servers, {}-day window…",
+        scenario.name, args.seed, scenario.config.fleet.servers, scenario.config.fleet.window_days
+    );
+    Ok(scenario.seed(args.seed).config)
+}
+
+/// The run's one trace source: the `--in` snapshot, or the scenario
+/// simulated under the trace flags.
+fn load_trace(args: &Args, registry: &MetricsRegistry) -> Result<Trace, String> {
+    let t0 = Instant::now();
+    let trace = if let Some(path) = &args.snapshot_in {
+        let _span = registry.phase("trace.snapshot_load");
+        io::snapshot::read_snapshot(path)
+            .map_err(|e| format!("cannot load snapshot {path}: {e}"))?
+    } else {
+        dcf_sim::simulate(&sim_config(args)?, &run_options(args, registry))
+            .map_err(|e| format!("simulation failed: {e}"))?
+    };
+    eprintln!("{} FOTs ready in {:?}", trace.len(), t0.elapsed());
+    registry.set_gauge("trace.fots", trace.len() as f64);
+    Ok(trace)
+}
+
 /// Parses and runs the `serve` subcommand: a long-lived `dcf-serve`
 /// instance that drains gracefully on SIGINT.
-fn serve_main(mut it: impl Iterator<Item = String>) -> ExitCode {
-    let mut addr = "127.0.0.1:8620".to_string();
-    let mut workers = 4usize;
-    let mut cache_entries = 8usize;
-    let mut catalog: Option<String> = None;
-    let mut max_conns: Option<usize> = None;
-    let mut idle_timeout_ms: Option<u64> = None;
-    let mut loops = 1usize;
+fn serve(mut it: impl Iterator<Item = String>) -> Result<(), String> {
+    let metrics = MetricsRegistry::new();
+    let mut config = dcf_serve::ServeConfig::default().metrics(&metrics);
     while let Some(flag) = it.next() {
-        let parsed = match flag.as_str() {
-            "--addr" => it.next().map(|v| {
-                addr = v;
-                Ok(())
-            }),
-            "--catalog" => it.next().map(|v| {
-                catalog = Some(v);
-                Ok(())
-            }),
-            "--workers" => it
-                .next()
-                .map(|v| v.parse().map(|n| workers = n).map_err(|_| flag.clone())),
-            "--cache-entries" => it.next().map(|v| {
-                v.parse()
-                    .map(|n| cache_entries = n)
-                    .map_err(|_| flag.clone())
-            }),
-            "--max-conns" => it.next().map(|v| {
-                v.parse()
-                    .map(|n| max_conns = Some(n))
-                    .map_err(|_| flag.clone())
-            }),
-            "--idle-timeout-ms" => it.next().map(|v| {
-                v.parse()
-                    .map(|n| idle_timeout_ms = Some(n))
-                    .map_err(|_| flag.clone())
-            }),
-            "--loops" => it
-                .next()
-                .map(|v| v.parse().map(|n| loops = n).map_err(|_| flag.clone())),
+        let flag = flag.as_str();
+        config = match flag {
+            "--addr" => config.addr(&parse_value::<String>(it.next(), flag)?),
+            "--workers" => config.workers(parse_value(it.next(), flag)?),
+            "--loops" => config.loops(parse_value(it.next(), flag)?),
+            "--cache-entries" => config.cache_entries(parse_value(it.next(), flag)?),
+            "--catalog" => config.catalog(&parse_value::<String>(it.next(), flag)?),
+            "--max-conns" => config.max_connections(parse_value(it.next(), flag)?),
+            "--idle-timeout-ms" => {
+                config.idle_timeout(Duration::from_millis(parse_value(it.next(), flag)?))
+            }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: reproduce serve [--addr HOST:PORT] [--workers N] [--loops N (0 = one per core)] [--cache-entries N] [--catalog DIR] [--max-conns N] [--idle-timeout-ms N]"
-                );
-                return ExitCode::FAILURE;
+                return Err("usage: reproduce serve [--addr HOST:PORT] [--workers N] [--loops N (0 = one per core)] [--cache-entries N] [--catalog DIR] [--max-conns N] [--idle-timeout-ms N]".into());
             }
-            other => {
-                eprintln!("unknown serve flag {other}");
-                return ExitCode::FAILURE;
-            }
+            other => return Err(format!("unknown serve flag {other}")),
         };
-        match parsed {
-            None => {
-                eprintln!("{flag} needs a value");
-                return ExitCode::FAILURE;
-            }
-            Some(Err(which)) => {
-                eprintln!("{which} needs an unsigned integer value");
-                return ExitCode::FAILURE;
-            }
-            Some(Ok(())) => {}
-        }
     }
     // Block SIGINT/SIGHUP *before* the server spawns its threads so every
     // thread inherits the mask and the signals can only be consumed by
@@ -408,42 +401,21 @@ fn serve_main(mut it: impl Iterator<Item = String>) -> ExitCode {
     if !signals_ready {
         eprintln!("note: signal handling is unsupported on this platform; stop the service by killing the process");
     }
-
-    let metrics = MetricsRegistry::new();
-    let mut config = dcf_serve::ServeConfig::default()
-        .addr(&addr)
-        .workers(workers)
-        .cache_entries(cache_entries)
-        .metrics(&metrics);
-    if let Some(dir) = &catalog {
-        config = config.catalog(dir);
+    if let Some(dir) = &config.catalog {
         eprintln!("serving snapshot catalog {dir}");
     }
-    if let Some(n) = max_conns {
-        config = config.max_connections(n);
-    }
-    if let Some(ms) = idle_timeout_ms {
-        config = config.idle_timeout(std::time::Duration::from_millis(ms));
-    }
-    config = config.loops(loops);
-    let effective_loops = match loops {
+    let loops = match config.loops {
         0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
         n => n,
     };
-    let server = match dcf_serve::Server::start(config) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start service on {addr}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (workers, cache_entries) = (config.workers, config.cache_entries);
+    let addr = config.addr.clone();
+    let server = dcf_serve::Server::start(config)
+        .map_err(|e| format!("cannot start service on {addr}: {e}"))?;
     eprintln!(
-        "dcf-serve listening on http://{} ({} event loop{}, {} workers, {}-entry cache, {} readiness backend)",
+        "dcf-serve listening on http://{} ({loops} event loop{}, {workers} workers, {cache_entries}-entry cache, {} readiness backend)",
         server.local_addr(),
-        effective_loops,
-        if effective_loops == 1 { "" } else { "s" },
-        workers.max(1),
-        cache_entries.max(1),
+        if loops == 1 { "" } else { "s" },
         server.poller_backend(),
     );
     if signals_ready {
@@ -465,7 +437,7 @@ fn serve_main(mut it: impl Iterator<Item = String>) -> ExitCode {
     } else {
         // No signal support: serve until the process is killed.
         loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
+            std::thread::sleep(Duration::from_secs(3600));
         }
     }
     let report = server.shutdown();
@@ -476,369 +448,113 @@ fn serve_main(mut it: impl Iterator<Item = String>) -> ExitCode {
         report.counter("serve.cache.hits").unwrap_or(0),
         report.counter("serve.rejected").unwrap_or(0),
     );
-    ExitCode::SUCCESS
-}
-
-/// Parses and runs the `replay` subcommand: replays a trace (simulated,
-/// or loaded from a `.dcfsnap` snapshot) as a virtual-time ticket feed
-/// on stdout, with the three online detectors attached and a final
-/// detection-summary line scored against the offline study.
-fn replay_main(mut it: impl Iterator<Item = String>) -> ExitCode {
-    let mut scenario = "medium".to_string();
-    let mut seed = 0u64;
-    let mut threads = 0usize;
-    let mut speed = 0.0f64;
-    let mut snapshot_in: Option<String> = None;
-    let mut digest_path: Option<String> = None;
-    let mut metrics_path: Option<String> = None;
-    let mut quiet = false;
-    while let Some(flag) = it.next() {
-        let parsed = match flag.as_str() {
-            "--scenario" => it.next().map(|v| {
-                scenario = v;
-                Ok(())
-            }),
-            "--snapshot-in" => it.next().map(|v| {
-                snapshot_in = Some(v);
-                Ok(())
-            }),
-            "--digest" => it.next().map(|v| {
-                digest_path = Some(v);
-                Ok(())
-            }),
-            "--metrics" => it.next().map(|v| {
-                metrics_path = Some(v);
-                Ok(())
-            }),
-            "--seed" => it
-                .next()
-                .map(|v| v.parse().map(|n| seed = n).map_err(|_| flag.clone())),
-            "--threads" => it
-                .next()
-                .map(|v| v.parse().map(|n| threads = n).map_err(|_| flag.clone())),
-            "--speed" => it.next().map(|v| match v.parse::<f64>() {
-                Ok(s) if s.is_finite() && s >= 0.0 => {
-                    speed = s;
-                    Ok(())
-                }
-                _ => Err(flag.clone()),
-            }),
-            "--quiet" => {
-                quiet = true;
-                Some(Ok(()))
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: reproduce replay [--scenario paper|medium|small] [--seed N] [--threads N] [--snapshot-in PATH] [--speed DAYS_PER_SEC] [--quiet] [--digest PATH] [--metrics PATH]"
-                );
-                return ExitCode::FAILURE;
-            }
-            other => {
-                eprintln!("unknown replay flag {other}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match parsed {
-            None => {
-                eprintln!("{flag} needs a value");
-                return ExitCode::FAILURE;
-            }
-            Some(Err(which)) => {
-                eprintln!("{which} needs a valid value");
-                return ExitCode::FAILURE;
-            }
-            Some(Ok(())) => {}
-        }
-    }
-
-    let registry = if metrics_path.is_some() {
-        MetricsRegistry::new()
-    } else {
-        MetricsRegistry::disabled()
-    };
-    let trace = if let Some(path) = &snapshot_in {
-        scenario = "snapshot".into();
-        let span = registry.phase("trace.snapshot_load");
-        let trace = match io::snapshot::read_snapshot(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot load snapshot {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        drop(span);
-        eprintln!("loaded {} FOTs from snapshot {path}", trace.len());
-        trace
-    } else {
-        let sc = match scenario.as_str() {
-            "paper" => Scenario::paper(),
-            "medium" => Scenario::medium(),
-            "small" => Scenario::small(),
-            other => {
-                eprintln!("unknown scenario {other} (expected paper|medium|small)");
-                return ExitCode::FAILURE;
-            }
-        };
-        match sc
-            .seed(seed)
-            .simulate(&RunOptions::new().metrics(&registry).threads(threads))
-        {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-
-    let build_t0 = std::time::Instant::now();
-    let outcome = {
-        let _span = registry.phase("replay.build");
-        dcf_core::replay::replay(&trace, &dcf_core::replay::ReplayConfig::default())
-    };
-    eprintln!(
-        "replay feed built in {:?}: {} tickets, {} detection events; streaming at speed {speed} (simulated days per wall second; 0 = no pacing)…",
-        build_t0.elapsed(),
-        outcome.summary.tickets,
-        outcome.summary.detections,
-    );
-
-    use std::io::Write as _;
-    let stream_t0 = std::time::Instant::now();
-    {
-        let _span = registry.phase("replay.stream");
-        let stdout = std::io::stdout();
-        let mut out = std::io::BufWriter::new(stdout.lock());
-        let streamed = outcome.for_each_line(&trace, |event, line| {
-            if speed > 0.0 {
-                let due = std::time::Duration::from_secs_f64(
-                    event.offset_secs as f64 / (speed * dcf_trace::SECS_PER_DAY as f64),
-                );
-                let elapsed = stream_t0.elapsed();
-                if due > elapsed {
-                    let _ = out.flush();
-                    std::thread::sleep(due - elapsed);
-                }
-            }
-            if quiet {
-                Ok(())
-            } else {
-                writeln!(out, "{line}")
-            }
-        });
-        if streamed.is_err() {
-            eprintln!("stdout closed mid-stream");
-            return ExitCode::FAILURE;
-        }
-        if writeln!(out, "{}", outcome.summary_line).is_err() || out.flush().is_err() {
-            eprintln!("stdout closed mid-stream");
-            return ExitCode::FAILURE;
-        }
-    }
-    let stream_elapsed = stream_t0.elapsed();
-
-    let s = &outcome.summary;
-    if let Some(path) = &digest_path {
-        if let Err(msg) = write_digest_value(path, s.event_digest) {
-            eprintln!("{msg}");
-            return ExitCode::FAILURE;
-        }
-    }
-    eprintln!(
-        "\nreplayed {} tickets + {} detections in {:?} (event digest {:016x})",
-        s.tickets, s.detections, stream_elapsed, s.event_digest
-    );
-    eprintln!(
-        "  sigma-outlier : {} flagged / {} offline, P {:.4} R {:.4} F1 {:.4}",
-        s.sigma.detections,
-        s.sigma.truth,
-        s.sigma.precision,
-        s.sigma.recall,
-        s.sigma.f1()
-    );
-    eprintln!(
-        "  batch-burst   : {} flagged / {} offline, P {:.4} R {:.4} F1 {:.4}",
-        s.burst.detections,
-        s.burst.truth,
-        s.burst.precision,
-        s.burst.recall,
-        s.burst.f1()
-    );
-    eprintln!(
-        "  predictor     : {} flagged / {} offline, P {:.4} R {:.4} F1 {:.4} (offline eval: P {:.4} R {:.4} F1 {:.4})",
-        s.predictor.detections,
-        s.predictor.truth,
-        s.predictor.precision,
-        s.predictor.recall,
-        s.predictor.f1(),
-        s.predictor_eval.precision,
-        s.predictor_eval.recall,
-        s.predictor_eval.f1()
-    );
-
-    if let Some(path) = &metrics_path {
-        let report = registry.report(&format!(
-            "reproduce replay --scenario {scenario} --seed {seed}"
-        ));
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("metrics written to {path}");
-    }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn main() -> ExitCode {
-    let mode = {
-        let mut raw = std::env::args().skip(1);
-        match raw.next().as_deref() {
-            Some("serve") => return serve_main(raw),
-            Some("replay") => return replay_main(raw),
-            Some("snapshot") => Mode::Snapshot,
-            Some("export") => Mode::Export,
-            _ => Mode::Report,
-        }
+    let mut raw = std::env::args().skip(1).peekable();
+    let mode = match raw.peek().map(String::as_str) {
+        Some("serve") => None,
+        Some("snapshot") => Some(Mode::Snapshot),
+        Some("export") => Some(Mode::Export),
+        Some("replay") => Some(Mode::Replay),
+        _ => Some(Mode::Report),
     };
-    let mut args = match parse_args(mode) {
-        Ok(a) => a,
+    if mode != Some(Mode::Report) {
+        raw.next();
+    }
+    let result = match mode {
+        None => serve(raw),
+        Some(mode) => parse_args(mode, raw).and_then(|args| run(&args)),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("{msg}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    if args.snapshot_in.is_some() {
-        args.scenario = "snapshot".into();
     }
+}
 
+/// Runs one parsed command line, then writes its metrics.
+fn run(args: &Args) -> Result<(), String> {
     let registry = if args.metrics.is_some() {
         MetricsRegistry::new()
     } else {
         MetricsRegistry::disabled()
     };
-
-    let trace = if let Some(path) = &args.snapshot_in {
-        let t0 = std::time::Instant::now();
-        let span = registry.phase("trace.snapshot_load");
-        let trace = match io::snapshot::read_snapshot(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("cannot load snapshot {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        drop(span);
-        eprintln!(
-            "loaded {} FOTs from snapshot {path} in {:?}; running analyses…\n",
-            trace.len(),
-            t0.elapsed()
-        );
-        trace
+    if args.experiment.as_deref() == Some("none") && args.snapshot_in.is_none() {
+        stream_digest(args, &registry)?;
     } else {
-        let mut scenario = match args.scenario.as_str() {
-            "paper" => Scenario::paper(),
-            "medium" => Scenario::medium(),
-            "small" => Scenario::small(),
-            other => {
-                eprintln!("unknown scenario {other} (expected paper|medium|small)");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Some(n) = args.servers {
-            scenario.config.fleet.servers = n;
-        }
-        eprintln!(
-            "running scenario '{}' (seed {}) — {} servers, {}-day window…",
-            scenario.name,
-            args.seed,
-            scenario.config.fleet.servers,
-            scenario.config.fleet.window_days
-        );
-        let config = scenario.seed(args.seed).config;
-        let t0 = std::time::Instant::now();
-        let options = run_options(&args, &registry);
-        // `--experiment none` needs nothing but the digest, so the merged
-        // tickets stream into it without materializing a trace.
-        if args.experiment.as_deref() == Some("none") {
-            let run = match dcf_sim::simulate_sharded(&config, &options) {
-                Ok(run) => run,
-                Err(e) => {
-                    eprintln!("simulation failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            eprintln!(
-                "streamed {} tickets from {} shard(s) in {:?} ({} spill bytes, digest {:016x})",
-                run.tickets,
-                run.shards,
-                t0.elapsed(),
-                run.bytes_spilled,
-                run.digest,
-            );
-            if let Some(path) = &args.digest {
-                if let Err(msg) = write_digest_value(path, run.digest) {
-                    eprintln!("{msg}");
-                    return ExitCode::FAILURE;
+        let trace = load_trace(args, &registry)?;
+        match args.mode {
+            Mode::Export => export(args, trace)?,
+            Mode::Replay => replay(args, &trace, &registry)?,
+            Mode::Report | Mode::Snapshot => {
+                write_digest(args, &trace)?;
+                match &args.out {
+                    Some(path) => write_snapshot(path, &trace, &registry)?,
+                    None => report(args, &trace, &registry),
                 }
             }
-            registry.set_gauge("trace.fots", run.tickets as f64);
-            return finish(&args, &registry);
         }
-        let trace = match dcf_sim::simulate(&config, &options) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("simulation failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let next = if args.mode == Mode::Export {
-            "exporting"
-        } else {
-            "running analyses…\n"
-        };
-        eprintln!(
-            "generated {} FOTs in {:?}; {next}",
-            trace.len(),
-            t0.elapsed()
-        );
-        trace
-    };
-    if args.mode == Mode::Export {
-        return match export(&args, trace) {
-            Ok(()) => finish(&args, &registry),
-            Err(msg) => {
-                eprintln!("{msg}");
-                ExitCode::FAILURE
-            }
-        };
     }
-    if let Err(msg) = write_digest(&args, &trace) {
-        eprintln!("{msg}");
-        return ExitCode::FAILURE;
+    // Snapshot the high-water mark once everything has run; a multi-shard
+    // engine run also records it, but one-shard runs only get it here.
+    if let Some(rss) = dcf_obs::peak_rss_bytes() {
+        registry.set_gauge("mem.peak_rss_bytes", rss as f64);
     }
-    if let Some(path) = &args.out {
-        let span = registry.phase("trace.snapshot_write");
-        if let Err(e) = io::snapshot::write_snapshot(&trace, path) {
-            eprintln!("cannot write snapshot {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        drop(span);
-        let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        eprintln!(
-            "snapshot written to {path} ({size} bytes, {} FOTs, digest {:016x})",
-            trace.len(),
-            io::fots_digest(trace.fots())
-        );
-        return finish(&args, &registry);
+    write_metrics(args, &registry)
+}
+
+/// The simulated `--experiment none` run: it needs nothing but the
+/// digest, so the merged tickets stream into it without materializing a
+/// trace.
+fn stream_digest(args: &Args, registry: &MetricsRegistry) -> Result<(), String> {
+    let config = sim_config(args)?;
+    let t0 = Instant::now();
+    let run = dcf_sim::simulate_sharded(&config, &run_options(args, registry))
+        .map_err(|e| format!("simulation failed: {e}"))?;
+    eprintln!(
+        "streamed {} tickets from {} shard(s) in {:?} ({} spill bytes, digest {:016x})",
+        run.tickets,
+        run.shards,
+        t0.elapsed(),
+        run.bytes_spilled,
+        run.digest,
+    );
+    registry.set_gauge("trace.fots", run.tickets as f64);
+    match &args.digest {
+        Some(path) => write_digest_value(path, run.digest),
+        None => Ok(()),
     }
-    registry.set_gauge("trace.fots", trace.len() as f64);
+}
+
+/// The `snapshot --out` run: persists the trace to `path`.
+fn write_snapshot(path: &str, trace: &Trace, registry: &MetricsRegistry) -> Result<(), String> {
+    {
+        let _span = registry.phase("trace.snapshot_write");
+        io::snapshot::write_snapshot(trace, path)
+            .map_err(|e| format!("cannot write snapshot {path}: {e}"))?;
+    }
+    let size = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
+    eprintln!(
+        "snapshot written to {path} ({size} bytes, {} FOTs, digest {:016x})",
+        trace.len(),
+        io::fots_digest(trace.fots())
+    );
+    Ok(())
+}
+
+/// The report run: the `--experiment` (default `all`; `none` prints
+/// nothing), or the `--markdown` / `--score` formatting of one analysis.
+fn report(args: &Args, trace: &Trace, registry: &MetricsRegistry) {
     let experiment = args.experiment.as_deref().unwrap_or("all");
     if experiment == "none" {
-        // Engine-only run: skip the study entirely (digest runs).
-        return finish(&args, &registry);
+        return; // engine-only run: skip the study entirely
     }
-    let study = FailureStudy::new(&trace);
-    let analysis_span = registry.phase("analysis");
+    let study = FailureStudy::new(trace);
+    let _analysis = registry.phase("analysis");
     let report = (args.markdown || args.score).then(|| {
         // 0 = auto: one worker per core, capped by the section count inside
         // `FailureStudy::analyze`.
@@ -847,48 +563,96 @@ fn main() -> ExitCode {
         } else {
             args.threads
         };
-        study.analyze(&StudyOptions::with_threads(threads).metrics(&registry))
+        study.analyze(&StudyOptions::with_threads(threads).metrics(registry))
     });
-
-    let render_span = registry.phase("report.render");
-    let text = if let Some(report) = &report {
-        if args.score {
-            score_text(report, &trace)
-        } else {
-            markdown_summary(report)
-        }
-    } else {
-        match experiment {
-            "all" => experiments::render_all(&study),
-            "table1" => experiments::render_table1(&study),
-            "table2" => experiments::render_table2(&study),
-            "table3" => experiments::render_table3(),
-            "table4" | "fig8" => experiments::render_table4_fig8(&study),
-            "table5" => experiments::render_table5(&study),
-            "table6" => experiments::render_table6(&study),
-            "table7" => experiments::render_table7(&study),
-            "table8" => experiments::render_table8(&study),
-            "fig2" => experiments::render_fig2(&study),
-            "fig3" => experiments::render_fig3(&study),
-            "fig4" => experiments::render_fig4(&study),
-            "fig5" => experiments::render_fig5(&study),
-            "fig6" => experiments::render_fig6(&study),
-            "fig7" => experiments::render_fig7(&study),
-            "fig9" => experiments::render_fig9(&study),
-            "fig10" => experiments::render_fig10(&study),
-            "fig11" => experiments::render_fig11(&study),
-            "prediction" => experiments::render_prediction(&study),
-            "backlog" => experiments::render_backlog(&study),
-            other => {
-                eprintln!("unknown experiment {other}");
-                return ExitCode::FAILURE;
-            }
+    let text = {
+        let _render = registry.phase("report.render");
+        match (&report, experiments::by_id(experiment)) {
+            (Some(report), _) if args.score => score_text(report, trace),
+            (Some(report), _) => markdown_summary(report),
+            (None, Some(e)) => (e.render)(&study),
+            (None, None) => experiments::render_all(&study),
         }
     };
-    drop(render_span);
     println!("{text}");
-    drop(analysis_span);
-    finish(&args, &registry)
+}
+
+/// The `replay` run: the trace as a virtual-time ticket feed on stdout,
+/// detection events inline, then the summary line; `--digest` gets the
+/// event-stream digest.
+fn replay(args: &Args, trace: &Trace, registry: &MetricsRegistry) -> Result<(), String> {
+    use std::io::Write as _;
+    let build_t0 = Instant::now();
+    let outcome = {
+        let _span = registry.phase("replay.build");
+        dcf_core::replay::replay(trace, &dcf_core::replay::ReplayConfig::default())
+    };
+    eprintln!(
+        "replay feed built in {:?}: {} tickets, {} detection events; streaming at speed {} (simulated days per wall second; 0 = no pacing)…",
+        build_t0.elapsed(),
+        outcome.summary.tickets,
+        outcome.summary.detections,
+        args.speed,
+    );
+    let stream_t0 = Instant::now();
+    {
+        let _span = registry.phase("replay.stream");
+        let closed = |_: std::io::Error| "stdout closed mid-stream".to_string();
+        let mut out = std::io::BufWriter::new(std::io::stdout().lock());
+        outcome
+            .for_each_line(trace, |event, line| {
+                if args.speed > 0.0 {
+                    let due = Duration::from_secs_f64(
+                        event.offset_secs as f64 / (args.speed * dcf_trace::SECS_PER_DAY as f64),
+                    );
+                    let elapsed = stream_t0.elapsed();
+                    if due > elapsed {
+                        let _ = out.flush();
+                        std::thread::sleep(due - elapsed);
+                    }
+                }
+                if args.quiet {
+                    Ok(())
+                } else {
+                    writeln!(out, "{line}")
+                }
+            })
+            .map_err(closed)?;
+        writeln!(out, "{}", outcome.summary_line)
+            .and_then(|()| out.flush())
+            .map_err(closed)?;
+    }
+    let s = &outcome.summary;
+    if let Some(path) = &args.digest {
+        write_digest_value(path, s.event_digest)?;
+    }
+    eprintln!(
+        "\nreplayed {} tickets + {} detections in {:?} (event digest {:016x})",
+        s.tickets,
+        s.detections,
+        stream_t0.elapsed(),
+        s.event_digest
+    );
+    for (name, score) in [("sigma-outlier", &s.sigma), ("batch-burst  ", &s.burst)] {
+        eprintln!(
+            "  {name} : {} flagged / {} offline, P {:.4} R {:.4} F1 {:.4}",
+            score.detections,
+            score.truth,
+            score.precision,
+            score.recall,
+            score.f1()
+        );
+    }
+    let e = &s.predictor_eval;
+    eprintln!(
+        "  predictor     : {} predicted / {} fatals, P {:.4} R {:.4} F1 {:.4}",
+        e.predicted_fatals,
+        e.fatals,
+        e.precision,
+        e.recall,
+        e.f1()
+    );
+    Ok(())
 }
 
 /// The `export` run: restricts `trace` to `--from-day`/`--to-day` and
@@ -956,23 +720,6 @@ fn score_text(report: &StudyReport, trace: &Trace) -> String {
         100.0 * comparison::agreement_score(&rows),
         rows.len()
     )
-}
-
-/// Flushes the optional metrics file; a failure to write it is fatal so
-/// scripted runs notice.
-fn finish(args: &Args, registry: &MetricsRegistry) -> ExitCode {
-    // Snapshot the high-water mark once everything has run; a multi-shard
-    // engine run also records it, but one-shard runs only get it here.
-    if let Some(rss) = dcf_obs::peak_rss_bytes() {
-        registry.set_gauge("mem.peak_rss_bytes", rss as f64);
-    }
-    match write_metrics(args, registry) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 /// The EXPERIMENTS.md-style paper-vs-measured summary.

@@ -1,5 +1,6 @@
 //! Drives the `reproduce` binary: output-mode flag conflicts, the
-//! thread-count byte-identity of `--score`, the `export` CSV, and a
+//! thread-count byte-identity of `--score`, the experiment table, the
+//! `export` CSV, the `replay` feed from either trace source, and a
 //! service that runs out of file descriptors.
 
 use std::process::{Command, Output};
@@ -9,6 +10,12 @@ fn reproduce(args: &[&str]) -> Output {
         .args(args)
         .output()
         .expect("reproduce runs")
+}
+
+/// A per-process temp path ending in `name`.
+fn temp_path(name: &str) -> String {
+    let path = std::env::temp_dir().join(format!("dcf-cli-{}-{name}", std::process::id()));
+    path.to_str().expect("utf-8 temp path").to_string()
 }
 
 #[test]
@@ -37,6 +44,103 @@ fn conflicting_output_flags_exit_non_zero() {
         !std::path::Path::new(snapshot).exists(),
         "a rejected snapshot run wrote its file"
     );
+}
+
+/// Replay takes the trace flags and `--in`, but no report flag and not
+/// the retired `--snapshot-in`; serve takes only its own flags.
+#[test]
+fn retired_and_foreign_flags_exit_non_zero() {
+    let rejected: [&[&str]; 6] = [
+        &["replay", "--snapshot-in", "trace.dcfsnap"],
+        &["replay", "--score"],
+        &["replay", "--experiment", "table1"],
+        &["replay", "--speed", "-1"],
+        &["serve", "--scenario", "small"],
+        &["serve", "--workers", "many"],
+    ];
+    for flags in rejected {
+        let out = reproduce(flags);
+        assert!(!out.status.success(), "{flags:?} was accepted");
+        assert!(out.stdout.is_empty(), "{flags:?} printed output");
+    }
+}
+
+#[test]
+fn every_experiment_id_renders_and_fig8_is_table4() {
+    let render = |id: &str| {
+        let out = reproduce(&["--scenario", "small", "--seed", "3", "--experiment", id]);
+        assert!(out.status.success(), "--experiment {id} failed");
+        assert!(!out.stdout.is_empty(), "--experiment {id} printed nothing");
+        out.stdout
+    };
+    for e in dcf_report::experiments::EXPERIMENTS {
+        for id in e.ids {
+            render(id);
+        }
+    }
+    assert_eq!(render("fig8"), render("table4"));
+    let unknown = reproduce(&["--scenario", "small", "--experiment", "fig12"]);
+    assert!(!unknown.status.success() && unknown.stdout.is_empty());
+}
+
+/// `replay --digest` writes the event digest of the library replay of
+/// the same trace, and its last line is the library's summary line.
+#[test]
+fn replay_digest_matches_the_library_replay() {
+    let digest = temp_path("replay-digest.txt");
+    let out = reproduce(&[
+        "replay",
+        "--scenario",
+        "small",
+        "--seed",
+        "42",
+        "--quiet",
+        "--digest",
+        &digest,
+    ]);
+    assert!(out.status.success(), "replay failed");
+    let written = std::fs::read_to_string(&digest).expect("digest written");
+    let _ = std::fs::remove_file(&digest);
+    let trace = dcf_sim::Scenario::small()
+        .seed(42)
+        .simulate(&dcf_sim::RunOptions::default())
+        .expect("small runs");
+    let outcome = dcf_core::replay::replay(&trace, &dcf_core::replay::ReplayConfig::default());
+    assert_eq!(
+        written.trim(),
+        format!("{:016x}", outcome.summary.event_digest)
+    );
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    assert_eq!(
+        stdout,
+        format!("{}\n", outcome.summary_line),
+        "--quiet prints the summary only"
+    );
+}
+
+/// A replay of a snapshot prints the bytes a replay of the simulation
+/// it holds prints, and writes the same digest.
+#[test]
+fn replay_of_a_snapshot_equals_the_simulated_replay() {
+    let (snapshot, from_snapshot, simulated) = (
+        temp_path("replay.dcfsnap"),
+        temp_path("replay-in.txt"),
+        temp_path("replay-sim.txt"),
+    );
+    let trace = ["--scenario", "small", "--seed", "42"];
+    let written = reproduce(&[&["snapshot", "--out", &snapshot][..], &trace].concat());
+    assert!(written.status.success(), "snapshot --out failed");
+    let loaded = reproduce(&["replay", "--in", &snapshot, "--digest", &from_snapshot]);
+    let direct = reproduce(&[&["replay", "--digest", &simulated][..], &trace].concat());
+    let digests = [&from_snapshot, &simulated].map(std::fs::read_to_string);
+    for path in [&snapshot, &from_snapshot, &simulated] {
+        let _ = std::fs::remove_file(path);
+    }
+    assert!(loaded.status.success() && direct.status.success());
+    assert!(loaded.stdout.len() > 1000, "the feed has events");
+    assert_eq!(loaded.stdout, direct.stdout);
+    let [a, b] = digests.map(|d| d.expect("digest written"));
+    assert_eq!(a, b);
 }
 
 #[test]

@@ -36,16 +36,19 @@
 //! [`replay`] writes each line into one reused buffer to hash it, and
 //! writers format it again as they send it
 //! ([`ReplayOutcome::for_each_line`]), so a finished replay holds no
-//! ticket text. The final [`ReplaySummary`] scores each online detector
-//! against the offline study (precision/recall/F1 over the flagged
-//! `(class, dc, day)` / `(class, day)` / predicted-fatal sets).
+//! ticket text. The final [`ReplaySummary`] scores the σ and burst
+//! detectors against the offline study (precision/recall/F1 over the
+//! flagged `(class, dc, day)` / `(class, day)` sets) and carries the
+//! predictor's own evaluation. The online predictor's predicted-fatal set
+//! equals the offline one by construction (the same cursor walks the same
+//! streams), so no score is computed for it; the tests check the two
+//! sets against each other instead.
 
 use std::sync::OnceLock;
 
 use dcf_trace::io::{fnv1a, FNV_OFFSET};
 use dcf_trace::{
-    ComponentClass, FailureType, FotCategory, FotColumns, Severity, StreamIndex, Trace,
-    SECS_PER_DAY,
+    ComponentClass, FailureType, FotCategory, FotColumns, Severity, Trace, SECS_PER_DAY,
 };
 
 use crate::prediction::{Horizon, Prediction, PredictorEval, PredictorTally, StreamCursor};
@@ -186,9 +189,6 @@ pub struct ReplaySummary {
     /// Causal batch-burst detector vs [`crate::mining::FotMiner`]'s
     /// full-window `BatchDay` criterion.
     pub burst: DetectorScore,
-    /// Incremental predictor's predicted-fatal events vs the offline
-    /// §VII-A evaluation (exact replication: expect precision = recall = 1).
-    pub predictor: DetectorScore,
     /// The predictor's own quality, computed online; byte-identical to
     /// [`Prediction::evaluate`] at the same horizon.
     pub predictor_eval: PredictorEval,
@@ -778,7 +778,6 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     }
     let mut cursors = vec![StreamCursor::default(); streams.len()];
     let mut tally = PredictorTally::default();
-    let mut online_predicted: Vec<((u32, u8, u8), usize)> = Vec::new(); // (component, seq)
 
     let mut cur_day = 0usize;
     let (classes, types, days_of) = (cols.classes(), cols.failure_types(), cols.error_days());
@@ -807,8 +806,10 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
             c => c as usize,
         };
         let warning = FailureType::ALL[types[row] as usize].severity() == Severity::Warning;
-        if let Some(seq) = cursors[c].advance(streams, c, (t, warning), horizon, &mut tally) {
-            online_predicted.push((streams.component(c), seq));
+        if cursors[c]
+            .advance(streams, c, (t, warning), horizon, &mut tally)
+            .is_some()
+        {
             json_line!(
                 feed.line(),
                 "predict",
@@ -860,15 +861,11 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         }
     }
     truth_sigma.sort_unstable();
-    // Predictor: the offline §VII-A scan, collecting the predicted-fatal
-    // set (the same scan `Prediction::evaluate` counts over).
-    let truth_predicted = offline_predicted_set(streams, horizon);
 
     let mut online_burst = detectors.burst;
     let mut online_sigma = detectors.sigma;
     online_burst.sort_unstable();
     online_sigma.sort_unstable();
-    online_predicted.sort_unstable();
 
     let summary = ReplaySummary {
         tickets: trace.len(),
@@ -876,7 +873,6 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         event_digest: feed.digest,
         sigma: DetectorScore::from_sets(&online_sigma, &truth_sigma),
         burst: DetectorScore::from_sets(&online_burst, &truth_burst),
-        predictor: DetectorScore::from_sets(&online_predicted, &truth_predicted),
         predictor_eval,
     };
     let summary_line = summary_line(&summary);
@@ -902,13 +898,12 @@ fn score_json(score: &DetectorScore) -> String {
 fn summary_line(s: &ReplaySummary) -> String {
     let e = &s.predictor_eval;
     format!(
-        "{{\"t\":\"summary\",\"tickets\":{tickets},\"detections\":{detections},\"digest\":\"{digest:016x}\",\"sigma\":{sigma},\"burst\":{burst},\"predictor\":{predictor},\"predictor_eval\":{{\"horizon_days\":{h},\"warnings\":{w},\"confirmed\":{c},\"fatals\":{f},\"predicted\":{p},\"precision\":{prec:.4},\"recall\":{rec:.4},\"f1\":{f1:.4}}}}}",
+        "{{\"t\":\"summary\",\"tickets\":{tickets},\"detections\":{detections},\"digest\":\"{digest:016x}\",\"sigma\":{sigma},\"burst\":{burst},\"predictor_eval\":{{\"horizon_days\":{h},\"warnings\":{w},\"confirmed\":{c},\"fatals\":{f},\"predicted\":{p},\"precision\":{prec:.4},\"recall\":{rec:.4},\"f1\":{f1:.4}}}}}",
         tickets = s.tickets,
         detections = s.detections,
         digest = s.event_digest,
         sigma = score_json(&s.sigma),
         burst = score_json(&s.burst),
-        predictor = score_json(&s.predictor),
         h = e.horizon_days,
         w = e.warnings,
         c = e.confirmed_warnings,
@@ -918,30 +913,6 @@ fn summary_line(s: &ReplaySummary) -> String {
         rec = e.recall,
         f1 = e.f1(),
     )
-}
-
-/// The offline predicted-fatal set: component key plus the fatal's index
-/// in its per-component event stream — the identity
-/// [`Prediction::evaluate`] counts as `predicted_fatals`. Streams are in
-/// component order and positions ascend, so the set comes out sorted.
-fn offline_predicted_set(streams: &StreamIndex, horizon: Horizon) -> Vec<((u32, u8, u8), usize)> {
-    let mut tally = PredictorTally::default();
-    let mut out = Vec::new();
-    for c in 0..streams.len() {
-        let stream = streams.stream(c);
-        let mut cursor = StreamCursor::default();
-        for event in stream
-            .times()
-            .iter()
-            .copied()
-            .zip(stream.warnings().iter().copied())
-        {
-            if let Some(seq) = cursor.advance(streams, c, event, horizon, &mut tally) {
-                out.push((streams.component(c), seq));
-            }
-        }
-    }
-    out
 }
 
 /// Convenience: the offline [`Prediction::evaluate`] at the replay
@@ -1014,6 +985,49 @@ mod tests {
         assert_eq!(out.summary.tickets, trace.len());
     }
 
+    /// The rows the stream predicts: each `predict` event directly
+    /// follows the fatal ticket it predicts.
+    fn online_predicted_rows(out: &ReplayOutcome) -> Vec<u32> {
+        let mut last_ticket = None;
+        let mut rows = Vec::new();
+        for event in &out.events {
+            match &event.kind {
+                EventKind::Ticket(row) => last_ticket = Some(*row),
+                EventKind::Detection(line) if line.starts_with("{\"t\":\"predict\"") => {
+                    rows.push(last_ticket.expect("a prediction follows its ticket"));
+                }
+                EventKind::Detection(_) => {}
+            }
+        }
+        rows.sort_unstable();
+        rows
+    }
+
+    /// The offline predicted-fatal rows: every component stream walked
+    /// on its own by a fresh cursor, as `Prediction::evaluate` counts.
+    fn offline_predicted_rows(trace: &Trace, config: &ReplayConfig) -> Vec<u32> {
+        let horizon = Horizon::new(trace, config.predictor_horizon_days);
+        let streams = trace.streams();
+        let mut tally = PredictorTally::default();
+        let mut rows = Vec::new();
+        for c in 0..streams.len() {
+            let stream = streams.stream(c);
+            let mut cursor = StreamCursor::default();
+            for event in stream
+                .times()
+                .iter()
+                .copied()
+                .zip(stream.warnings().iter().copied())
+            {
+                if let Some(seq) = cursor.advance(streams, c, event, horizon, &mut tally) {
+                    rows.push(streams.rows(c)[seq]);
+                }
+            }
+        }
+        rows.sort_unstable();
+        rows
+    }
+
     #[test]
     fn online_predictor_matches_offline_exactly() {
         let trace = medium_trace();
@@ -1022,9 +1036,10 @@ mod tests {
         let offline = offline_eval(&trace, &config);
         assert_eq!(out.summary.predictor_eval, offline);
         // Exact replication: the predicted-fatal sets are identical.
-        assert_eq!(out.summary.predictor.precision, 1.0);
-        assert_eq!(out.summary.predictor.recall, 1.0);
-        assert!(out.summary.predictor.truth > 0, "fixture has repeats");
+        let predicted = online_predicted_rows(&out);
+        assert!(!predicted.is_empty(), "fixture has repeats");
+        assert_eq!(predicted.len(), offline.predicted_fatals);
+        assert_eq!(predicted, offline_predicted_rows(&trace, &config));
     }
 
     #[test]
@@ -1059,7 +1074,7 @@ mod tests {
             out.summary.detections,
             out.summary.sigma.detections
                 + out.summary.burst.detections
-                + out.summary.predictor.detections
+                + online_predicted_rows(&out).len()
         );
     }
 
@@ -1088,8 +1103,11 @@ mod tests {
                 offline_eval(&trace, &config),
                 "seed {seed}: online predictor diverged from offline evaluate"
             );
-            assert_eq!(a.summary.predictor.precision, 1.0, "seed {seed}");
-            assert_eq!(a.summary.predictor.recall, 1.0, "seed {seed}");
+            assert_eq!(
+                online_predicted_rows(&a),
+                offline_predicted_rows(&trace, &config),
+                "seed {seed}: predicted-fatal sets differ"
+            );
         }
     }
 
@@ -1210,8 +1228,10 @@ mod tests {
             .windows(2)
             .all(|w| w[0].offset_secs <= w[1].offset_secs));
         assert_eq!(out.summary.predictor_eval, offline_eval(&trace, &config));
-        assert_eq!(out.summary.predictor.precision, 1.0);
-        assert_eq!(out.summary.predictor.recall, 1.0);
+        assert_eq!(
+            online_predicted_rows(&out),
+            offline_predicted_rows(&trace, &config)
+        );
         // Day-close detections all fall on window days.
         let window_days = start.day_index()..end.day_index();
         out.for_each_line(&trace, |e, line| {

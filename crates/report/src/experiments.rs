@@ -1,6 +1,7 @@
 //! One renderer per paper table/figure: each prints the same rows/series
 //! the paper reports, with the paper's published value alongside where one
-//! exists. The `reproduce` binary in `dcf-bench` drives these.
+//! exists. [`EXPERIMENTS`] lists them with the IDs that name them; the
+//! `reproduce` binary in `dcf-bench` dispatches `--experiment` through it.
 //!
 //! Renderers read the study's kept section values
 //! ([`FailureStudy::temporal_section`], …), so rendering after
@@ -621,30 +622,57 @@ pub fn render_backlog(study: &FailureStudy<'_>) -> String {
     out
 }
 
+/// One paper artifact: the `--experiment` IDs that name it and its
+/// renderer.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// The IDs that select it (Table IV and Fig. 8 share one renderer).
+    pub ids: &'static [&'static str],
+    /// Renders it from the study.
+    pub render: fn(&FailureStudy<'_>) -> String,
+}
+
+impl Experiment {
+    const fn new(ids: &'static [&'static str], render: fn(&FailureStudy<'_>) -> String) -> Self {
+        Self { ids, render }
+    }
+}
+
+/// Every experiment, in paper order.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment::new(&["table1"], render_table1),
+    Experiment::new(&["table2"], render_table2),
+    Experiment::new(&["table3"], |_| render_table3()),
+    Experiment::new(&["fig2"], render_fig2),
+    Experiment::new(&["fig3"], render_fig3),
+    Experiment::new(&["fig4"], render_fig4),
+    Experiment::new(&["fig5"], render_fig5),
+    Experiment::new(&["fig6"], render_fig6),
+    Experiment::new(&["fig7"], render_fig7),
+    Experiment::new(&["table4", "fig8"], render_table4_fig8),
+    Experiment::new(&["table5"], render_table5),
+    Experiment::new(&["table6"], render_table6),
+    Experiment::new(&["table7"], render_table7),
+    Experiment::new(&["table8"], render_table8),
+    Experiment::new(&["fig9"], render_fig9),
+    Experiment::new(&["fig10"], render_fig10),
+    Experiment::new(&["fig11"], render_fig11),
+    Experiment::new(&["prediction"], render_prediction),
+    Experiment::new(&["backlog"], render_backlog),
+];
+
+/// The experiment that `id` names, if any.
+pub fn by_id(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.ids.contains(&id))
+}
+
 /// Renders every experiment in paper order.
 pub fn render_all(study: &FailureStudy<'_>) -> String {
-    [
-        render_table1(study),
-        render_table2(study),
-        render_table3(),
-        render_fig2(study),
-        render_fig3(study),
-        render_fig4(study),
-        render_fig5(study),
-        render_fig6(study),
-        render_fig7(study),
-        render_table4_fig8(study),
-        render_table5(study),
-        render_table6(study),
-        render_table7(study),
-        render_table8(study),
-        render_fig9(study),
-        render_fig10(study),
-        render_fig11(study),
-        render_prediction(study),
-        render_backlog(study),
-    ]
-    .join("\n\n")
+    EXPERIMENTS
+        .iter()
+        .map(|e| (e.render)(study))
+        .collect::<Vec<_>>()
+        .join("\n\n")
 }
 
 #[cfg(test)]
@@ -664,31 +692,28 @@ mod tests {
 
     #[test]
     fn every_renderer_produces_output() {
-        let trace = trace();
-        let study = FailureStudy::new(trace);
-        for (name, text) in [
-            ("t1", render_table1(&study)),
-            ("t2", render_table2(&study)),
-            ("t3", render_table3()),
-            ("f2", render_fig2(&study)),
-            ("f3", render_fig3(&study)),
-            ("f4", render_fig4(&study)),
-            ("f5", render_fig5(&study)),
-            ("f6", render_fig6(&study)),
-            ("f7", render_fig7(&study)),
-            ("t4f8", render_table4_fig8(&study)),
-            ("t5", render_table5(&study)),
-            ("t6", render_table6(&study)),
-            ("t7", render_table7(&study)),
-            ("t8", render_table8(&study)),
-            ("pred", render_prediction(&study)),
-            ("backlog", render_backlog(&study)),
-            ("f9", render_fig9(&study)),
-            ("f10", render_fig10(&study)),
-            ("f11", render_fig11(&study)),
-        ] {
-            assert!(text.lines().count() >= 2, "{name} too short:\n{text}");
+        let study = FailureStudy::new(trace());
+        for e in EXPERIMENTS {
+            let text = (e.render)(&study);
+            assert!(text.lines().count() >= 2, "{:?} too short:\n{text}", e.ids);
         }
+    }
+
+    #[test]
+    fn every_id_names_one_experiment() {
+        let ids: Vec<&str> = EXPERIMENTS
+            .iter()
+            .flat_map(|e| e.ids.iter().copied())
+            .collect();
+        for id in &ids {
+            assert_eq!(ids.iter().filter(|other| *other == id).count(), 1, "{id}");
+            assert!(by_id(id).is_some_and(|e| e.ids.contains(id)));
+        }
+        assert!(by_id("all").is_none() && by_id("none").is_none());
+        assert!(std::ptr::eq(
+            by_id("table4").unwrap(),
+            by_id("fig8").unwrap()
+        ));
     }
 
     #[test]

@@ -131,6 +131,50 @@ struct StreamState {
     finished: bool,
 }
 
+impl StreamState {
+    /// Frames due chunks after the unflushed bytes of `buf` (those from
+    /// `*pos` on) until they reach [`STREAM_BACKPRESSURE_BYTES`], plus
+    /// the terminal chunk once the source is exhausted. A fully flushed
+    /// buffer is emptied first. Paced chunks come due on their
+    /// virtual-time offsets (at speed 0 all are due at once); bulk slices
+    /// are always due. Returns whether anything was framed.
+    fn frame_due(&mut self, buf: &mut Vec<u8>, pos: &mut usize, now: Instant) -> bool {
+        if *pos > 0 && *pos >= buf.len() {
+            buf.clear();
+            *pos = 0;
+        }
+        let before = buf.len();
+        let elapsed_ms = now.duration_since(self.started).as_millis() as u64;
+        while buf.len() - *pos < STREAM_BACKPRESSURE_BYTES {
+            let payload = match &self.source {
+                StreamBody::Paced(chunks) => match chunks.get(self.next) {
+                    Some((due, payload)) if *due <= elapsed_ms => {
+                        self.next += 1;
+                        payload.as_bytes()
+                    }
+                    _ => break,
+                },
+                StreamBody::Bulk { bytes, .. } if self.next < bytes.len() => {
+                    let start = self.next;
+                    self.next = (start + BULK_CHUNK).min(bytes.len());
+                    &bytes[start..self.next]
+                }
+                StreamBody::Bulk { .. } => break,
+            };
+            buf.extend_from_slice(&http::encode_chunk(payload));
+        }
+        let len = match &self.source {
+            StreamBody::Paced(chunks) => chunks.len(),
+            StreamBody::Bulk { bytes, .. } => bytes.len(),
+        };
+        if self.next >= len && !self.finished {
+            buf.extend_from_slice(http::LAST_CHUNK);
+            self.finished = true;
+        }
+        buf.len() > before
+    }
+}
+
 struct Connection {
     stream: TcpStream,
     fd: RawFd,
@@ -592,34 +636,31 @@ impl EventLoop {
             return;
         };
         let keep_alive = keep_alive && !conn.close_after_write;
+        conn.write_pos = 0;
         if response.stream.is_some() {
             // Head first: content-type and content-encoding are derived
             // from the stream body, so serialize before taking it.
             conn.write_buf = response.serialize_stream_head(keep_alive);
-            conn.replay = Some(StreamState {
+            let mut stream = StreamState {
                 source: response.stream.take().expect("stream checked above"),
                 next: 0,
                 started: Instant::now(),
                 finished: false,
-            });
+            };
+            stream.frame_due(&mut conn.write_buf, &mut conn.write_pos, stream.started);
+            conn.replay = Some(stream);
         } else {
             conn.write_buf = response.serialize(keep_alive);
             conn.replay = None;
         }
-        conn.write_pos = 0;
         conn.close_after_write = !keep_alive;
         conn.state = ConnState::Writing;
         self.set_interest(token, WRITE_ONLY);
-        self.pump_streams();
         self.flush(token);
     }
 
-    /// Frames every due chunk of every live stream into its connection's
-    /// write buffer, plus the terminal chunk once a stream is exhausted.
-    /// Paced chunks come due on their virtual-time offsets (at speed 0
-    /// all offsets are 0 and the whole body is framed on the first
-    /// visit); bulk bodies are always due and are sliced off only up to
-    /// the backpressure cap.
+    /// Frames the due chunks of every live stream into its connection's
+    /// write buffer (see [`StreamState::frame_due`]) and flushes them.
     fn pump_streams(&mut self) {
         let streaming: Vec<u64> = self
             .conns
@@ -627,68 +668,20 @@ impl EventLoop {
             .filter(|(_, c)| c.state == ConnState::Writing && c.streaming())
             .map(|(&t, _)| t)
             .collect();
-        if streaming.is_empty() {
-            return;
-        }
         let now = Instant::now();
         for token in streaming {
-            let appended = {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    continue;
-                };
-                let Some(stream) = conn.replay.as_mut() else {
-                    continue;
-                };
-                if conn.write_buf.len() - conn.write_pos >= STREAM_BACKPRESSURE_BYTES {
-                    continue; // slow reader: let the socket drain first
-                }
-                if conn.write_pos >= conn.write_buf.len() && conn.write_pos > 0 {
-                    conn.write_buf.clear();
-                    conn.write_pos = 0;
-                }
-                let mut appended = false;
-                match &stream.source {
-                    StreamBody::Paced(chunks) => {
-                        let elapsed_ms = now.duration_since(stream.started).as_millis() as u64;
-                        while stream.next < chunks.len() && chunks[stream.next].0 <= elapsed_ms {
-                            let (_, payload) = &chunks[stream.next];
-                            conn.write_buf
-                                .extend_from_slice(&http::encode_chunk(payload.as_bytes()));
-                            stream.next += 1;
-                            appended = true;
-                        }
-                        if stream.next >= chunks.len() {
-                            conn.write_buf.extend_from_slice(http::LAST_CHUNK);
-                            stream.finished = true;
-                            appended = true;
-                        }
-                    }
-                    StreamBody::Bulk { bytes, .. } => {
-                        while stream.next < bytes.len()
-                            && conn.write_buf.len() - conn.write_pos < STREAM_BACKPRESSURE_BYTES
-                        {
-                            let end = (stream.next + BULK_CHUNK).min(bytes.len());
-                            conn.write_buf
-                                .extend_from_slice(&http::encode_chunk(&bytes[stream.next..end]));
-                            stream.next = end;
-                            appended = true;
-                        }
-                        if stream.next >= bytes.len() {
-                            conn.write_buf.extend_from_slice(http::LAST_CHUNK);
-                            stream.finished = true;
-                            appended = true;
-                        }
-                    }
-                }
-                if !appended && conn.write_pos >= conn.write_buf.len() {
-                    // Idle between due chunks is pacing, not a stalled
-                    // write — keep the stall sweep off this connection.
-                    conn.last_activity = now;
-                }
-                appended
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
             };
-            if appended {
+            let Some(stream) = conn.replay.as_mut() else {
+                continue;
+            };
+            if stream.frame_due(&mut conn.write_buf, &mut conn.write_pos, now) {
                 self.flush(token);
+            } else if conn.write_pos >= conn.write_buf.len() {
+                // Idle between due chunks is pacing, not a stalled
+                // write — keep the stall sweep off this connection.
+                conn.last_activity = now;
             }
         }
     }
@@ -703,10 +696,14 @@ impl EventLoop {
                 return;
             }
             if conn.write_pos >= conn.write_buf.len() {
-                if conn.streaming() {
-                    // Buffer drained but the stream has chunks still to
-                    // come due; park with read interest so a peer EOF
-                    // (client walked away mid-stream) is noticed.
+                if let Some(stream) = conn.replay.as_mut().filter(|s| !s.finished) {
+                    // Buffer drained: frame the next due slice now rather
+                    // than at the next poll.
+                    if stream.frame_due(&mut conn.write_buf, &mut conn.write_pos, Instant::now()) {
+                        continue;
+                    }
+                    // Nothing due yet; park with read interest so a peer
+                    // EOF (client walked away mid-stream) is noticed.
                     self.set_interest(token, Interest::READ);
                     return;
                 }
@@ -838,6 +835,63 @@ impl EventLoop {
                 self.shared.metrics.add("serve.idle_closed", 1);
             }
             self.drop_conn(token);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A speed-0 replay is due all at once, and a spilled body is always
+    /// due. Framed while a reader drains the buffer 10 kB at a time,
+    /// either keeps at most the cap plus one chunk buffered, and the
+    /// reader gets every chunk, in order, then the terminal chunk.
+    #[test]
+    fn framing_stops_at_the_backpressure_cap() {
+        let lines: Vec<String> = (0..2_000)
+            .map(|i| {
+                format!(
+                    "{{\"t\":\"fot\",\"i\":{i},\"pad\":\"{}\"}}\n",
+                    "x".repeat(i % 300)
+                )
+            })
+            .collect();
+        let body: Vec<u8> = lines.concat().into_bytes();
+        let paced = StreamBody::Paced(lines.iter().map(|l| (0, l.clone())).collect());
+        let bulk = StreamBody::Bulk {
+            bytes: body.clone(),
+            gzip: false,
+        };
+        let paced_frames: Vec<Vec<u8>> = lines
+            .iter()
+            .map(|l| http::encode_chunk(l.as_bytes()))
+            .collect();
+        let bulk_frames: Vec<Vec<u8>> = body.chunks(BULK_CHUNK).map(http::encode_chunk).collect();
+        for (source, frames) in [(paced, paced_frames), (bulk, bulk_frames)] {
+            let largest = frames.iter().map(Vec::len).max().expect("frames");
+            let mut expected = frames.concat();
+            expected.extend_from_slice(http::LAST_CHUNK);
+            assert!(expected.len() > 4 * STREAM_BACKPRESSURE_BYTES);
+            let mut stream = StreamState {
+                source,
+                next: 0,
+                started: Instant::now(),
+                finished: false,
+            };
+            let (mut buf, mut pos, mut delivered) = (Vec::new(), 0, Vec::new());
+            while !stream.finished || pos < buf.len() {
+                stream.frame_due(&mut buf, &mut pos, Instant::now());
+                let buffered = buf.len() - pos;
+                assert!(
+                    buffered <= STREAM_BACKPRESSURE_BYTES + largest + http::LAST_CHUNK.len(),
+                    "{buffered} bytes buffered"
+                );
+                let n = buffered.min(10_000);
+                delivered.extend_from_slice(&buf[pos..pos + n]);
+                pos += n;
+            }
+            assert_eq!(delivered, expected);
         }
     }
 }

@@ -25,7 +25,7 @@
 use std::fmt::Write as _;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use dcf_core::StudyOptions;
@@ -45,6 +45,9 @@ use crate::sections::{self, Obj, RunIdentity};
 
 /// Default `Retry-After` seconds on overload responses.
 pub(crate) const RETRY_AFTER_SECS: u32 = 1;
+/// Per-request deadline, measured from parse. Requests still queued past
+/// it are answered `503` without being served.
+const REQUEST_DEADLINE: Duration = Duration::from_secs(30);
 /// Cap on `limit` for paged ticket reads.
 const MAX_PAGE: usize = 1000;
 /// Default page size for `/trace/{digest}/fots`.
@@ -62,9 +65,6 @@ pub struct ServeConfig {
     /// Bounded request-queue depth; requests beyond it are shed with
     /// `503` + `Retry-After` and `Connection: close`.
     pub queue_depth: usize,
-    /// Per-request deadline, measured from parse. Requests still queued
-    /// past the deadline are answered `503` without being served.
-    pub request_deadline: Duration,
     /// Test hook: artificial delay inserted into each simulation compute,
     /// used by the integration suite to saturate the queue deterministically.
     pub compute_delay: Duration,
@@ -94,7 +94,6 @@ impl Default for ServeConfig {
             workers: 4,
             cache_entries: 8,
             queue_depth: 64,
-            request_deadline: Duration::from_secs(30),
             compute_delay: Duration::ZERO,
             metrics: MetricsRegistry::disabled(),
             catalog: None,
@@ -132,13 +131,6 @@ impl ServeConfig {
     #[must_use]
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.queue_depth = depth.max(1);
-        self
-    }
-
-    /// Sets the per-request deadline.
-    #[must_use]
-    pub fn request_deadline(mut self, deadline: Duration) -> Self {
-        self.request_deadline = deadline;
         self
     }
 
@@ -229,7 +221,6 @@ pub(crate) struct LoopShared {
 pub(crate) struct Shared {
     pub(crate) cache: ResponseCache,
     pub(crate) metrics: MetricsRegistry,
-    pub(crate) deadline: Duration,
     pub(crate) compute_delay: Duration,
     /// Bodies above this many bytes go out chunked instead of
     /// content-length framed.
@@ -306,7 +297,6 @@ impl Server {
         let shared = Arc::new(Shared {
             cache,
             metrics: config.metrics.clone(),
-            deadline: config.request_deadline,
             compute_delay: config.compute_delay,
             spill_threshold: config.spill_threshold,
             catalog,
@@ -428,7 +418,7 @@ impl Drop for Server {
 fn worker_loop(shared: &Shared, queue: &BoundedQueue<Job>) {
     while let Some(job) = queue.pop() {
         let _span = shared.metrics.worker_phase("serve.request");
-        let (response, keep_alive) = if job.received_at.elapsed() > shared.deadline {
+        let (response, keep_alive) = if job.received_at.elapsed() > REQUEST_DEADLINE {
             shared.metrics.add("serve.timeouts", 1);
             (
                 Response::overloaded("request deadline exceeded while queued", RETRY_AFTER_SECS),
@@ -580,28 +570,40 @@ impl RawParams {
 
 /// The `(scenario, seed, threads)` triple addressed by a request.
 struct RunParams {
-    scenario: Scenario,
+    /// A built-in scenario and its [`scenario_hash`].
+    scenario: &'static (Scenario, u64),
     seed: u64,
     threads: usize,
 }
 
 impl RunParams {
-    fn resolve(scenario: &str, seed: u64, threads: usize) -> Result<Self, Response> {
-        let scenario = match scenario {
-            "small" => Scenario::small(),
-            "medium" => Scenario::medium(),
-            "paper" => Scenario::paper(),
-            other => {
-                return Err(Response::error(
+    fn resolve(name: &str, seed: u64, threads: usize) -> Result<Self, Response> {
+        // Each built-in config is hashed once, not on every request.
+        static BUILT_IN: OnceLock<Vec<(Scenario, u64)>> = OnceLock::new();
+        let scenario = BUILT_IN
+            .get_or_init(|| {
+                Scenario::names()
+                    .filter_map(Scenario::by_name)
+                    .map(|s| {
+                        let hash = scenario_hash(&s.config);
+                        (s, hash)
+                    })
+                    .collect()
+            })
+            .iter()
+            .find(|(s, _)| s.name == name)
+            .ok_or_else(|| {
+                let names: Vec<_> = Scenario::names().collect();
+                Response::error(
                     400,
                     &format!(
-                        "unknown scenario {other:?} (expected small|medium|paper or a catalog snapshot name)"
+                        "unknown scenario {name:?} (expected {} or a catalog snapshot name)",
+                        names.join("|")
                     ),
-                ))
-            }
-        };
+                )
+            })?;
         Ok(Self {
-            scenario: scenario.seed(seed),
+            scenario,
             seed,
             threads,
         })
@@ -609,7 +611,7 @@ impl RunParams {
 
     fn cache_key(&self) -> CacheKey {
         CacheKey {
-            scenario_hash: scenario_hash(&self.scenario.config),
+            scenario_hash: self.scenario.1,
             seed: self.seed,
             threads: self.threads,
         }
@@ -639,7 +641,7 @@ fn run_entry_for(shared: &Shared, raw: &RawParams) -> Result<(Arc<RunEntry>, boo
 /// Looks up (or computes, single-flight) the run for `params`.
 fn run_entry(shared: &Shared, params: &RunParams) -> Result<(Arc<RunEntry>, bool), Response> {
     let key = params.cache_key();
-    let entry = shared.cache.entry(params.scenario.name, key);
+    let entry = shared.cache.entry(params.scenario.0.name, key);
     let hit = entry.run.get().is_some();
     shared.metrics.add(
         if hit {
@@ -659,6 +661,9 @@ fn run_entry(shared: &Shared, params: &RunParams) -> Result<(Arc<RunEntry>, bool
             .threads(params.threads);
         params
             .scenario
+            .0
+            .clone()
+            .seed(params.seed)
             .simulate(&options)
             .map(|trace| Arc::new(RunArtifacts::new(trace)))
             .map_err(|e| e.to_string())

@@ -9,6 +9,16 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::options::RunOptions;
 
+/// A built-in preset: its name and its constructor.
+type Preset = (&'static str, fn() -> Scenario);
+
+/// The built-in presets, in descending scale.
+const PRESETS: [Preset; 3] = [
+    ("paper", Scenario::paper),
+    ("medium", Scenario::medium),
+    ("small", Scenario::small),
+];
+
 /// A named, runnable simulation scenario.
 ///
 /// # Examples
@@ -48,6 +58,19 @@ impl Scenario {
     /// Small scale (2k servers, 360-day window) — unit/integration tests.
     pub fn small() -> Self {
         Self::new("small", FleetConfig::small())
+    }
+
+    /// The built-in preset called `name`, one of [`Scenario::names`].
+    pub fn by_name(name: &str) -> Option<Self> {
+        PRESETS
+            .iter()
+            .find(|(preset, _)| *preset == name)
+            .map(|(_, build)| build())
+    }
+
+    /// The built-in presets' names: `paper`, `medium`, `small`.
+    pub fn names() -> impl Iterator<Item = &'static str> {
+        PRESETS.iter().map(|(name, _)| *name)
     }
 
     /// Ablation: batch failures disabled. Under this counterfactual the
@@ -136,6 +159,14 @@ mod tests {
         assert_ne!(base.config, base.clone().with_effective_repairs().config);
         assert_ne!(base.config, base.clone().with_modern_cooling().config);
         assert_ne!(base.config, base.clone().with_partial_monitoring().config);
+    }
+
+    #[test]
+    fn presets_resolve_by_their_own_name() {
+        for name in Scenario::names() {
+            assert_eq!(Scenario::by_name(name).map(|s| s.name), Some(name));
+        }
+        assert_eq!(Scenario::by_name("no-batch"), None);
     }
 
     #[test]
