@@ -614,7 +614,7 @@ fn replay(args: &Args, trace: &Trace, registry: &MetricsRegistry) -> Result<(), 
                 if args.quiet {
                     Ok(())
                 } else {
-                    writeln!(out, "{line}")
+                    out.write_all(line).and_then(|()| out.write_all(b"\n"))
                 }
             })
             .map_err(closed)?;

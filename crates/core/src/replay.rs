@@ -114,14 +114,12 @@ impl ReplayEvent {
 
     /// Appends the event's JSON line (newline not included) to `out`.
     /// `trace` must be the trace the event was replayed from.
-    pub fn write_line(&self, trace: &Trace, out: &mut String) {
+    pub fn write_line(&self, trace: &Trace, out: &mut Vec<u8>) {
         match &self.kind {
             EventKind::Ticket(row) => {
-                let mut bytes = std::mem::take(out).into_bytes();
-                write_ticket_line(&mut bytes, trace.columns(), *row as usize, self.offset_secs);
-                *out = String::from_utf8(bytes).expect("ticket lines are ASCII");
+                write_ticket_line(out, trace.columns(), *row as usize, self.offset_secs);
             }
-            EventKind::Detection(line) => out.push_str(line),
+            EventKind::Detection(line) => out.extend_from_slice(line.as_bytes()),
         }
     }
 }
@@ -218,9 +216,9 @@ impl ReplayOutcome {
     pub fn for_each_line<E>(
         &self,
         trace: &Trace,
-        mut f: impl FnMut(&ReplayEvent, &str) -> Result<(), E>,
+        mut f: impl FnMut(&ReplayEvent, &[u8]) -> Result<(), E>,
     ) -> Result<(), E> {
-        let mut line = String::with_capacity(256);
+        let mut line = Vec::with_capacity(256);
         for event in &self.events {
             line.clear();
             event.write_line(trace, &mut line);
@@ -931,7 +929,7 @@ mod tests {
     fn lines(out: &ReplayOutcome, trace: &Trace) -> Vec<String> {
         let mut lines = Vec::with_capacity(out.events.len());
         out.for_each_line(trace, |_, line| {
-            lines.push(line.to_owned());
+            lines.push(String::from_utf8(line.to_vec()).expect("event lines are UTF-8"));
             Ok::<_, ()>(())
         })
         .expect("collecting cannot fail");
@@ -1153,7 +1151,7 @@ mod tests {
         let trace = medium_trace();
         let cols = trace.columns();
         let mut types_seen = [false; FailureType::ALL.len()];
-        let mut line = String::new();
+        let mut line = Vec::new();
         for (row, f) in trace.fots().iter().enumerate() {
             types_seen[f.failure_type.index()] = true;
             let off = f.error_time.as_secs() * 3 + row as u64;
@@ -1177,13 +1175,13 @@ mod tests {
             assert_eq!(String::from_utf8(bytes).expect("ASCII"), reference);
             // The public writer appends the same line.
             line.clear();
-            line.push_str("prefix ");
+            line.extend_from_slice(b"prefix ");
             ReplayEvent {
                 offset_secs: off,
                 kind: EventKind::Ticket(row as u32),
             }
             .write_line(&trace, &mut line);
-            assert_eq!(line, format!("prefix {reference}"));
+            assert_eq!(line, format!("prefix {reference}").into_bytes());
         }
         assert!(
             types_seen.iter().filter(|&&seen| seen).count() > 20,
@@ -1235,6 +1233,7 @@ mod tests {
         // Day-close detections all fall on window days.
         let window_days = start.day_index()..end.day_index();
         out.for_each_line(&trace, |e, line| {
+            let line = std::str::from_utf8(line).expect("event lines are UTF-8");
             if !line.starts_with("{\"t\":\"burst\"") && !line.starts_with("{\"t\":\"sigma\"") {
                 return Ok::<_, ()>(());
             }

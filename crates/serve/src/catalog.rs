@@ -1,12 +1,12 @@
 //! The snapshot catalog: a directory of `.dcfsnap` files served by name.
 //!
 //! `reproduce serve --catalog DIR` scans `DIR` at startup: every
-//! `name.dcfsnap` file is loaded through a read-only `mmap`
-//! ([`crate::mmap`]) — the decoder reads straight over the page cache,
-//! with no intermediate heap copy of the file — decoded into a columnar
+//! `name.dcfsnap` file is read
+//! ([`dcf_trace::io::snapshot::read_snapshot`]), decoded into a columnar
 //! trace, digest-checked, and pinned in the response cache under the
-//! scenario name `name` and its trace digest. From then on every request
-//! for that snapshot (`/report/{section}?scenario=name`,
+//! scenario name `name` and its trace digest. The file's bytes are
+//! dropped once decoded: the columns own their storage. From then on
+//! every request for that snapshot (`/report/{section}?scenario=name`,
 //! `/trace/{digest}/fots`) renders off the one shared, already-decoded
 //! column store: the file is never re-read and the trace never copied
 //! per request or per connection.
@@ -16,8 +16,9 @@
 //! without a restart; files removed from the directory are unpinned on
 //! the same pass. Entries are keyed by file stem, and a published
 //! snapshot file is treated as immutable (replace by adding a new name,
-//! not rewriting bytes in place — the mapping's pages are shared with the
-//! page cache). `GET /v1/catalog` lists what is currently served.
+//! not rewriting bytes in place — a name keeps meaning the trace first
+//! loaded under it). A truncated or corrupt file is an error that names
+//! it. `GET /v1/catalog` lists what is currently served.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -27,7 +28,6 @@ use std::sync::{Arc, Mutex};
 use dcf_obs::MetricsRegistry;
 
 use crate::cache::{ResponseCache, RunArtifacts, RunEntry};
-use crate::mmap;
 use crate::sections::Obj;
 
 /// File extension a catalog entry must carry.
@@ -166,15 +166,14 @@ impl Catalog {
         })
     }
 
-    /// Maps, decodes, digests, and pins one snapshot file.
+    /// Reads, decodes, digests, and pins one snapshot file.
     fn load_slot(&self, name: &str, path: &Path, cache: &ResponseCache) -> io::Result<Slot> {
         let span = self.metrics.phase("trace.snapshot_load");
-        let path_str = path.to_string_lossy();
-        let mapped = mmap::map_file(&path_str)?;
-        let trace = dcf_trace::io::snapshot::snapshot_from_bytes(mapped.bytes())
-            .map_err(|e| io::Error::other(format!("snapshot {path_str}: {e}")))?;
-        let bytes = mapped.len() as u64;
-        drop(mapped); // decoded columns own their storage; unmap the file
+        let named = |e: &dyn std::fmt::Display| {
+            io::Error::other(format!("snapshot {}: {e}", path.display()))
+        };
+        let bytes = std::fs::metadata(path).map_err(|e| named(&e))?.len();
+        let trace = dcf_trace::io::snapshot::read_snapshot(path).map_err(|e| named(&e))?;
         drop(span);
         let artifacts = Arc::new(RunArtifacts::new(trace));
         let info = CatalogEntryInfo {
@@ -281,6 +280,43 @@ mod tests {
         assert_eq!((summary.added, summary.removed, summary.total), (1, 1, 1));
         assert!(catalog.get("alpha").is_none());
         assert!(catalog.get("beta").is_some());
+
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A snapshot cut short in its header, inside a column, or by its
+    /// last byte fails `open` with an error naming the file; the same
+    /// file turning up at `reload` fails the reload and leaves the
+    /// entries loaded earlier served.
+    #[test]
+    fn truncated_snapshots_fail_open_and_reload_by_name() {
+        let dir = temp_dir("truncated");
+        let bytes = snapshot_bytes();
+        let cache = ResponseCache::new(4);
+        let metrics = MetricsRegistry::disabled();
+        for cut in [6, bytes.len() * 3 / 4, bytes.len() - 1] {
+            let path = dir.join("cut.dcfsnap");
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            let err = Catalog::open(dir.to_str().unwrap(), &cache, &metrics)
+                .expect_err("a truncated snapshot fails open");
+            assert!(
+                err.to_string().contains("cut.dcfsnap"),
+                "cut at {cut}: {err}"
+            );
+            std::fs::remove_file(&path).unwrap();
+        }
+
+        std::fs::write(dir.join("alpha.dcfsnap"), &bytes).unwrap();
+        let catalog = Catalog::open(dir.to_str().unwrap(), &cache, &metrics).expect("open");
+        let digest = catalog.entries()[0].digest.clone();
+        std::fs::write(dir.join("beta.dcfsnap"), &bytes[..bytes.len() - 1]).unwrap();
+        let err = catalog
+            .reload(&cache)
+            .expect_err("a truncated snapshot fails reload");
+        assert!(err.to_string().contains("beta.dcfsnap"), "{err}");
+        assert!(catalog.get("alpha").is_some());
+        assert!(catalog.get("beta").is_none());
+        assert!(cache.lookup_digest(&digest).is_some(), "alpha stays pinned");
 
         std::fs::remove_dir_all(&dir).ok();
     }

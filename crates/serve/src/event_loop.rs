@@ -56,7 +56,10 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crate::http::{self, Response, StreamBody};
+use dcf_core::replay::ReplayOutcome;
+
+use crate::cache::RunArtifacts;
+use crate::http::{self, Response};
 use crate::poller::{raw_fd, Event, Interest, Poller, RawFd, Waker};
 use crate::queue::{BoundedQueue, PushError};
 use crate::server::{Job, Shared, RETRY_AFTER_SECS};
@@ -81,12 +84,10 @@ const READ_CHUNK: usize = 8 * 1024;
 /// Hard cap on buffered request bytes per connection (one max-size
 /// request plus pipelined slack).
 const MAX_BUFFERED: usize = http::MAX_HEAD_BYTES + http::MAX_BODY_BYTES + 4096;
-/// A stream stops framing new chunks while this many response bytes are
-/// still unflushed — a slow reader rebuffers in the stream's source
-/// (chunk list or bulk body), not in the socket write buffer.
+/// A stream stops framing new lines while this many response bytes are
+/// still unflushed — a slow reader holds the stream at its next event,
+/// not a growing socket write buffer.
 const STREAM_BACKPRESSURE_BYTES: usize = 64 * 1024;
-/// Chunk size a spilled bulk body is sliced into.
-const BULK_CHUNK: usize = 16 * 1024;
 
 /// No read or write interest: parked while a worker computes (the poller
 /// still reports hang-ups, which carry no interest bit).
@@ -113,31 +114,65 @@ enum ConnState {
     Draining,
 }
 
-/// An in-progress chunked streaming response. The connection stays in
-/// `Writing` for the stream's whole lifetime; the per-iteration pump
-/// appends paced chunks once their virtual-time due offset has elapsed
-/// (or bulk-body slices as fast as backpressure allows), and the
-/// terminal chunk once all are sent.
-struct StreamState {
-    /// What's left to frame: paced `(due_ms, payload)` chunks in
-    /// non-decreasing due order, or one spilled bulk body.
-    source: StreamBody,
-    /// Next paced chunk index / next bulk byte offset not yet framed.
+/// A replay feed being written as chunked NDJSON. It holds the run's
+/// trace and its cached replay outcome, not the body: each line is
+/// formatted only when it is due and the connection has room, so a
+/// stream buffers at most the backpressure cap plus one line. The
+/// connection stays in `Writing` for the stream's whole lifetime.
+#[derive(Debug, Clone)]
+pub(crate) struct ReplayStream {
+    /// The run whose trace the ticket lines are formatted from; shared
+    /// with the run cache, so an evicted run stays alive once per run
+    /// until its streams end.
+    artifacts: Arc<RunArtifacts>,
+    /// The cached event sequence and summary line.
+    outcome: Arc<ReplayOutcome>,
+    /// Wall milliseconds per simulated second (0 = no pacing).
+    ms_per_sim_sec: f64,
+    /// Next event not yet framed; `events.len()` once only the summary
+    /// line is left.
     next: usize,
-    /// When the stream head was queued; due offsets are relative to this.
+    /// When the stream head was queued; due times are relative to this.
     started: Instant,
+    /// One event's line, reused for every line of the stream.
+    line: Vec<u8>,
     /// Terminal chunk framed — `finish_write` may run once the buffer
     /// drains.
     finished: bool,
 }
 
-impl StreamState {
-    /// Frames due chunks after the unflushed bytes of `buf` (those from
-    /// `*pos` on) until they reach [`STREAM_BACKPRESSURE_BYTES`], plus
-    /// the terminal chunk once the source is exhausted. A fully flushed
-    /// buffer is emptied first. Paced chunks come due on their
-    /// virtual-time offsets (at speed 0 all are due at once); bulk slices
-    /// are always due. Returns whether anything was framed.
+impl ReplayStream {
+    /// A stream of `outcome`, replayed from `artifacts`' trace, at
+    /// `ms_per_sim_sec` wall milliseconds per simulated second.
+    pub(crate) fn new(
+        artifacts: Arc<RunArtifacts>,
+        outcome: Arc<ReplayOutcome>,
+        ms_per_sim_sec: f64,
+    ) -> Self {
+        ReplayStream {
+            artifacts,
+            outcome,
+            ms_per_sim_sec,
+            next: 0,
+            started: Instant::now(),
+            line: Vec::with_capacity(256),
+            finished: false,
+        }
+    }
+
+    /// Wall milliseconds after the head at which an event `offset_secs`
+    /// into the window comes due.
+    fn due_ms(&self, offset_secs: u64) -> u64 {
+        (offset_secs as f64 * self.ms_per_sim_sec) as u64
+    }
+
+    /// Frames due lines after the unflushed bytes of `buf` (those from
+    /// `*pos` on) until they reach [`STREAM_BACKPRESSURE_BYTES`], one
+    /// line per chunk; after the last event come the summary line and
+    /// the terminal chunk. A fully flushed buffer is emptied first. Each
+    /// event waits for its [`ReplayStream::due_ms`] (at speed 0 all are
+    /// due at once), and the summary comes due with the last event.
+    /// Returns whether anything was framed.
     fn frame_due(&mut self, buf: &mut Vec<u8>, pos: &mut usize, now: Instant) -> bool {
         if *pos > 0 && *pos >= buf.len() {
             buf.clear();
@@ -145,31 +180,25 @@ impl StreamState {
         }
         let before = buf.len();
         let elapsed_ms = now.duration_since(self.started).as_millis() as u64;
-        while buf.len() - *pos < STREAM_BACKPRESSURE_BYTES {
-            let payload = match &self.source {
-                StreamBody::Paced(chunks) => match chunks.get(self.next) {
-                    Some((due, payload)) if *due <= elapsed_ms => {
-                        self.next += 1;
-                        payload.as_bytes()
-                    }
-                    _ => break,
-                },
-                StreamBody::Bulk { bytes, .. } if self.next < bytes.len() => {
-                    let start = self.next;
-                    self.next = (start + BULK_CHUNK).min(bytes.len());
-                    &bytes[start..self.next]
+        while !self.finished && buf.len() - *pos < STREAM_BACKPRESSURE_BYTES {
+            self.line.clear();
+            match self.outcome.events.get(self.next) {
+                Some(event) if self.due_ms(event.offset_secs) > elapsed_ms => break,
+                Some(event) => {
+                    event.write_line(&self.artifacts.trace, &mut self.line);
+                    self.next += 1;
                 }
-                StreamBody::Bulk { .. } => break,
-            };
-            buf.extend_from_slice(&http::encode_chunk(payload));
-        }
-        let len = match &self.source {
-            StreamBody::Paced(chunks) => chunks.len(),
-            StreamBody::Bulk { bytes, .. } => bytes.len(),
-        };
-        if self.next >= len && !self.finished {
-            buf.extend_from_slice(http::LAST_CHUNK);
-            self.finished = true;
+                None => {
+                    self.line
+                        .extend_from_slice(self.outcome.summary_line.as_bytes());
+                    self.finished = true;
+                }
+            }
+            self.line.push(b'\n');
+            http::push_chunk(buf, &self.line);
+            if self.finished {
+                buf.extend_from_slice(http::LAST_CHUNK);
+            }
         }
         buf.len() > before
     }
@@ -190,8 +219,8 @@ struct Connection {
     last_activity: Instant,
     drain_deadline: Option<Instant>,
     interest: Interest,
-    /// Active chunked stream: a paced replay or a spilled bulk body.
-    replay: Option<StreamState>,
+    /// Active replay stream.
+    replay: Option<Box<ReplayStream>>,
 }
 
 impl Connection {
@@ -212,18 +241,9 @@ impl Connection {
         }
     }
 
-    /// True while a chunked stream still has frames to emit.
+    /// True while a replay stream still has lines to emit.
     fn streaming(&self) -> bool {
         self.replay.as_ref().is_some_and(|s| !s.finished)
-    }
-
-    /// True while a *paced* stream is live — mid-stream client
-    /// disconnects count as replay disconnects only for paced replays,
-    /// not for bulk body spills.
-    fn streaming_paced(&self) -> bool {
-        self.replay
-            .as_ref()
-            .is_some_and(|s| !s.finished && matches!(s.source, StreamBody::Paced(_)))
     }
 }
 
@@ -512,9 +532,7 @@ impl EventLoop {
                     match conn.state {
                         ConnState::Reading | ConnState::Draining => self.drop_conn(token),
                         ConnState::Writing if conn.streaming() => {
-                            if conn.streaming_paced() {
-                                self.shared.metrics.add("serve.replay.disconnects", 1);
-                            }
+                            self.shared.metrics.add("serve.replay.disconnects", 1);
                             self.drop_conn(token);
                         }
                         ConnState::InFlight | ConnState::Writing => {
@@ -621,32 +639,18 @@ impl EventLoop {
     }
 
     /// Queues response bytes on the connection and starts flushing. A
-    /// streaming response queues only the chunked head; its body frames
-    /// are appended by [`EventLoop::pump_streams`] as they come due. A
-    /// plain response whose body exceeds the spill threshold is moved
-    /// onto the same chunked path first, so a slow client backpressures
-    /// against the stream pump instead of pinning the whole body in the
-    /// write buffer.
+    /// replay stream queues only the chunked head and its first due
+    /// lines; [`EventLoop::pump_streams`] and [`EventLoop::flush`] frame
+    /// the rest as they come due and the buffer drains.
     fn respond(&mut self, token: u64, mut response: Response, keep_alive: bool) {
-        if response.stream.is_none() && response.payload().len() > self.shared.spill_threshold {
-            self.shared.metrics.add("serve.spilled", 1);
-            response.spill_to_stream();
-        }
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
         let keep_alive = keep_alive && !conn.close_after_write;
         conn.write_pos = 0;
-        if response.stream.is_some() {
-            // Head first: content-type and content-encoding are derived
-            // from the stream body, so serialize before taking it.
+        if let Some(mut stream) = response.stream.take() {
             conn.write_buf = response.serialize_stream_head(keep_alive);
-            let mut stream = StreamState {
-                source: response.stream.take().expect("stream checked above"),
-                next: 0,
-                started: Instant::now(),
-                finished: false,
-            };
+            stream.started = Instant::now();
             stream.frame_due(&mut conn.write_buf, &mut conn.write_pos, stream.started);
             conn.replay = Some(stream);
         } else {
@@ -660,7 +664,7 @@ impl EventLoop {
     }
 
     /// Frames the due chunks of every live stream into its connection's
-    /// write buffer (see [`StreamState::frame_due`]) and flushes them.
+    /// write buffer (see [`ReplayStream::frame_due`]) and flushes them.
     fn pump_streams(&mut self) {
         let streaming: Vec<u64> = self
             .conns
@@ -697,7 +701,7 @@ impl EventLoop {
             }
             if conn.write_pos >= conn.write_buf.len() {
                 if let Some(stream) = conn.replay.as_mut().filter(|s| !s.finished) {
-                    // Buffer drained: frame the next due slice now rather
+                    // Buffer drained: frame the next due lines now rather
                     // than at the next poll.
                     if stream.frame_due(&mut conn.write_buf, &mut conn.write_pos, Instant::now()) {
                         continue;
@@ -737,7 +741,7 @@ impl EventLoop {
     /// it — as a mid-stream disconnect too, if a replay was live — and
     /// drop the connection.
     fn fail_write(&mut self, token: u64) {
-        if self.conns.get(&token).is_some_and(|c| c.streaming_paced()) {
+        if self.conns.get(&token).is_some_and(Connection::streaming) {
             self.shared.metrics.add("serve.replay.disconnects", 1);
         }
         self.shared.metrics.add("serve.io_errors", 1);
@@ -842,56 +846,93 @@ impl EventLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dcf_core::replay::{replay, ReplayConfig};
 
-    /// A speed-0 replay is due all at once, and a spilled body is always
-    /// due. Framed while a reader drains the buffer 10 kB at a time,
-    /// either keeps at most the cap plus one chunk buffered, and the
-    /// reader gets every chunk, in order, then the terminal chunk.
+    /// The payloads of a chunked body, checking each chunk's framing and
+    /// that it ends at the terminal chunk.
+    fn dechunk(mut wire: &[u8]) -> Vec<Vec<u8>> {
+        let mut chunks = Vec::new();
+        loop {
+            let eol = wire
+                .windows(2)
+                .position(|w| w == b"\r\n")
+                .expect("size line");
+            let hex = std::str::from_utf8(&wire[..eol]).expect("ASCII size");
+            let size = usize::from_str_radix(hex, 16).expect("hex size");
+            let payload = &wire[eol + 2..eol + 2 + size];
+            assert_eq!(&wire[eol + 2 + size..eol + 4 + size], b"\r\n");
+            wire = &wire[eol + 4 + size..];
+            if size == 0 {
+                assert!(wire.is_empty(), "bytes after the terminal chunk");
+                return chunks;
+            }
+            chunks.push(payload.to_vec());
+        }
+    }
+
+    /// A medium replay framed while a reader drains the buffer 10 kB at
+    /// a time, at speed 0 (every line due at once) and paced at ten wall
+    /// milliseconds per simulated day with `now` advancing 1 ms a step:
+    /// at most the cap plus one chunk plus the terminal chunk is ever
+    /// buffered, no line is framed before it is due, and the reader gets
+    /// the `for_each_line` lines and then the summary, one per chunk.
     #[test]
     fn framing_stops_at_the_backpressure_cap() {
-        let lines: Vec<String> = (0..2_000)
-            .map(|i| {
-                format!(
-                    "{{\"t\":\"fot\",\"i\":{i},\"pad\":\"{}\"}}\n",
-                    "x".repeat(i % 300)
-                )
+        let trace = dcf_sim::Scenario::medium()
+            .seed(1)
+            .simulate(&dcf_sim::RunOptions::default())
+            .expect("medium scenario runs");
+        let artifacts = Arc::new(RunArtifacts::new(trace));
+        let outcome = Arc::new(replay(&artifacts.trace, &ReplayConfig::default()));
+        let mut lines = Vec::new();
+        outcome
+            .for_each_line(&artifacts.trace, |_, line| {
+                lines.push([line, &b"\n"[..]].concat());
+                Ok::<_, ()>(())
             })
-            .collect();
-        let body: Vec<u8> = lines.concat().into_bytes();
-        let paced = StreamBody::Paced(lines.iter().map(|l| (0, l.clone())).collect());
-        let bulk = StreamBody::Bulk {
-            bytes: body.clone(),
-            gzip: false,
-        };
-        let paced_frames: Vec<Vec<u8>> = lines
+            .expect("collecting cannot fail");
+        lines.push(format!("{}\n", outcome.summary_line).into_bytes());
+        let largest = lines
             .iter()
-            .map(|l| http::encode_chunk(l.as_bytes()))
-            .collect();
-        let bulk_frames: Vec<Vec<u8>> = body.chunks(BULK_CHUNK).map(http::encode_chunk).collect();
-        for (source, frames) in [(paced, paced_frames), (bulk, bulk_frames)] {
-            let largest = frames.iter().map(Vec::len).max().expect("frames");
-            let mut expected = frames.concat();
-            expected.extend_from_slice(http::LAST_CHUNK);
-            assert!(expected.len() > 4 * STREAM_BACKPRESSURE_BYTES);
-            let mut stream = StreamState {
-                source,
-                next: 0,
-                started: Instant::now(),
-                finished: false,
-            };
-            let (mut buf, mut pos, mut delivered) = (Vec::new(), 0, Vec::new());
+            .map(|l| format!("{:x}\r\n\r\n", l.len()).len() + l.len())
+            .max()
+            .expect("lines");
+        assert!(lines.iter().map(Vec::len).sum::<usize>() > 4 * STREAM_BACKPRESSURE_BYTES);
+
+        let paced = 10.0 / dcf_trace::SECS_PER_DAY as f64;
+        for ms_per_sim_sec in [0.0, paced] {
+            let mut stream =
+                ReplayStream::new(Arc::clone(&artifacts), Arc::clone(&outcome), ms_per_sim_sec);
+            let (mut now, mut waited) = (stream.started, 0usize);
+            let (mut buf, mut pos, mut wire) = (Vec::new(), 0, Vec::new());
             while !stream.finished || pos < buf.len() {
-                stream.frame_due(&mut buf, &mut pos, Instant::now());
+                stream.frame_due(&mut buf, &mut pos, now);
                 let buffered = buf.len() - pos;
                 assert!(
                     buffered <= STREAM_BACKPRESSURE_BYTES + largest + http::LAST_CHUNK.len(),
                     "{buffered} bytes buffered"
                 );
+                let elapsed_ms = now.duration_since(stream.started).as_millis() as u64;
+                if let Some(last) = stream.next.checked_sub(1) {
+                    let due = stream.due_ms(outcome.events[last].offset_secs);
+                    assert!(due <= elapsed_ms, "framed early");
+                }
+                waited += usize::from(buffered == 0 && !stream.finished);
                 let n = buffered.min(10_000);
-                delivered.extend_from_slice(&buf[pos..pos + n]);
+                wire.extend_from_slice(&buf[pos..pos + n]);
                 pos += n;
+                now += Duration::from_millis(1);
             }
-            assert_eq!(delivered, expected);
+            assert_eq!(
+                dechunk(&wire),
+                lines,
+                "ms per simulated second {ms_per_sim_sec}"
+            );
+            assert_eq!(
+                waited > 0,
+                ms_per_sim_sec > 0.0,
+                "only the paced stream waits"
+            );
         }
     }
 }

@@ -10,6 +10,8 @@
 //! (HTTP/1.0 is the inverse), and the server echoes its decision in the
 //! response's `connection` header so clients never have to guess.
 
+use crate::event_loop::ReplayStream;
+
 /// Upper bound on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
@@ -213,41 +215,13 @@ pub fn parse_request(buf: &[u8]) -> Result<Option<ParsedRequest>, HttpError> {
     }))
 }
 
-/// The body of a chunked streaming response, pumped by the event loop
-/// under the per-connection backpressure cap.
-#[derive(Debug, Clone)]
-pub enum StreamBody {
-    /// Newline-delimited JSON events as `(due_ms, payload)` in
-    /// non-decreasing `due_ms` order. `due_ms` is wall milliseconds
-    /// after the response head is written; the payload is one NDJSON
-    /// line (trailing `\n` included) sent as one chunked-transfer
-    /// chunk. At speed 0 every `due_ms` is 0.
-    Paced(Vec<(u64, String)>),
-    /// One large pre-rendered body, spilled onto the chunked path so a
-    /// slow client never pins a multi-MB write buffer: the loop slices
-    /// off chunks only as the socket drains them. `gzip` records whether
-    /// the bytes are gzip-encoded (the head still needs its
-    /// `content-encoding` header after the payload moved here).
-    Bulk {
-        /// The complete body bytes, sliced into chunks by the pump.
-        bytes: Vec<u8>,
-        /// Whether `bytes` are gzip-encoded.
-        gzip: bool,
-    },
-}
-
-impl Default for StreamBody {
-    fn default() -> Self {
-        StreamBody::Paced(Vec::new())
-    }
-}
-
-/// Encodes one chunked-transfer chunk: hex size, CRLF, data, CRLF.
-pub fn encode_chunk(payload: &[u8]) -> Vec<u8> {
-    let mut out = format!("{:x}\r\n", payload.len()).into_bytes();
+/// Appends one chunked-transfer chunk to `out`: hex size, CRLF, data,
+/// CRLF.
+pub(crate) fn push_chunk(out: &mut Vec<u8>, payload: &[u8]) {
+    use std::io::Write as _;
+    let _ = write!(out, "{:x}\r\n", payload.len());
     out.extend_from_slice(payload);
     out.extend_from_slice(b"\r\n");
-    out
 }
 
 /// The terminal zero-length chunk ending a chunked response.
@@ -278,7 +252,7 @@ pub fn write_head(status: u16, reason: &str, keep_alive: bool, headers: &[(&str,
 
 /// A response ready to serialize: status, an optional Retry-After
 /// header, and either a JSON body (content-length framing,
-/// optionally gzip-encoded) or a chunked stream.
+/// optionally gzip-encoded) or a replay stream (chunked NDJSON).
 #[derive(Debug, Clone)]
 pub struct Response {
     /// HTTP status code.
@@ -290,10 +264,10 @@ pub struct Response {
     /// Gzip-encoded body; `Some` sends these bytes with
     /// `content-encoding: gzip` instead of `body`.
     pub encoded: Option<Vec<u8>>,
-    /// Chunked streaming body; `Some` makes this a
-    /// `Transfer-Encoding: chunked` response driven by the event loop,
-    /// and `body` is not sent.
-    pub stream: Option<StreamBody>,
+    /// Replay stream; `Some` makes this a `Transfer-Encoding: chunked`
+    /// response the event loop formats as it writes, and `body` is not
+    /// sent. Boxed to keep every other response small.
+    pub(crate) stream: Option<Box<ReplayStream>>,
 }
 
 impl Response {
@@ -341,14 +315,14 @@ impl Response {
         r
     }
 
-    /// A `200 OK` chunked stream.
-    pub fn stream(stream: StreamBody) -> Self {
+    /// A `200 OK` chunked replay stream.
+    pub(crate) fn stream(stream: ReplayStream) -> Self {
         Self {
             status: 200,
             retry_after: None,
             body: String::new(),
             encoded: None,
-            stream: Some(stream),
+            stream: Some(Box::new(stream)),
         }
     }
 
@@ -374,21 +348,6 @@ impl Response {
         }
     }
 
-    /// Moves an oversized content-length payload onto the chunked path:
-    /// the body becomes a [`StreamBody::Bulk`] and the response
-    /// serializes with `transfer-encoding: chunked` instead of an
-    /// enormous `content-length`. Gzip payloads keep their
-    /// `content-encoding` header. No-op semantics are the caller's
-    /// concern: only call on a response without a stream.
-    pub fn spill_to_stream(&mut self) {
-        debug_assert!(self.stream.is_none(), "response already streams");
-        let (bytes, gzip) = match self.encoded.take() {
-            Some(bytes) => (bytes, true),
-            None => (std::mem::take(&mut self.body).into_bytes(), false),
-        };
-        self.stream = Some(StreamBody::Bulk { bytes, gzip });
-    }
-
     /// Serializes the full content-length-framed response. `keep_alive`
     /// selects the `connection` header: `keep-alive` leaves the
     /// connection open for the next pipelined request, `close` announces
@@ -411,33 +370,14 @@ impl Response {
         out
     }
 
-    /// Serializes the head of a chunked streaming response; the event
-    /// loop follows with [`encode_chunk`]-framed payloads —
-    /// virtual-time-paced NDJSON lines for [`StreamBody::Paced`],
-    /// backpressured body slices for [`StreamBody::Bulk`] — and
+    /// Serializes the head of a replay stream; the event loop follows
+    /// with one [`push_chunk`]-framed NDJSON line per chunk and
     /// [`LAST_CHUNK`] at end of stream.
-    pub fn serialize_stream_head(&self, keep_alive: bool) -> Vec<u8> {
-        let paced = matches!(self.stream, Some(StreamBody::Paced(_)));
-        let gzip = self.encoded.is_some()
-            || matches!(self.stream, Some(StreamBody::Bulk { gzip: true, .. }));
-        let retry = self.retry_after.map(|secs| secs.to_string());
-        let mut headers: Vec<(&str, &str)> = vec![
-            (
-                "content-type",
-                if paced {
-                    "application/x-ndjson"
-                } else {
-                    "application/json"
-                },
-            ),
+    pub(crate) fn serialize_stream_head(&self, keep_alive: bool) -> Vec<u8> {
+        let headers = [
+            ("content-type", "application/x-ndjson"),
             ("transfer-encoding", "chunked"),
         ];
-        if gzip {
-            headers.push(("content-encoding", "gzip"));
-        }
-        if let Some(retry) = &retry {
-            headers.push(("retry-after", retry));
-        }
         write_head(self.status, self.reason(), keep_alive, &headers).into_bytes()
     }
 }

@@ -38,10 +38,12 @@
 //! them back through per-loop completion lists + [`poller::Waker`]s.
 //! The run cache, gzip section cache, and snapshot [`catalog`] are
 //! shared behind `Arc`, so responses are byte-identical whichever loop
-//! serves them. Large bodies spill onto the chunked-transfer path and
+//! serves them. Every response is either a content-length body or a
+//! replay stream, which the event loop formats line by line from the
+//! cached replay outcome as lines come due and the connection has room.
 //! `Accept-Encoding: gzip` is honored on report/fots routes with an
 //! in-crate DEFLATE encoder ([`gzip`]). Snapshots are served from a
-//! [`catalog`] of mmap-backed `.dcfsnap` files, pinned and reloadable
+//! [`catalog`] of decoded `.dcfsnap` files, pinned and reloadable
 //! at runtime (SIGHUP or `POST /catalog/reload`).
 //!
 //! Design constraints carried over from the rest of the workspace: no
@@ -60,7 +62,6 @@ pub mod catalog;
 mod event_loop;
 pub mod gzip;
 pub mod http;
-pub mod mmap;
 pub mod poller;
 pub mod queue;
 pub mod sections;
@@ -69,7 +70,7 @@ pub mod signal;
 
 pub use cache::{CacheKey, ResponseCache};
 pub use catalog::{Catalog, CatalogEntryInfo, ReloadSummary};
-pub use http::{Request, Response, StreamBody};
+pub use http::{Request, Response};
 pub use poller::{Interest, Poller, Waker};
 pub use queue::BoundedQueue;
 pub use sections::SECTIONS;

@@ -99,8 +99,6 @@ pub(crate) mod sys {
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_CREATE1: usize = 291;
         pub const EPOLL_PWAIT: usize = 281;
-        pub const MMAP: usize = 9;
-        pub const MUNMAP: usize = 11;
         pub const LISTEN: usize = 50;
     }
     #[cfg(target_arch = "aarch64")]
@@ -109,8 +107,6 @@ pub(crate) mod sys {
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_CREATE1: usize = 20;
         pub const EPOLL_PWAIT: usize = 22;
-        pub const MMAP: usize = 222;
-        pub const MUNMAP: usize = 215;
         pub const LISTEN: usize = 201;
     }
 

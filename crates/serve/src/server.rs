@@ -36,9 +36,9 @@ use dcf_trace::{ComponentClass, FailureType, FotCategory, FotColumns};
 
 use crate::cache::{scenario_hash, CacheKey, ResponseCache, RunArtifacts, RunEntry};
 use crate::catalog::{Catalog, ReloadSummary};
-use crate::event_loop::EventLoop;
+use crate::event_loop::{EventLoop, ReplayStream};
 use crate::gzip;
-use crate::http::{Request, Response, StreamBody};
+use crate::http::{Request, Response};
 use crate::poller::{self, Poller, Waker};
 use crate::queue::BoundedQueue;
 use crate::sections::{self, Obj, RunIdentity};
@@ -81,10 +81,6 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Event-loop (poller thread) count; `0` = one per available core.
     pub loops: usize,
-    /// Bodies larger than this many bytes are spilled onto the chunked
-    /// transfer path instead of being framed with `content-length`, so a
-    /// slow client backpressures instead of pinning a multi-MB buffer.
-    pub spill_threshold: usize,
 }
 
 impl Default for ServeConfig {
@@ -100,7 +96,6 @@ impl Default for ServeConfig {
             max_connections: 12_000,
             idle_timeout: Duration::from_secs(10),
             loops: 1,
-            spill_threshold: 256 * 1024,
         }
     }
 }
@@ -169,14 +164,6 @@ impl ServeConfig {
         self.loops = loops;
         self
     }
-
-    /// Sets the body size above which responses spill onto the chunked
-    /// transfer path.
-    #[must_use]
-    pub fn spill_threshold(mut self, bytes: usize) -> Self {
-        self.spill_threshold = bytes;
-        self
-    }
 }
 
 /// One parsed request handed from an event loop to the worker pool.
@@ -222,9 +209,6 @@ pub(crate) struct Shared {
     pub(crate) cache: ResponseCache,
     pub(crate) metrics: MetricsRegistry,
     pub(crate) compute_delay: Duration,
-    /// Bodies above this many bytes go out chunked instead of
-    /// content-length framed.
-    pub(crate) spill_threshold: usize,
     /// Name-addressed pinned snapshot entries (`--catalog`).
     pub(crate) catalog: Option<Catalog>,
     /// One mailbox set per event loop, indexed by `Job::loop_id`.
@@ -298,7 +282,6 @@ impl Server {
             cache,
             metrics: config.metrics.clone(),
             compute_delay: config.compute_delay,
-            spill_threshold: config.spill_threshold,
             catalog,
             loops: lanes,
             stop: AtomicBool::new(false),
@@ -896,8 +879,9 @@ fn write_page_row(out: &mut String, cols: &FotColumns, row: usize) {
 /// summary) as chunked NDJSON. `speed` is simulated days per wall
 /// second; `0` (the default) streams with no pacing. The event sequence
 /// is precomputed and cached per run, so the bytes on the wire are
-/// identical at every speed; ticket lines are formatted from the run's
-/// trace per request, since the cached sequence keeps only their rows.
+/// identical at every speed; the event loop formats each ticket line
+/// from the run's trace as the line comes due and the connection has
+/// room, since the cached sequence keeps only their rows.
 fn handle_replay(shared: &Shared, request: &Request, scenario: &str) -> Response {
     let speed = match request.query_value("speed") {
         None => 0.0,
@@ -937,16 +921,6 @@ fn handle_replay(shared: &Shared, request: &Request, scenario: &str) -> Response
     } else {
         0.0
     };
-    let mut chunks = Vec::with_capacity(outcome.events.len() + 1);
-    let mut last_due = 0u64;
-    outcome
-        .for_each_line(&artifacts.trace, |event, line| {
-            let due = (event.offset_secs as f64 * ms_per_sim_sec) as u64;
-            last_due = due;
-            chunks.push((due, format!("{line}\n")));
-            Ok::<_, std::convert::Infallible>(())
-        })
-        .unwrap_or_else(|never| match never {});
-    chunks.push((last_due, format!("{}\n", outcome.summary_line)));
-    Response::stream(StreamBody::Paced(chunks))
+    let outcome = Arc::clone(outcome);
+    Response::stream(ReplayStream::new(artifacts, outcome, ms_per_sim_sec))
 }

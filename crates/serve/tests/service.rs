@@ -90,20 +90,8 @@ impl Client {
 
     /// Reads one `Transfer-Encoding: chunked` response off the
     /// connection, decoding the chunk framing; the returned body is the
-    /// reassembled payload bytes.
+    /// reassembled payload.
     fn read_chunked_reply(&mut self) -> Reply {
-        let (status, headers, body) = self.read_chunked_raw();
-        Reply {
-            status,
-            headers,
-            body: String::from_utf8(body).expect("UTF-8 body"),
-        }
-    }
-
-    /// Like [`Self::read_chunked_reply`] but keeps the reassembled
-    /// payload as raw bytes — required for gzip bodies spilled onto the
-    /// chunked path.
-    fn read_chunked_raw(&mut self) -> (u16, Vec<(String, String)>, Vec<u8>) {
         let head_len = loop {
             if let Some(pos) = self.buf.windows(4).position(|w| w == b"\r\n\r\n") {
                 break pos + 4;
@@ -151,7 +139,11 @@ impl Client {
                 break;
             }
         }
-        (status, headers, body)
+        Reply {
+            status,
+            headers,
+            body: String::from_utf8(body).expect("UTF-8 body"),
+        }
     }
 
     fn fill(&mut self, what: &str) {
@@ -1118,98 +1110,38 @@ fn gzip_sections_decode_byte_identical_across_two_loops() {
 }
 
 #[test]
-fn oversized_bodies_spill_onto_the_chunked_path() {
-    // A 300-byte spill threshold forces every report section — identity
-    // (~850 bytes) and gzip (~450) alike — onto the chunked-transfer
-    // path while /healthz stays content-length framed. Spill is decided
-    // on the encoded payload, so the threshold must sit below the
-    // compressed size for gzip responses to stream.
+fn a_metrics_body_over_256_kib_goes_out_with_its_content_length() {
+    // A full span log makes `/metrics` the largest content-length body
+    // the service sends.
     let metrics = MetricsRegistry::new();
+    for _ in 0..dcf_obs::SPAN_CAP {
+        drop(metrics.worker_phase("serve.request"));
+    }
     let server = Server::start(
         ServeConfig::default()
             .addr("127.0.0.1:0")
             .workers(2)
-            .spill_threshold(300)
             .metrics(&metrics),
     )
     .expect("server starts");
-    let addr = server.local_addr();
 
+    let mut client = Client::connect(server.local_addr());
+    client.send(&get_keep_alive("/metrics"));
+    let reply = client.read_reply();
+    assert_eq!(reply.status, 200);
+    assert!(reply.body.len() > 256 * 1024, "{} bytes", reply.body.len());
     assert_eq!(
-        post(addr, "/v1/simulate", r#"{"scenario":"small","seed":11}"#).status,
-        200
+        reply.header("content-length"),
+        Some(reply.body.len().to_string().as_str())
     );
+    assert_eq!(reply.header("transfer-encoding"), None);
+    assert_eq!(reply.header("connection"), Some("keep-alive"));
+    dcf_obs::json::parse(&reply.body).expect("metrics body is one JSON document");
 
-    // Small responses keep content-length framing.
-    let health = get(addr, "/healthz");
-    assert_eq!(health.status, 200);
-    assert!(health.header("content-length").is_some());
-
-    // Reference body from an unspilled server.
-    let plain_metrics = MetricsRegistry::new();
-    let plain = Server::start(
-        ServeConfig::default()
-            .addr("127.0.0.1:0")
-            .workers(2)
-            .metrics(&plain_metrics),
-    )
-    .expect("reference server starts");
-    assert_eq!(
-        post(
-            plain.local_addr(),
-            "/v1/simulate",
-            r#"{"scenario":"small","seed":11}"#
-        )
-        .status,
-        200
-    );
-    let path = "/v1/report/overview?scenario=small&seed=11";
-    let reference = get(plain.local_addr(), path);
-    assert_eq!(reference.status, 200);
-    plain.shutdown();
-    assert!(
-        reference.body.len() > 300,
-        "overview must exceed the spill threshold"
-    );
-
-    // The spilled section arrives chunked, on a keep-alive connection,
-    // and reassembles to the identical payload.
-    let mut client = Client::connect(addr);
-    client.send(&get_keep_alive(path));
-    let spilled = client.read_chunked_reply();
-    assert_eq!(spilled.status, 200);
-    assert_eq!(spilled.header("content-type"), Some("application/json"));
-    assert_eq!(spilled.header("connection"), Some("keep-alive"));
-    assert_eq!(
-        spilled.body, reference.body,
-        "spilling must not change payload bytes"
-    );
-
-    // The connection survives: a small request still works on it.
+    // The keep-alive connection serves the next request.
     client.send(&get_keep_alive("/healthz"));
     assert_eq!(client.read_reply().status, 200);
-
-    // Gzip composes with spill: chunked framing + content-encoding, and
-    // the reassembled bytes inflate to the same payload.
-    client.send(&get_gzip_keep_alive(path));
-    let (status, headers, zipped) = client.read_chunked_raw();
-    assert_eq!(status, 200);
-    assert_eq!(
-        headers
-            .iter()
-            .find(|(k, _)| k == "content-encoding")
-            .map(|(_, v)| v.as_str()),
-        Some("gzip"),
-        "spilled gzip response must keep its content-encoding"
-    );
-    let inflated = dcf_serve::gzip::gunzip(&zipped).expect("spilled gzip inflates");
-    assert_eq!(String::from_utf8(inflated).unwrap(), reference.body);
-
-    let report = server.shutdown();
-    assert!(
-        report.counter("serve.spilled").unwrap_or(0) >= 2,
-        "both large responses must count as spilled"
-    );
+    server.shutdown();
 }
 
 #[test]

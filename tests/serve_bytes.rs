@@ -28,8 +28,9 @@ fn xorshift(len: usize, seed: u64) -> Vec<u8> {
         .collect()
 }
 
-/// One `Connection: close` exchange: status and body. Bodies below the
-/// spill threshold carry a content length, which is all these pages need.
+/// One `Connection: close` exchange: status and body. Every response but
+/// a replay stream carries a content length, which is all these pages
+/// need.
 fn exchange(
     addr: SocketAddr,
     method: &str,

@@ -1278,7 +1278,7 @@ fn written_replay_lines_rehash_to_the_event_digest() {
         let (mut digest, mut lines) = (FNV_OFFSET, 0usize);
         outcome
             .for_each_line(trace, |_, line| {
-                digest = fnv1a(fnv1a(digest, line.as_bytes()), b"\n");
+                digest = fnv1a(fnv1a(digest, line), b"\n");
                 lines += 1;
                 Ok::<_, ()>(())
             })
