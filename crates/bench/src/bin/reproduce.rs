@@ -64,8 +64,9 @@
 //!
 //! `--experiment ID` renders one paper artifact; `reproduce --help` lists
 //! the IDs (`dcf_report::experiments::EXPERIMENTS`). `all`, the default,
-//! renders every one, and `none` skips the study entirely — engine-only
-//! digest runs.
+//! renders every one (after analyzing the study under `--threads`, so the
+//! renderers run on as many workers), and `none` skips the study
+//! entirely — engine-only digest runs.
 //! `--markdown` prints the headline paper-vs-measured table and `--score`
 //! a verdict per headline metric plus the share that agrees. Both format
 //! the one `StudyReport` the run analyzes, under its `--threads` and
@@ -76,9 +77,9 @@
 //! phase timings and event counters are written to `PATH` as a JSON
 //! `RunReport` and summarized on stderr. Counter values are deterministic
 //! in the seed.
-//! `--threads N` sets both the engine worker-thread count and the study
-//! section pool size (`0`, the default, means auto-detect from the
-//! machine). Traces and reports are byte-identical across thread counts.
+//! `--threads N` sets the engine worker-thread count, the study section
+//! pool size and the full report's render workers (`0`, the default,
+//! means auto-detect from the machine). Traces and reports are byte-identical across thread counts.
 //! `--servers N` overrides the scenario's fleet size (the rest of the
 //! layout — DCs, racks, product lines — rescales around it).
 //! `--shards K` (default 1) splits the fleet into K contiguous server
@@ -555,7 +556,10 @@ fn report(args: &Args, trace: &Trace, registry: &MetricsRegistry) {
     }
     let study = FailureStudy::new(trace);
     let _analysis = registry.phase("analysis");
-    let report = (args.markdown || args.score).then(|| {
+    // One analysis under `--threads` feeds the markdown and score
+    // summaries; the full report reads its sections and renders on as
+    // many workers.
+    let report = (args.markdown || args.score || experiment == "all").then(|| {
         // 0 = auto: one worker per core, capped by the section count inside
         // `FailureStudy::analyze`.
         let threads = if args.threads == 0 {
@@ -569,9 +573,9 @@ fn report(args: &Args, trace: &Trace, registry: &MetricsRegistry) {
         let _render = registry.phase("report.render");
         match (&report, experiments::by_id(experiment)) {
             (Some(report), _) if args.score => score_text(report, trace),
-            (Some(report), _) => markdown_summary(report),
-            (None, Some(e)) => (e.render)(&study),
-            (None, None) => experiments::render_all(&study),
+            (Some(report), _) if args.markdown => markdown_summary(report),
+            (_, Some(e)) => (e.render)(&study),
+            (_, None) => experiments::render_all(&study),
         }
     };
     println!("{text}");

@@ -289,6 +289,11 @@ impl<'a> Correlation<'a> {
 
         let mut groups: Vec<SynchronousGroup> = Vec::new();
         for run in pair_times.chunk_by(|a, b| a.0 == b.0) {
+            // Merging only drops occurrences: most pairs co-occur once or
+            // twice and are settled without collecting their times.
+            if run.len() < min_occurrences {
+                continue;
+            }
             // Merge co-occurrences closer than the skew (the two phases
             // may both record the same incident).
             let mut times: Vec<SimTime> = run.iter().map(|&(_, t)| SimTime::from_secs(t)).collect();

@@ -47,4 +47,4 @@ pub mod temporal;
 #[cfg(test)]
 mod test_support;
 
-pub use study::{FailureStudy, StudyOptions, StudyReport};
+pub use study::{schedule, FailureStudy, StudyOptions, StudyReport};

@@ -120,19 +120,27 @@ impl<'a> Lifecycle<'a> {
         // Exposure: servers deployed at the same instant share their
         // per-month window overlap, so their component counts are summed
         // first and the overlap is applied once per distinct deploy time
-        // (about 1.7k of them for the paper's 160k servers).
-        let mut by_deploy: Vec<(u64, u32)> = deploys
-            .iter()
-            .enumerate()
-            .map(|(server, &deploy)| (deploy, server as u32))
-            .collect();
-        by_deploy.sort_unstable();
+        // (about 1.7k of them for the paper's 160k servers), in ascending
+        // deploy order. Servers come in racks deployed together, so the
+        // counts are summed over runs of consecutive servers with one
+        // deploy time first, and only the runs are sorted.
+        let mut runs: Vec<(u64, [u64; 11])> = Vec::new();
+        for (server, &deploy) in self.trace.servers().iter().zip(&deploys) {
+            if runs.last().is_none_or(|run| run.0 != deploy) {
+                runs.push((deploy, [0; 11]));
+            }
+            let counts = &mut runs.last_mut().expect("pushed above").1;
+            for class in ComponentClass::ALL {
+                counts[class.index()] += server.component_count(class) as u64;
+            }
+        }
+        runs.sort_unstable_by_key(|run| run.0);
         let start = self.trace.info().start.as_secs() as f64;
         let end = self.trace.end_time().as_secs() as f64;
         let month = SECS_PER_MONTH as f64;
         let mut exposure = vec![vec![0.0f64; AGE_MONTHS]; 11];
         let mut frac = [0.0f64; AGE_MONTHS];
-        for cohort in by_deploy.chunk_by(|a, b| a.0 == b.0) {
+        for cohort in runs.chunk_by(|a, b| a.0 == b.0) {
             let deploy = cohort[0].0 as f64;
             let mut any = false;
             for (m, f) in frac.iter_mut().enumerate() {
@@ -145,10 +153,9 @@ impl<'a> Lifecycle<'a> {
                 continue;
             }
             let mut counts = [0u64; 11];
-            for &(_, server) in cohort {
-                let server = &self.trace.servers()[server as usize];
-                for class in ComponentClass::ALL {
-                    counts[class.index()] += server.component_count(class) as u64;
+            for (_, run) in cohort {
+                for (sum, &count) in counts.iter_mut().zip(run) {
+                    *sum += count;
                 }
             }
             for (ex, &count) in exposure.iter_mut().zip(&counts) {
@@ -163,9 +170,8 @@ impl<'a> Lifecycle<'a> {
 
         ComponentClass::ALL
             .iter()
-            .map(|&class| {
-                let f = failures[class.index()].clone();
-                let e = exposure[class.index()].clone();
+            .zip(failures.into_iter().zip(exposure))
+            .map(|(&class, (f, e))| {
                 let rate = f
                     .iter()
                     .zip(&e)

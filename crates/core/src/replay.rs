@@ -30,13 +30,21 @@
 //! Every event — ticket or detection — is rendered as one canonical JSON
 //! line with a virtual-time offset, and the whole stream is digested with
 //! byte-wise FNV-1a, so a replay is byte-identical at any playback speed.
-//! Ticket events keep only their trace row. One writer formats a ticket
-//! line from the columns: constant stretches (class, type and severity,
-//! category) escaped once into a table, integers two digits at a time.
-//! [`replay`] writes each line into one reused buffer to hash it, and
-//! writers format it again as they send it
-//! ([`ReplayOutcome::for_each_line`]), so a finished replay holds no
-//! ticket text. The final [`ReplaySummary`] scores the σ and burst
+//! Ticket events keep only their trace row, so a finished replay holds no
+//! ticket text: one writer formats a ticket line from the columns as it
+//! is sent ([`ReplayOutcome::for_each_line`]), with its constant
+//! stretches (class, type and severity, category) escaped once into a
+//! table and its integers written two digits at a time.
+//!
+//! The digest never writes a ticket line. FNV-1a over a fixed string `s`
+//! is exactly `fnv1a(h, s) = h·P^|s| + A_s[h & 0xFF]` (mod 2^64) for a
+//! 256-entry table `A_s` ([`dcf_trace::io::FnvJump`]), so each constant
+//! stretch of a line is one jump and only the integers' digits are
+//! hashed byte by byte. The digest is still one serial chain through the
+//! stream's bytes, so a second thread folds it while the detectors run:
+//! every trace row streams as a ticket, in row order, and the feed sends
+//! that thread the detection lines with the number of tickets before
+//! each. The final [`ReplaySummary`] scores the σ and burst
 //! detectors against the offline study (precision/recall/F1 over the
 //! flagged `(class, dc, day)` / `(class, day)` sets) and carries the
 //! predictor's own evaluation. The online predictor's predicted-fatal set
@@ -44,9 +52,9 @@
 //! streams), so no score is computed for it; the tests check the two
 //! sets against each other instead.
 
-use std::sync::OnceLock;
+use std::sync::{mpsc, OnceLock};
 
-use dcf_trace::io::{fnv1a, FNV_OFFSET};
+use dcf_trace::io::{fnv1a, FnvJump, FNV_OFFSET};
 use dcf_trace::{
     ComponentClass, FailureType, FotCategory, FotColumns, Severity, Trace, SECS_PER_DAY,
 };
@@ -259,9 +267,9 @@ const DIGIT_PAIRS: &[u8; 200] = b"\
     6061626364656667686970717273747576777879\
     8081828384858687888990919293949596979899";
 
-/// Appends the decimal digits of `v`, two at a time.
-fn push_uint(out: &mut Vec<u8>, v: u64) {
-    let mut digits = [0u8; 20];
+/// The decimal digits of `v`, written two at a time into the tail of
+/// `digits`.
+fn uint_digits(digits: &mut [u8; 20], v: u64) -> &[u8] {
     let mut i = digits.len();
     let mut v = v;
     while v >= 100 {
@@ -278,13 +286,46 @@ fn push_uint(out: &mut Vec<u8>, v: u64) {
         i -= 1;
         digits[i] = b'0' + v as u8;
     }
-    out.extend_from_slice(&digits[i..]);
+    &digits[i..]
 }
 
-/// Appends `v` with four decimals.
-fn push_fixed4(out: &mut Vec<u8>, v: f64) {
-    use std::io::Write as _;
-    write!(out, "{v:.4}").expect("writing to a Vec cannot fail");
+/// Appends the decimal digits of `v`.
+fn push_uint(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(uint_digits(&mut [0; 20], v));
+}
+
+/// `fnv1a(hash, digits of v)`, as if [`push_uint`] had written them.
+fn fnv_uint(hash: u64, v: u64) -> u64 {
+    fnv1a(hash, uint_digits(&mut [0; 20], v))
+}
+
+/// Appends `v` with four decimals, byte-identical to `{v:.4}`: the z
+/// field of a σ line.
+///
+/// `{:.4}` rounds the exact binary value of `v` to four decimals.
+/// `x = |v|·10⁴` in `f64` is within half an ulp of the exact product,
+/// so wherever `x` sits clear of a rounding boundary (a half-integer) by
+/// more than that, `x.round()` is the exact product rounded; below 2³²
+/// an ulp of `x` is at most 2⁻²⁰, and the margin kept is 2⁻¹⁶. Then the
+/// integer is written as `int.frac`. Anything else (near a tie, huge,
+/// non-finite) goes through `std::fmt`.
+pub fn push_fixed4(out: &mut Vec<u8>, v: f64) {
+    const MARGIN: f64 = 1.0 / 65_536.0;
+    let x = v.abs() * 10_000.0;
+    if x < 4_294_967_296.0 && ((x - x.floor()) - 0.5).abs() > MARGIN {
+        if v.is_sign_negative() {
+            out.push(b'-');
+        }
+        let n = x.round() as u64;
+        push_uint(out, n / 10_000);
+        out.push(b'.');
+        let frac = (n % 10_000) as usize;
+        out.extend_from_slice(&DIGIT_PAIRS[frac / 100 * 2..][..2]);
+        out.extend_from_slice(&DIGIT_PAIRS[frac % 100 * 2..][..2]);
+    } else {
+        use std::io::Write as _;
+        write!(out, "{v:.4}").expect("writing to a Vec cannot fail");
+    }
 }
 
 /// Appends `s` to `out` as a JSON string literal. Class and failure type
@@ -308,14 +349,36 @@ fn push_json_str(out: &mut Vec<u8>, s: &str) {
     out.push(b'"');
 }
 
+/// The keys ahead of a ticket line's integer fields, in line order.
+const TICKET_HEAD: &[u8] = b"{\"t\":\"fot\",\"off\":";
+const KEY_ID: &[u8] = b",\"id\":";
+const KEY_DAY: &[u8] = b",\"day\":";
+const KEY_SERVER: &[u8] = b",\"server\":";
+const KEY_DC: &[u8] = b",\"dc\":";
+
 /// The constant stretches of a ticket line, each escaped once: per class
 /// `,"class":"HDD","slot":`, per failure type
 /// `,"type":"SMARTFail","sev":"warning","cat":`, and per category
-/// `"D_fixing"}`. Indexed by the columns' tags.
+/// `"D_fixing"}`. Indexed by the columns' tags. Each stretch also has its
+/// [`FnvJump`], so the digest skips it in one step.
 struct TicketPieces {
     class_slot: Vec<Vec<u8>>,
     type_sev: Vec<Vec<u8>>,
     category: Vec<Vec<u8>>,
+    jumps: TicketJumps,
+}
+
+/// The jumps over a ticket line's constant stretches: the four keys, the
+/// head, and the pieces (the category piece with the line's `\n`).
+struct TicketJumps {
+    head: FnvJump,
+    id: FnvJump,
+    day: FnvJump,
+    server: FnvJump,
+    dc: FnvJump,
+    class_slot: Vec<FnvJump>,
+    type_sev: Vec<FnvJump>,
+    category_newline: Vec<FnvJump>,
 }
 
 impl TicketPieces {
@@ -330,53 +393,86 @@ impl TicketPieces {
                 out.extend_from_slice(after.as_bytes());
                 out
             };
+            let class_slot: Vec<Vec<u8>> = ComponentClass::ALL
+                .iter()
+                .map(|class| piece(",\"class\":", class.name(), ",\"slot\":"))
+                .collect();
+            let type_sev: Vec<Vec<u8>> = FailureType::ALL
+                .iter()
+                .map(|failure_type| {
+                    let sev = match failure_type.severity() {
+                        Severity::Warning => "warning",
+                        Severity::Fatal => "fatal",
+                    };
+                    [
+                        piece(",\"type\":", failure_type.name(), ""),
+                        piece(",\"sev\":", sev, ",\"cat\":"),
+                    ]
+                    .concat()
+                })
+                .collect();
+            let category: Vec<Vec<u8>> = FotCategory::ALL
+                .iter()
+                .map(|category| piece("", category.name(), "}"))
+                .collect();
+            let jumps = |pieces: &[Vec<u8>]| pieces.iter().map(|p| FnvJump::new(p)).collect();
+            let category_newline: Vec<Vec<u8>> =
+                category.iter().map(|p| [&p[..], b"\n"].concat()).collect();
             TicketPieces {
-                class_slot: ComponentClass::ALL
-                    .iter()
-                    .map(|class| piece(",\"class\":", class.name(), ",\"slot\":"))
-                    .collect(),
-                type_sev: FailureType::ALL
-                    .iter()
-                    .map(|failure_type| {
-                        let sev = match failure_type.severity() {
-                            Severity::Warning => "warning",
-                            Severity::Fatal => "fatal",
-                        };
-                        [
-                            piece(",\"type\":", failure_type.name(), ""),
-                            piece(",\"sev\":", sev, ",\"cat\":"),
-                        ]
-                        .concat()
-                    })
-                    .collect(),
-                category: FotCategory::ALL
-                    .iter()
-                    .map(|category| piece("", category.name(), "}"))
-                    .collect(),
+                jumps: TicketJumps {
+                    head: FnvJump::new(TICKET_HEAD),
+                    id: FnvJump::new(KEY_ID),
+                    day: FnvJump::new(KEY_DAY),
+                    server: FnvJump::new(KEY_SERVER),
+                    dc: FnvJump::new(KEY_DC),
+                    class_slot: jumps(&class_slot),
+                    type_sev: jumps(&type_sev),
+                    category_newline: jumps(&category_newline),
+                },
+                class_slot,
+                type_sev,
+                category,
             }
         })
     }
 }
 
 /// Appends the JSON line of ticket row `row` at offset `off`, read
-/// straight from the columns: the shared writer of the replay digest and
-/// of [`ReplayEvent::write_line`].
+/// straight from the columns: the one ticket line writer, behind
+/// [`ReplayEvent::write_line`]. [`fold_ticket_line`] digests the same
+/// bytes.
 fn write_ticket_line(out: &mut Vec<u8>, cols: &FotColumns, row: usize, off: u64) {
     let pieces = TicketPieces::get();
-    out.extend_from_slice(b"{\"t\":\"fot\",\"off\":");
+    out.extend_from_slice(TICKET_HEAD);
     push_uint(out, off);
-    out.extend_from_slice(b",\"id\":");
+    out.extend_from_slice(KEY_ID);
     push_uint(out, cols.ids()[row]);
-    out.extend_from_slice(b",\"day\":");
+    out.extend_from_slice(KEY_DAY);
     push_uint(out, cols.error_days()[row].into());
-    out.extend_from_slice(b",\"server\":");
+    out.extend_from_slice(KEY_SERVER);
     push_uint(out, cols.servers()[row].into());
-    out.extend_from_slice(b",\"dc\":");
+    out.extend_from_slice(KEY_DC);
     push_uint(out, cols.data_centers()[row].into());
     out.extend_from_slice(&pieces.class_slot[usize::from(cols.classes()[row])]);
     push_uint(out, cols.device_slots()[row].into());
     out.extend_from_slice(&pieces.type_sev[usize::from(cols.failure_types()[row])]);
     out.extend_from_slice(&pieces.category[usize::from(cols.categories()[row])]);
+}
+
+/// `fnv1a(hash, line + "\n")` for the line [`write_ticket_line`] writes,
+/// without writing it: the integers are hashed digit by digit and every
+/// constant stretch is one [`FnvJump`].
+fn fold_ticket_line(hash: u64, cols: &FotColumns, row: usize, off: u64) -> u64 {
+    let jumps = &TicketPieces::get().jumps;
+    let mut h = fnv_uint(jumps.head.apply(hash), off);
+    h = fnv_uint(jumps.id.apply(h), cols.ids()[row]);
+    h = fnv_uint(jumps.day.apply(h), cols.error_days()[row].into());
+    h = fnv_uint(jumps.server.apply(h), cols.servers()[row].into());
+    h = fnv_uint(jumps.dc.apply(h), cols.data_centers()[row].into());
+    h = jumps.class_slot[usize::from(cols.classes()[row])].apply(h);
+    h = fnv_uint(h, cols.device_slots()[row].into());
+    h = jumps.type_sev[usize::from(cols.failure_types()[row])].apply(h);
+    jumps.category_newline[usize::from(cols.categories()[row])].apply(h)
 }
 
 /// Inserts `value` into the ascending `sorted`.
@@ -585,13 +681,30 @@ impl SigmaWindows {
     }
 }
 
-/// The event stream under construction, with its running digest.
+/// Detection lines on their way to the digest thread, with where each
+/// falls among the tickets.
+#[derive(Debug, Default)]
+struct DigestBatch {
+    /// Per detection line: the tickets streamed before it, and the end of
+    /// its bytes (newline included) in `lines`.
+    marks: Vec<(usize, usize)>,
+    lines: Vec<u8>,
+}
+
+/// A batch goes to the digest thread once its lines reach this size.
+const BATCH_BYTES: usize = 1 << 16;
+
+/// The event stream under construction. Its digest is folded on another
+/// thread ([`fold_stream`]); the feed sends it the detection lines.
 struct Feed {
     events: Vec<ReplayEvent>,
-    digest: u64,
+    /// Tickets streamed so far.
+    tickets: usize,
     detections: usize,
     /// The next event's JSON line, one buffer reused for every event.
     line: Vec<u8>,
+    batch: DigestBatch,
+    digest: mpsc::Sender<DigestBatch>,
 }
 
 impl Feed {
@@ -601,14 +714,10 @@ impl Feed {
         &mut self.line
     }
 
-    /// Folds the line into the digest.
-    fn hash(&mut self) {
-        self.digest = fnv1a(fnv1a(self.digest, &self.line), b"\n");
-    }
-
-    /// Appends the ticket at `row`, whose JSON line is in the buffer.
+    /// Appends the ticket at `row`, the next row of the trace.
     fn ticket(&mut self, offset_secs: u64, row: u32) {
-        self.hash();
+        debug_assert_eq!(row as usize, self.tickets, "tickets stream in row order");
+        self.tickets += 1;
         self.events.push(ReplayEvent {
             offset_secs,
             kind: EventKind::Ticket(row),
@@ -617,14 +726,58 @@ impl Feed {
 
     /// Appends a detection event, whose JSON line is in the buffer.
     fn detect(&mut self, offset_secs: u64) {
-        self.hash();
         self.detections += 1;
+        let batch = &mut self.batch;
+        batch.lines.extend_from_slice(&self.line);
+        batch.lines.push(b'\n');
+        batch.marks.push((self.tickets, batch.lines.len()));
+        if batch.lines.len() >= BATCH_BYTES {
+            self.send();
+        }
         let line = std::str::from_utf8(&self.line).expect("event lines are UTF-8");
         self.events.push(ReplayEvent {
             offset_secs,
             kind: EventKind::Detection(line.into()),
         });
     }
+
+    /// Sends the pending detection lines to the digest thread.
+    fn send(&mut self) {
+        let batch = std::mem::take(&mut self.batch);
+        // The receiver lives until every batch is in: the digest thread
+        // stops only once this sender is dropped.
+        self.digest
+            .send(batch)
+            .expect("the digest thread outlives the feed");
+    }
+}
+
+/// The replay event digest: `fnv1a` over every event line and its
+/// newline, in stream order. Every trace row streams as a ticket, in row
+/// order, so the ticket lines are folded straight from the columns
+/// ([`fold_ticket_line`]); the detection lines arrive in `batches`, each
+/// marked with the number of tickets streamed before it.
+fn fold_stream(
+    cols: &FotColumns,
+    start_secs: u64,
+    tickets: usize,
+    batches: mpsc::Receiver<DigestBatch>,
+) -> u64 {
+    let fold_tickets = |hash: u64, rows: std::ops::Range<usize>| {
+        rows.fold(hash, |h, row| {
+            let off = cols.error_secs(row).saturating_sub(start_secs);
+            fold_ticket_line(h, cols, row, off)
+        })
+    };
+    let (mut hash, mut row) = (FNV_OFFSET, 0);
+    for batch in batches {
+        let mut at = 0;
+        for (before, end) in batch.marks {
+            hash = fnv1a(fold_tickets(hash, row..before), &batch.lines[at..end]);
+            (row, at) = (before, end);
+        }
+    }
+    fold_tickets(hash, row..tickets)
 }
 
 /// The day-granular detectors: daily failure counts per `(class, data
@@ -728,6 +881,53 @@ impl DayDetectors {
 /// [`ReplaySummary::tickets`] and feed the predictor, but feed no daily
 /// count; days close exactly for the window's `0..days`.
 pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
+    let (cols, start_secs) = (trace.columns(), trace.info().start.as_secs());
+    let (sender, batches) = mpsc::channel();
+    std::thread::scope(|scope| {
+        // The digest is serial in the stream's bytes, so it follows the
+        // stream on its own thread while the detectors run on this one.
+        let digest = scope.spawn(move || fold_stream(cols, start_secs, trace.len(), batches));
+        let feed = Feed {
+            // Room for detections up to an eighth of the tickets (a paper
+            // replay has 9%), so the event list is not moved to grow.
+            events: Vec::with_capacity(trace.len() + trace.len() / 8 + 1024),
+            tickets: 0,
+            detections: 0,
+            line: Vec::with_capacity(256),
+            batch: DigestBatch::default(),
+            digest: sender,
+        };
+        let streamed = stream(trace, config, feed);
+        let (sigma, burst) = score_detectors(streamed.detectors, config);
+        let summary = ReplaySummary {
+            tickets: trace.len(),
+            detections: streamed.detections,
+            event_digest: digest.join().expect("folding the digest does not panic"),
+            sigma,
+            burst,
+            predictor_eval: streamed.predictor_eval,
+        };
+        let summary_line = summary_line(&summary);
+        ReplayOutcome {
+            events: streamed.events,
+            summary,
+            summary_line,
+        }
+    })
+}
+
+/// What [`stream`] leaves for scoring.
+struct Streamed {
+    events: Vec<ReplayEvent>,
+    detections: usize,
+    detectors: DayDetectors,
+    predictor_eval: PredictorEval,
+}
+
+/// Streams every ticket of `trace` through the detectors into `feed`,
+/// closing each window day as the stream passes it, and sends the last
+/// detection lines to the digest thread.
+fn stream(trace: &Trace, config: &ReplayConfig, mut feed: Feed) -> Streamed {
     let info = trace.info();
     let start = info.start;
     let start_day = start.day_index();
@@ -742,12 +942,6 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         .max()
         .unwrap_or(0);
 
-    let mut feed = Feed {
-        events: Vec::with_capacity(trace.fots().len() + 1024),
-        digest: FNV_OFFSET,
-        detections: 0,
-        line: Vec::with_capacity(256),
-    };
     let mut detectors = DayDetectors {
         days,
         start_secs: start.as_secs(),
@@ -790,7 +984,6 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
             cur_day += 1;
         }
         let off = t.saturating_sub(start.as_secs());
-        write_ticket_line(feed.line(), cols, row, off);
         feed.ticket(off, row as u32);
         if !cols.is_failure(row) {
             continue; // false alarms ride the feed but feed no detector
@@ -824,9 +1017,22 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
         detectors.close_day(cur_day, config, &mut feed);
         cur_day += 1;
     }
-    let predictor_eval = tally.eval(config.predictor_horizon_days);
+    feed.send();
+    Streamed {
+        events: feed.events,
+        detections: feed.detections,
+        detectors,
+        predictor_eval: tally.eval(config.predictor_horizon_days),
+    }
+}
 
-    // ---- Offline ground truths ----
+/// Scores the σ and burst detections against the offline truths over the
+/// finished daily counts: `(sigma, burst)`.
+fn score_detectors(
+    detectors: DayDetectors,
+    config: &ReplayConfig,
+) -> (DetectorScore, DetectorScore) {
+    let (days, n_dc) = (detectors.days, detectors.n_dc);
     // Burst: FotMiner's BatchDay criterion with the full-window median.
     let mut truth_burst: Vec<(usize, usize)> = Vec::new();
     for (class_idx, state) in detectors.burst_states.iter().enumerate() {
@@ -864,21 +1070,10 @@ pub fn replay(trace: &Trace, config: &ReplayConfig) -> ReplayOutcome {
     let mut online_sigma = detectors.sigma;
     online_burst.sort_unstable();
     online_sigma.sort_unstable();
-
-    let summary = ReplaySummary {
-        tickets: trace.len(),
-        detections: feed.detections,
-        event_digest: feed.digest,
-        sigma: DetectorScore::from_sets(&online_sigma, &truth_sigma),
-        burst: DetectorScore::from_sets(&online_burst, &truth_burst),
-        predictor_eval,
-    };
-    let summary_line = summary_line(&summary);
-    ReplayOutcome {
-        events: feed.events,
-        summary,
-        summary_line,
-    }
+    (
+        DetectorScore::from_sets(&online_sigma, &truth_sigma),
+        DetectorScore::from_sets(&online_burst, &truth_burst),
+    )
 }
 
 fn score_json(score: &DetectorScore) -> String {
@@ -1187,6 +1382,27 @@ mod tests {
             types_seen.iter().filter(|&&seen| seen).count() > 20,
             "the fixture covers most failure types"
         );
+    }
+
+    /// Each ticket line folded by jumps hashes as the written line and
+    /// its newline, from random states.
+    #[test]
+    fn folded_ticket_lines_hash_as_written() {
+        let trace = medium_trace();
+        let cols = trace.columns();
+        let mut state = 0xF01D_u64;
+        let mut line = Vec::new();
+        for row in 0..trace.len() {
+            let (h, off) = (splitmix(&mut state), splitmix(&mut state) >> (row % 64));
+            line.clear();
+            write_ticket_line(&mut line, cols, row, off);
+            line.push(b'\n');
+            assert_eq!(
+                fold_ticket_line(h, cols, row, off),
+                fnv1a(h, &line),
+                "row {row}"
+            );
+        }
     }
 
     /// Tickets before the window start and after its end stream and feed

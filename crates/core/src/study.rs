@@ -59,6 +59,8 @@ pub struct FailureStudy<'a> {
     spatial: OnceLock<SpatialSection>,
     correlation: OnceLock<CorrelatedComponents>,
     response: OnceLock<ResponseSection>,
+    /// `options.threads` of the first `analyze` call.
+    workers: OnceLock<usize>,
 }
 
 impl<'a> FailureStudy<'a> {
@@ -72,6 +74,7 @@ impl<'a> FailureStudy<'a> {
             spatial: OnceLock::new(),
             correlation: OnceLock::new(),
             response: OnceLock::new(),
+            workers: OnceLock::new(),
         }
     }
 
@@ -230,38 +233,27 @@ impl<'a> FailureStudy<'a> {
             let _span = metrics.phase("trace.build_columns");
             let _ = self.trace.columns();
         }
+        let _ = self.workers.set(options.threads.max(1));
         let workers = options.threads.clamp(1, SECTION_NAMES.len());
         metrics.set_gauge("study.threads", workers as f64);
 
         let sections_span = metrics.phase("study.sections");
-        if workers == 1 {
-            for (section, name) in SECTION_NAMES.iter().enumerate() {
-                let _span = metrics.worker_phase(name);
-                self.fill_section(section);
-            }
-        } else {
-            // Work-stealing over a shared cursor: each worker claims the
-            // next unclaimed section until all are done. Which worker runs
-            // which section is racy; the values are not — every section
-            // is a pure function of the (shared, read-only) trace, and the
-            // report below reads the cells in fixed order.
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let next = &next;
-                    scope.spawn(move || loop {
-                        let section = next.fetch_add(1, Ordering::Relaxed);
-                        if section >= SECTION_COUNT {
-                            break;
-                        }
-                        let _span = metrics.worker_phase(SECTION_NAMES[section]);
-                        self.fill_section(section);
-                    });
-                }
-            });
-        }
+        // Which worker runs which section is racy; the values are not —
+        // every section is a pure function of the (shared, read-only)
+        // trace, and the report below reads the cells in fixed order.
+        schedule(workers, SECTION_COUNT, |section| {
+            let _span = metrics.worker_phase(SECTION_NAMES[section]);
+            self.fill_section(section);
+        });
         drop(sections_span);
         self.assemble()
+    }
+
+    /// The worker count of this study's first [`FailureStudy::analyze`]
+    /// call (its `options.threads`, at least 1), or 1 if none ran: the
+    /// renderers run on as many workers as the analysis did.
+    pub fn workers(&self) -> usize {
+        self.workers.get().copied().unwrap_or(1)
     }
 
     /// Fills one section's cell by scheduler slot (see [`SECTION_NAMES`]
@@ -321,6 +313,35 @@ impl<'a> FailureStudy<'a> {
             rt_false_alarm: response.false_alarm.as_ref().map(RtStats::of),
         }
     }
+}
+
+/// Runs `job(0)`, …, `job(jobs - 1)` on up to `workers` threads, the
+/// calling thread one of them: each worker claims the next unclaimed job
+/// from a shared cursor until none is left, so jobs start in index order
+/// and a long job listed first overlaps the short ones after it. One
+/// worker (or one job) runs them in order on the calling thread. The
+/// scheduler of [`FailureStudy::analyze`]'s sections and of the report
+/// renderers.
+pub fn schedule(workers: usize, jobs: usize, job: impl Fn(usize) + Sync) {
+    let workers = workers.clamp(1, jobs.max(1));
+    if workers == 1 {
+        (0..jobs).for_each(job);
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    let work = || loop {
+        let claimed = next.fetch_add(1, Ordering::Relaxed);
+        if claimed >= jobs {
+            break;
+        }
+        job(claimed);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(work);
+        }
+        work();
+    });
 }
 
 /// Number of independently schedulable report sections.
@@ -548,6 +569,21 @@ mod tests {
             ]) {
                 assert!(report.phase_ms(name).is_some(), "missing span {name}");
             }
+        }
+    }
+
+    #[test]
+    fn schedule_runs_every_job_once() {
+        use std::sync::atomic::AtomicU32;
+        for (workers, jobs) in [(1, 5), (2, 5), (3, 19), (8, 2), (4, 0)] {
+            let runs: Vec<AtomicU32> = (0..jobs).map(|_| AtomicU32::new(0)).collect();
+            super::schedule(workers, jobs, |job| {
+                runs[job].fetch_add(1, Ordering::Relaxed);
+            });
+            assert!(
+                runs.iter().all(|r| r.load(Ordering::Relaxed) == 1),
+                "{workers} workers, {jobs} jobs"
+            );
         }
     }
 

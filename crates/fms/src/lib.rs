@@ -1,12 +1,10 @@
 //! # dcf-fms
 //!
-//! The failure management system (FMS) of the DSN'17 study: the central
-//! service (Figure 1) that turns agent detections and manual reports into
-//! failure operation tickets, plus the human-operator behavior model that
-//! closes them.
+//! The failure management system (FMS) of the DSN'17 study: the
+//! human-operator behavior model that closes failure operation tickets,
+//! and the models of what reaches the ticket pool. The engine (`dcf-sim`)
+//! stamps the tickets themselves as it merges its records.
 //!
-//! * [`TicketFactory`] — the central ticket writer (id sequence, schema
-//!   stamping).
 //! * [`OperatorModel`] — per-product-line response-time profiles, warranty
 //!   handling, decommission decisions (§VI).
 //! * [`FalseAlarmModel`] — the 1.7% false-alarm stream (Table I).
@@ -23,10 +21,8 @@ mod false_alarm;
 mod monitoring;
 mod operator;
 mod telemetry;
-mod ticketing;
 
 pub use false_alarm::FalseAlarmModel;
 pub use monitoring::MonitoringModel;
 pub use operator::{class_rt_multiplier, OperatorModel, ResponseProfile, DEPLOYMENT_PHASE_DAYS};
 pub use telemetry::FmsMetrics;
-pub use ticketing::{Detection, TicketFactory};

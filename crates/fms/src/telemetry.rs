@@ -25,8 +25,7 @@ pub struct FmsMetrics {
     /// `fms.operator.decommissioned`: servers decommissioned after an
     /// out-of-warranty fatal failure.
     pub decommissioned: Counter,
-    /// `fms.tickets.issued`: tickets stamped by the central
-    /// [`crate::TicketFactory`].
+    /// `fms.tickets.issued`: tickets the engine's merge stamped.
     pub tickets_issued: Counter,
     /// `fms.monitoring.unmonitored_dropped`: hardware failures that went
     /// unrecorded because the server had no FMS agent yet (§VIII).

@@ -7,6 +7,8 @@
 //! ([`FailureStudy::temporal_section`], …), so rendering after
 //! [`FailureStudy::analyze`] repeats none of its work.
 
+use std::sync::OnceLock;
+
 use dcf_core::paper;
 use dcf_core::response::RtStats;
 use dcf_core::FailureStudy;
@@ -666,11 +668,37 @@ pub fn by_id(id: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().find(|e| e.ids.contains(&id))
 }
 
-/// Renders every experiment in paper order.
+/// The experiments whose renderers run their own kernel (not a kept
+/// section value), longest first at paper scale: they start first so the
+/// short renderers fill in around them.
+const LONGEST_FIRST: [&str; 5] = ["prediction", "table8", "fig6", "fig10", "fig11"];
+
+/// Renders every experiment and joins the texts in paper order.
+///
+/// The renderers run on [`FailureStudy::workers`] threads (the worker
+/// count of the study's `analyze` call, or one) through
+/// [`dcf_core::schedule`], the longest kernels first. Each text lands in
+/// its paper-order slot, so the result is the same at any worker count.
 pub fn render_all(study: &FailureStudy<'_>) -> String {
-    EXPERIMENTS
+    let longest = LONGEST_FIRST.map(|id| {
+        EXPERIMENTS
+            .iter()
+            .position(|e| e.ids.contains(&id))
+            .expect("a listed experiment exists")
+    });
+    let order: Vec<usize> = longest
         .iter()
-        .map(|e| (e.render)(study))
+        .copied()
+        .chain((0..EXPERIMENTS.len()).filter(|i| !longest.contains(i)))
+        .collect();
+    let texts: Vec<OnceLock<String>> = EXPERIMENTS.iter().map(|_| OnceLock::new()).collect();
+    dcf_core::schedule(study.workers(), order.len(), |slot| {
+        let i = order[slot];
+        let _ = texts[i].set((EXPERIMENTS[i].render)(study));
+    });
+    texts
+        .into_iter()
+        .map(|text| text.into_inner().expect("every renderer ran"))
         .collect::<Vec<_>>()
         .join("\n\n")
 }
@@ -678,7 +706,6 @@ pub fn render_all(study: &FailureStudy<'_>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
 
     fn trace() -> &'static dcf_trace::Trace {
         static T: OnceLock<dcf_trace::Trace> = OnceLock::new();

@@ -29,7 +29,7 @@ use std::sync::mpsc;
 
 use dcf_failmodel::types::detail_str;
 use dcf_fleet::{Fleet, FleetBuilder};
-use dcf_fms::{Detection, FmsMetrics, TicketFactory};
+use dcf_fms::FmsMetrics;
 use dcf_obs::MetricsRegistry;
 use dcf_trace::io::spill::{
     merge_cursors, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
@@ -232,7 +232,7 @@ trait Sink {
     /// An empty sink for `tickets` records over `fleet`.
     fn new(fleet: &Fleet, tickets: u64) -> Self;
     /// Takes the next record; ids follow push order.
-    fn push(&mut self, fleet: &Fleet, rec: SpillRecord);
+    fn push(&mut self, rec: SpillRecord);
     /// The run's result.
     fn finish(
         self,
@@ -242,12 +242,59 @@ trait Sink {
     ) -> Result<Self::Output, SimError>;
 }
 
-/// Appends every ticket to the trace's columns: the [`TicketFactory`]
-/// stamps each record into a borrowed ticket view, and its detail (one
-/// static string per failure type) is interned once per type, so the
-/// dictionary keeps first-appearance order and no ticket allocates.
+/// The ticket of each merged record: ids are consecutive in merge order,
+/// and the fleet-derived fields come from a packed side table. Merge
+/// order is time order, so server lookups are random across the fleet; 6
+/// bytes per server keep each lookup to one warm cache line instead of a
+/// ~100-byte `ServerMeta`. The detail is the failure type's static
+/// string, so a ticket is a view on the stack. Both sinks stamp their
+/// tickets here, so the digest stream and the assembled trace see the
+/// same tickets (`tests/engine_identity.rs` pins the two).
+struct Tickets {
+    /// `(data center, product line, rack position)` per server.
+    packed: Vec<(u16, u16, u8)>,
+    next_id: u64,
+}
+
+impl Tickets {
+    fn new(fleet: &Fleet) -> Self {
+        Self {
+            packed: fleet
+                .servers()
+                .iter()
+                .map(|s| (s.data_center.raw(), s.product_line.raw(), s.position.raw()))
+                .collect(),
+            next_id: 0,
+        }
+    }
+
+    /// The next ticket, stamped from `r`.
+    fn next(&mut self, r: SpillRecord) -> Fot<'static> {
+        let (dc, line, pos) = self.packed[r.server.raw() as usize];
+        let id = FotId::new(self.next_id);
+        self.next_id += 1;
+        Fot {
+            id,
+            server: r.server,
+            data_center: DataCenterId::new(dc),
+            product_line: ProductLineId::new(line),
+            device: r.class,
+            device_slot: r.slot,
+            failure_type: r.ftype,
+            error_time: r.error_time,
+            rack_position: RackPosition::new(pos),
+            detail: detail_str(r.ftype),
+            category: r.category,
+            response: r.response,
+        }
+    }
+}
+
+/// Appends every ticket to the trace's columns. Each detail (one static
+/// string per failure type) is interned once per type, so the dictionary
+/// keeps first-appearance order and no ticket allocates.
 struct FotSink {
-    factory: TicketFactory,
+    tickets: Tickets,
     columns: ColumnsBuilder,
     /// Dictionary id of each failure type's detail; `u32::MAX` until the
     /// type first appears.
@@ -257,26 +304,16 @@ struct FotSink {
 impl Sink for FotSink {
     type Output = Trace;
 
-    fn new(_: &Fleet, tickets: u64) -> Self {
+    fn new(fleet: &Fleet, tickets: u64) -> Self {
         Self {
-            factory: TicketFactory::new(),
+            tickets: Tickets::new(fleet),
             columns: ColumnsBuilder::with_capacity(tickets as usize),
             detail_ids: [u32::MAX; FailureType::ALL.len()],
         }
     }
 
-    fn push(&mut self, fleet: &Fleet, rec: SpillRecord) {
-        let detection = Detection {
-            server: rec.server.raw(),
-            class: rec.class,
-            slot: rec.slot,
-            failure_type: rec.ftype,
-            time: rec.error_time,
-        };
-        let server = fleet.server(rec.server);
-        let fot = self
-            .factory
-            .make_fot(detection, server, rec.category, rec.response);
+    fn push(&mut self, rec: SpillRecord) {
+        let fot = self.tickets.next(rec);
         let detail = &mut self.detail_ids[rec.ftype.index()];
         if *detail == u32::MAX {
             *detail = self.columns.intern(fot.detail);
@@ -291,18 +328,10 @@ impl Sink for FotSink {
     }
 }
 
-/// Streams the digest and category tallies without assembling a trace:
-/// ids are consecutive and every fleet-derived field comes straight from
-/// server metadata, so each ticket is a view on the stack with its static
-/// detail string. `tests/engine_identity.rs` pins it to the digest of the
-/// trace [`FotSink`] assembles.
+/// Streams the digest and category tallies without assembling a trace.
 struct DigestSink {
-    /// Merge order is time order, so server lookups are random across the
-    /// fleet; a 6-byte-per-server side table keeps each lookup to one warm
-    /// cache line instead of a ~100-byte `ServerMeta`.
-    packed: Vec<(u16, u16, u8)>,
+    tickets: Tickets,
     digester: FotsDigester,
-    next_id: u64,
     category_counts: [u64; 3],
 }
 
@@ -311,34 +340,14 @@ impl Sink for DigestSink {
 
     fn new(fleet: &Fleet, _: u64) -> Self {
         Self {
-            packed: fleet
-                .servers()
-                .iter()
-                .map(|s| (s.data_center.raw(), s.product_line.raw(), s.position.raw()))
-                .collect(),
+            tickets: Tickets::new(fleet),
             digester: FotsDigester::new(),
-            next_id: 0,
             category_counts: [0; 3],
         }
     }
 
-    fn push(&mut self, _: &Fleet, r: SpillRecord) {
-        let (dc, line, pos) = self.packed[r.server.raw() as usize];
-        self.digester.push(&Fot {
-            id: FotId::new(self.next_id),
-            server: r.server,
-            data_center: DataCenterId::new(dc),
-            product_line: ProductLineId::new(line),
-            device: r.class,
-            device_slot: r.slot,
-            failure_type: r.ftype,
-            error_time: r.error_time,
-            rack_position: RackPosition::new(pos),
-            detail: detail_str(r.ftype),
-            category: r.category,
-            response: r.response,
-        });
-        self.next_id += 1;
+    fn push(&mut self, r: SpillRecord) {
+        self.digester.push(&self.tickets.next(r));
         self.category_counts[category_tag(r.category) as usize] += 1;
     }
 
@@ -402,7 +411,7 @@ fn run<S: Sink>(
         publish_server_counts(metrics, &fms, &counts);
         let _span = metrics.phase("engine.assembly");
         let mut sink = S::new(fleet, counts.tickets());
-        let tickets = merge_into(sorted_cursors(chunks), fleet, &mut sink, metrics, &fms)?;
+        let tickets = merge_into(sorted_cursors(chunks), &mut sink, metrics, &fms)?;
         let merged = Merged {
             tickets,
             shards: 1,
@@ -513,7 +522,7 @@ fn run<S: Sink>(
     // -------- Streaming merge --------
     let merge_span = metrics.phase("engine.shard.merge");
     let mut sink = S::new(fleet, counts.tickets());
-    let tickets = merge_into(cursors, fleet, &mut sink, metrics, &fms)?;
+    let tickets = merge_into(cursors, &mut sink, metrics, &fms)?;
     drop(merge_span);
     drop(files);
     if let Some(peak) = dcf_obs::peak_rss_bytes() {
@@ -540,12 +549,11 @@ fn sorted_cursors(chunks: Vec<Vec<SpillRecord>>) -> Vec<SpillCursor> {
 /// Merges `cursors` into `sink` and records the ticket totals.
 fn merge_into<S: Sink>(
     cursors: Vec<SpillCursor>,
-    fleet: &Fleet,
     sink: &mut S,
     metrics: &MetricsRegistry,
     fms: &FmsMetrics,
 ) -> Result<u64, SimError> {
-    let tickets = merge_cursors(cursors, |r| sink.push(fleet, r)).map_err(SimError::Trace)?;
+    let tickets = merge_cursors(cursors, |r| sink.push(r)).map_err(SimError::Trace)?;
     metrics.add("sim.tickets.total", tickets);
     fms.tickets_issued.add(tickets);
     Ok(tickets)

@@ -292,6 +292,7 @@ impl FotColumns {
 
     /// Response time of row `i` in fractional days, matching
     /// [`Fot::response_time`] exactly (saturating at zero).
+    #[inline]
     pub fn response_days(&self, i: usize) -> Option<f64> {
         self.op_secs(i)
             .map(|op| op.saturating_sub(self.error_secs(i)) as f64 / SECS_PER_DAY as f64)

@@ -130,6 +130,7 @@ const FNV_PRIME: u64 = 0x100_0000_01b3;
 /// [`FNV_OFFSET`] to start a digest, or a previous result to extend it.
 /// The snapshot footer, the serve cache's scenario hash and the replay
 /// event digest are all this function.
+#[inline]
 pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
     let mut h = hash;
     for &b in bytes {
@@ -137,6 +138,50 @@ pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(FNV_PRIME);
     }
     h
+}
+
+/// [`fnv1a`] over one fixed byte string, as a jump: applying it to a
+/// state gives exactly `fnv1a(state, s)` for one multiply, one table
+/// lookup and one add, whatever the length of `s`.
+///
+/// The identity behind it: a FNV-1a round `h ← (h ^ b)·P` only touches
+/// the low byte with the xor, and the high part `h − (h & 0xFF)` is a
+/// multiple of 256 that the multiply keeps one. So over `s` the high
+/// part just picks up `P^|s|`, and the rest is a function of the low
+/// byte alone:
+/// `fnv1a(h, s) = h·P^|s| + (fnv1a(l, s) − l·P^|s|)` with `l = h & 0xFF`
+/// (mod 2^64). The table holds the bracket for all 256 low bytes.
+#[derive(Clone)]
+pub struct FnvJump {
+    mul: u64,
+    add: [u64; 256],
+}
+
+impl FnvJump {
+    /// The jump over `s` (a 2 KB table; build it once and reuse it).
+    pub fn new(s: &[u8]) -> Self {
+        let mul = s.iter().fold(1u64, |m, _| m.wrapping_mul(FNV_PRIME));
+        let mut add = [0u64; 256];
+        for (low, slot) in (0u64..).zip(add.iter_mut()) {
+            *slot = fnv1a(low, s).wrapping_sub(low.wrapping_mul(mul));
+        }
+        Self { mul, add }
+    }
+
+    /// `fnv1a(hash, s)` for the `s` this jump was built over.
+    #[inline]
+    pub fn apply(&self, hash: u64) -> u64 {
+        hash.wrapping_mul(self.mul)
+            .wrapping_add(self.add[(hash & 0xFF) as usize])
+    }
+}
+
+impl std::fmt::Debug for FnvJump {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FnvJump")
+            .field("mul", &self.mul)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Word-chunked FNV-1a 64: absorbs the stream eight bytes at a time

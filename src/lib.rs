@@ -18,7 +18,7 @@
 //! | [`trace`] | `dcf-trace` | the FOT schema, simulated time, the validated [`trace::Trace`], IO |
 //! | [`fleet`] | `dcf-fleet` | data centers, racks, product lines, deployment, workloads |
 //! | [`failmodel`] | `dcf-failmodel` | lifecycle hazards, batch/repeat/correlated/escalation processes |
-//! | [`fms`] | `dcf-fms` | ticketing, operator behavior, false alarms, monitoring roll-out |
+//! | [`fms`] | `dcf-fms` | operator behavior, false alarms, monitoring roll-out |
 //! | [`sim`] | `dcf-sim` | the deterministic engine and [`sim::Scenario`] presets + ablations |
 //! | [`core`] | `dcf-core` | every analysis of the paper + §VII extensions |
 //! | [`report`] | `dcf-report` | text tables, ASCII charts, per-figure renderers, run-report markdown |

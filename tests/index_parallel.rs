@@ -1,4 +1,5 @@
-//! Regression tests for the trace index and the parallel study scheduler.
+//! Regression tests for the trace index and the parallel study and
+//! render scheduler.
 //!
 //! The contract under test: `Trace::index()` is a pure acceleration
 //! structure and the section thread pool is pure orchestration — neither
@@ -66,4 +67,34 @@ fn parallel_run_records_every_section_span() {
         );
     }
     assert_eq!(report.gauge("study.threads"), Some(4.0));
+}
+
+/// `render_all` runs the renderers on the worker count of the study's
+/// `analyze` call; the joined text equals each experiment rendered in
+/// turn and joined in paper order, at any count.
+#[test]
+fn rendered_report_is_the_serial_join_at_any_thread_count() {
+    use dcfail::report::experiments::{render_all, EXPERIMENTS};
+    for seed in SEEDS {
+        let trace = small_trace(seed);
+        let serial = {
+            let study = FailureStudy::new(&trace);
+            let _ = study.analyze(&StudyOptions::default());
+            EXPERIMENTS
+                .iter()
+                .map(|e| (e.render)(&study))
+                .collect::<Vec<_>>()
+                .join("\n\n")
+        };
+        for threads in [1, 2, 3] {
+            let study = FailureStudy::new(&trace);
+            let _ = study.analyze(&StudyOptions::with_threads(threads));
+            assert_eq!(study.workers(), threads);
+            assert_eq!(render_all(&study), serial, "seed {seed}, {threads} threads");
+        }
+        // Without an analyze call the renderers run on the calling thread.
+        let study = FailureStudy::new(&trace);
+        assert_eq!(study.workers(), 1);
+        assert_eq!(render_all(&study), serial, "seed {seed}, no analyze");
+    }
 }
