@@ -247,8 +247,9 @@ impl<'a> Correlation<'a> {
     /// Each class's failures are time-ordered in the trace index, so a
     /// bucket is a contiguous run of them, with members in trace order.
     /// Every bucket emits one `(server pair, time of the earlier member)`
-    /// entry per pair of distinct servers; sorting the flat entry list
-    /// groups each pair's co-occurrence times in ascending order.
+    /// entry per pair of distinct servers; sorting the entries of pairs
+    /// with at least `min_occurrences` of them groups each such pair's
+    /// co-occurrence times in ascending order.
     pub fn synchronous_groups(
         &self,
         skew_secs: u64,
@@ -285,15 +286,22 @@ impl<'a> Correlation<'a> {
                 }
             }
         }
+        // Merging only drops occurrences, so a pair with fewer entries
+        // than `min_occurrences` cannot qualify. Most pairs co-occur once
+        // or twice: count entries on the bare keys, and sort the entries
+        // of only the few pairs that can.
+        let mut keys: Vec<u64> = pair_times.iter().map(|&(key, _)| key).collect();
+        keys.sort_unstable();
+        let candidates: Vec<u64> = keys
+            .chunk_by(|a, b| a == b)
+            .filter(|run| run.len() >= min_occurrences)
+            .map(|run| run[0])
+            .collect();
+        pair_times.retain(|(key, _)| candidates.binary_search(key).is_ok());
         pair_times.sort_unstable();
 
         let mut groups: Vec<SynchronousGroup> = Vec::new();
         for run in pair_times.chunk_by(|a, b| a.0 == b.0) {
-            // Merging only drops occurrences: most pairs co-occur once or
-            // twice and are settled without collecting their times.
-            if run.len() < min_occurrences {
-                continue;
-            }
             // Merge co-occurrences closer than the skew (the two phases
             // may both record the same incident).
             let mut times: Vec<SimTime> = run.iter().map(|&(_, t)| SimTime::from_secs(t)).collect();

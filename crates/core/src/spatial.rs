@@ -250,7 +250,7 @@ mod tests {
         let trace = medium_trace();
         let results = Spatial::new(&trace).by_data_center(200);
         let dc_a = &results[0];
-        // The builder gives DC 0 hot spots at positions 22 and 35 (1.5× on
+        // The builder gives DC 0 hot spots at positions 22 and 35 (1.33× on
         // background hazards). At 20k servers the 2σ anomaly flag is
         // fluctuation-dominated — batch events dilute the position signal —
         // so assert the robust form: both hot positions rank in the top 5

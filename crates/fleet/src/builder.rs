@@ -325,7 +325,6 @@ fn place_servers(
                 rack_servers.push(id);
                 servers.push(ServerMeta {
                     id,
-                    hostname: hostname(dc_idx, rack_no, pos, id.raw()),
                     data_center: dc.id(),
                     product_line: line.id(),
                     rack: RackId::new(rack_no),
@@ -352,39 +351,6 @@ fn place_servers(
     (servers, racks)
 }
 
-/// Zero-padded decimal append, byte-identical to `{v:0width$}` formatting
-/// (values wider than `width` print all their digits).
-fn push_padded(buf: &mut Vec<u8>, mut v: u64, width: usize) {
-    let mut tmp = [b'0'; 20];
-    let mut i = tmp.len();
-    loop {
-        i -= 1;
-        tmp[i] = b'0' + (v % 10) as u8;
-        v /= 10;
-        if v == 0 {
-            break;
-        }
-    }
-    i = i.min(tmp.len() - width);
-    buf.extend_from_slice(&tmp[i..]);
-}
-
-/// Builds `dcNN-rNNNN-uNN-sNNNNNN` without going through `format!` — one
-/// hostname per server made this the bulk of `fleet.place_servers` at
-/// paper scale.
-fn hostname(dc_idx: usize, rack_no: u32, pos: u8, id: u32) -> String {
-    let mut buf = Vec::with_capacity(22);
-    buf.extend_from_slice(b"dc");
-    push_padded(&mut buf, dc_idx as u64, 2);
-    buf.extend_from_slice(b"-r");
-    push_padded(&mut buf, u64::from(rack_no), 4);
-    buf.extend_from_slice(b"-u");
-    push_padded(&mut buf, u64::from(pos), 2);
-    buf.extend_from_slice(b"-s");
-    push_padded(&mut buf, u64::from(id), 6);
-    String::from_utf8(buf).expect("hostnames are ASCII")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,20 +365,6 @@ mod tests {
         assert_ne!(even, odd);
         // Middle positions are always occupied.
         assert!(even.contains(&20) && odd.contains(&20));
-    }
-
-    #[test]
-    fn hostnames_match_format_machinery() {
-        for (dc_idx, rack_no, pos, id) in [
-            (0usize, 0u32, 0u8, 0u32),
-            (7, 4321, 35, 159_999),
-            (123, 99_999, 255, 4_000_000_000),
-        ] {
-            assert_eq!(
-                hostname(dc_idx, rack_no, pos, id),
-                format!("dc{dc_idx:02}-r{rack_no:04}-u{pos:02}-s{id:06}"),
-            );
-        }
     }
 
     #[test]

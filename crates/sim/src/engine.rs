@@ -274,7 +274,7 @@ pub(crate) fn run_global_phase(
     metrics.add("sim.occurrences.sync_repeat", sync_occurrences);
 
     // Only the line metas feed the operator model — `fleet.snapshot()`
-    // would clone every ServerMeta (hostnames included) to get at them.
+    // would copy every ServerMeta to get at them.
     let line_metas: Vec<_> = fleet
         .product_lines()
         .iter()

@@ -9,8 +9,11 @@
 //!
 //! One shard has nothing to merge across shards: its per-thread chunks
 //! merge in memory, with no spill file, under the `engine.per_server` and
-//! `engine.assembly` spans. Two or more shards bound memory: a pool of up
-//! to [`RunOptions::shard_workers`] threads simulates shards and spills
+//! `engine.assembly` spans. The trace sink splits that merge into
+//! error-time ranges ([`split_by_time`]), one per engine thread, and
+//! merges each on its own thread into its own column builder. Two or
+//! more shards bound memory: a pool of up to
+//! [`RunOptions::shard_workers`] threads simulates shards and spills
 //! each one's merged records to a [`dcf_trace::io::spill`] file, which the
 //! coordinating thread opens and prefetches the moment its shard lands,
 //! overlapping the shards still simulating; the spills then merge into the
@@ -32,12 +35,13 @@ use dcf_fleet::{Fleet, FleetBuilder};
 use dcf_fms::FmsMetrics;
 use dcf_obs::MetricsRegistry;
 use dcf_trace::io::spill::{
-    merge_cursors, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
+    merge_cursors, split_by_time, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
 };
 use dcf_trace::io::FotsDigester;
 use dcf_trace::{
-    columns::category_tag, ColumnsBuilder, DataCenterId, FailureType, Fot, FotId, ProductLineId,
-    RackPosition, Trace, TraceError, TraceInfo,
+    columns::category_tag, ColumnsBuilder, DataCenterId, DataCenterMeta, FailureType, Fot,
+    FotColumns, FotId, ProductLineId, ProductLineMeta, RackPosition, ServerMeta, Trace, TraceError,
+    TraceInfo,
 };
 
 use crate::config::SimConfig;
@@ -226,34 +230,40 @@ struct Merged {
     bytes_spilled: u64,
 }
 
+/// One error-time range of a run's globally ordered record stream:
+/// sorted cursors whose k-way merge is the range's stretch of that
+/// order.
+struct MergeRange<'a> {
+    /// The records the cursors hold. In-memory stretches count them
+    /// exactly, and a range numbers its tickets from the earlier ranges'
+    /// counts; a spilled run is one range, for which this only sizes the
+    /// columns.
+    rows: usize,
+    cursors: Vec<SpillCursor<'a>>,
+}
+
 /// The consumer of a run's globally ordered ticket records.
-trait Sink {
+trait Sink: Sized {
     type Output;
-    /// An empty sink for `tickets` records over `fleet`.
-    fn new(fleet: &Fleet, tickets: u64) -> Self;
-    /// Takes the next record; ids follow push order.
-    fn push(&mut self, rec: SpillRecord);
+    /// Merges `ranges`, consecutive stretches of the global order, into
+    /// a sink over `fleet`; ticket ids follow merge order. Returns the
+    /// sink and the number of records merged.
+    fn merge(fleet: &Fleet, ranges: Vec<MergeRange<'_>>) -> Result<(Self, u64), TraceError>;
     /// The run's result.
-    fn finish(
-        self,
-        fleet: &Fleet,
-        info: TraceInfo,
-        merged: Merged,
-    ) -> Result<Self::Output, SimError>;
+    fn finish(self, info: TraceInfo, merged: Merged) -> Result<Self::Output, SimError>;
 }
 
 /// The ticket of each merged record: ids are consecutive in merge order,
 /// and the fleet-derived fields come from a packed side table. Merge
 /// order is time order, so server lookups are random across the fleet; 6
 /// bytes per server keep each lookup to one warm cache line instead of a
-/// ~100-byte `ServerMeta`. The detail is the failure type's static
+/// ~40-byte `ServerMeta`. The detail is the failure type's static
 /// string, so a ticket is a view on the stack. Both sinks stamp their
 /// tickets here, so the digest stream and the assembled trace see the
 /// same tickets (`tests/engine_identity.rs` pins the two).
 struct Tickets {
     /// `(data center, product line, rack position)` per server.
     packed: Vec<(u16, u16, u8)>,
-    next_id: u64,
 }
 
 impl Tickets {
@@ -264,17 +274,14 @@ impl Tickets {
                 .iter()
                 .map(|s| (s.data_center.raw(), s.product_line.raw(), s.position.raw()))
                 .collect(),
-            next_id: 0,
         }
     }
 
-    /// The next ticket, stamped from `r`.
-    fn next(&mut self, r: SpillRecord) -> Fot<'static> {
+    /// Ticket `id`, stamped from `r`.
+    fn stamp(&self, id: u64, r: SpillRecord) -> Fot<'static> {
         let (dc, line, pos) = self.packed[r.server.raw() as usize];
-        let id = FotId::new(self.next_id);
-        self.next_id += 1;
         Fot {
-            id,
+            id: FotId::new(id),
             server: r.server,
             data_center: DataCenterId::new(dc),
             product_line: ProductLineId::new(line),
@@ -290,47 +297,88 @@ impl Tickets {
     }
 }
 
-/// Appends every ticket to the trace's columns. Each detail (one static
-/// string per failure type) is interned once per type, so the dictionary
-/// keeps first-appearance order and no ticket allocates.
+/// The trace's ticket columns and fleet snapshot. Each merge range
+/// fills its own [`ColumnsBuilder`] on its own thread (the first on the
+/// calling thread, into a builder sized for every range), numbering
+/// tickets from the count of the ranges before it; the later ranges are
+/// then appended in order, which keeps the dictionary in one-builder
+/// first-appearance order. Each detail (one static string per failure
+/// type) is interned once per type and range, so no ticket allocates.
 struct FotSink {
-    tickets: Tickets,
-    columns: ColumnsBuilder,
-    /// Dictionary id of each failure type's detail; `u32::MAX` until the
-    /// type first appears.
-    detail_ids: [u32; FailureType::ALL.len()],
+    columns: FotColumns,
+    snapshot: (Vec<ServerMeta>, Vec<DataCenterMeta>, Vec<ProductLineMeta>),
 }
 
 impl Sink for FotSink {
     type Output = Trace;
 
-    fn new(fleet: &Fleet, tickets: u64) -> Self {
-        Self {
-            tickets: Tickets::new(fleet),
-            columns: ColumnsBuilder::with_capacity(tickets as usize),
-            detail_ids: [u32::MAX; FailureType::ALL.len()],
-        }
+    fn merge(fleet: &Fleet, ranges: Vec<MergeRange<'_>>) -> Result<(Self, u64), TraceError> {
+        let tickets = &Tickets::new(fleet);
+        let total: usize = ranges.iter().map(|r| r.rows).sum();
+        let mut first_id = 0u64;
+        let mut jobs = ranges.into_iter().map(|range| {
+            let id = first_id;
+            first_id += range.rows as u64;
+            (range, id)
+        });
+        let (columns, snapshot) = std::thread::scope(|scope| {
+            let here = jobs.next();
+            let spawned: Vec<_> = jobs
+                .map(|(range, id)| {
+                    let builder = ColumnsBuilder::with_capacity(range.rows);
+                    scope.spawn(move || fill_range(tickets, builder, range, id))
+                })
+                .collect();
+            let mut columns = ColumnsBuilder::with_capacity(total);
+            if let Some((range, id)) = here {
+                columns = fill_range(tickets, columns, range, id)?;
+            }
+            // Copying the snapshot is mostly page faults; take it while
+            // the spawned ranges finish.
+            let snapshot = fleet.snapshot();
+            for handle in spawned {
+                let part = handle.join().expect("assembly worker panicked")?;
+                columns.append(part.finish());
+            }
+            Ok::<_, TraceError>((columns.finish(), snapshot))
+        })?;
+        let merged = columns.len() as u64;
+        Ok((FotSink { columns, snapshot }, merged))
     }
 
-    fn push(&mut self, rec: SpillRecord) {
-        let fot = self.tickets.next(rec);
-        let detail = &mut self.detail_ids[rec.ftype.index()];
-        if *detail == u32::MAX {
-            *detail = self.columns.intern(fot.detail);
-        }
-        self.columns.push_interned(&fot, *detail);
-    }
-
-    fn finish(self, fleet: &Fleet, info: TraceInfo, _: Merged) -> Result<Trace, SimError> {
-        let (servers, dcs, lines) = fleet.snapshot();
-        Trace::from_columns(info, servers, dcs, lines, self.columns.finish())
-            .map_err(SimError::Trace)
+    fn finish(self, info: TraceInfo, _: Merged) -> Result<Trace, SimError> {
+        let (servers, dcs, lines) = self.snapshot;
+        Trace::from_columns(info, servers, dcs, lines, self.columns).map_err(SimError::Trace)
     }
 }
 
+/// Merges `range` onto `columns`, numbering its tickets from `first_id`.
+fn fill_range(
+    tickets: &Tickets,
+    mut columns: ColumnsBuilder,
+    range: MergeRange<'_>,
+    first_id: u64,
+) -> Result<ColumnsBuilder, TraceError> {
+    // Dictionary id of each failure type's detail; `u32::MAX` until the
+    // type first appears.
+    let mut detail_ids = [u32::MAX; FailureType::ALL.len()];
+    let mut id = first_id;
+    merge_cursors(range.cursors, |r| {
+        let fot = tickets.stamp(id, r);
+        id += 1;
+        let detail = &mut detail_ids[r.ftype.index()];
+        if *detail == u32::MAX {
+            *detail = columns.intern(fot.detail);
+        }
+        columns.push_interned(&fot, *detail);
+    })?;
+    Ok(columns)
+}
+
 /// Streams the digest and category tallies without assembling a trace.
+/// `ChunkedFnv` is sequential, so the ranges merge one after another on
+/// the calling thread.
 struct DigestSink {
-    tickets: Tickets,
     digester: FotsDigester,
     category_counts: [u64; 3],
 }
@@ -338,20 +386,24 @@ struct DigestSink {
 impl Sink for DigestSink {
     type Output = ShardedRun;
 
-    fn new(fleet: &Fleet, _: u64) -> Self {
-        Self {
-            tickets: Tickets::new(fleet),
+    fn merge(fleet: &Fleet, ranges: Vec<MergeRange<'_>>) -> Result<(Self, u64), TraceError> {
+        let tickets = Tickets::new(fleet);
+        let mut sink = DigestSink {
             digester: FotsDigester::new(),
             category_counts: [0; 3],
+        };
+        let mut id = 0u64;
+        for range in ranges {
+            merge_cursors(range.cursors, |r| {
+                sink.digester.push(&tickets.stamp(id, r));
+                id += 1;
+                sink.category_counts[category_tag(r.category) as usize] += 1;
+            })?;
         }
+        Ok((sink, id))
     }
 
-    fn push(&mut self, r: SpillRecord) {
-        self.digester.push(&self.tickets.next(r));
-        self.category_counts[category_tag(r.category) as usize] += 1;
-    }
-
-    fn finish(self, _: &Fleet, _: TraceInfo, merged: Merged) -> Result<ShardedRun, SimError> {
+    fn finish(self, _: TraceInfo, merged: Merged) -> Result<ShardedRun, SimError> {
         Ok(ShardedRun {
             digest: self.digester.digest(),
             tickets: merged.tickets,
@@ -410,14 +462,14 @@ fn run<S: Sink>(
         drop(span);
         publish_server_counts(metrics, &fms, &counts);
         let _span = metrics.phase("engine.assembly");
-        let mut sink = S::new(fleet, counts.tickets());
-        let tickets = merge_into(sorted_cursors(chunks), &mut sink, metrics, &fms)?;
+        let (sink, tickets) =
+            merge_into::<S>(fleet, time_ranges(&chunks, n_threads), metrics, &fms)?;
         let merged = Merged {
             tickets,
             shards: 1,
             bytes_spilled: 0,
         };
-        return sink.finish(fleet, info, merged);
+        return sink.finish(info, merged);
     }
 
     let workers = resolve_shard_workers(options.shard_workers, plan.shards());
@@ -446,7 +498,7 @@ fn run<S: Sink>(
     let next_shard = AtomicU32::new(0);
     let abort = AtomicBool::new(false);
     let (tx, rx) = mpsc::channel::<Result<ShardDone, SimError>>();
-    let pooled: Result<(Vec<SpillCursor>, ServerCounts, u64), SimError> =
+    let pooled: Result<(Vec<SpillCursor<'static>>, ServerCounts, u64), SimError> =
         std::thread::scope(|scope| {
             let (next_shard, abort) = (&next_shard, &abort);
             for _ in 0..workers {
@@ -521,8 +573,11 @@ fn run<S: Sink>(
 
     // -------- Streaming merge --------
     let merge_span = metrics.phase("engine.shard.merge");
-    let mut sink = S::new(fleet, counts.tickets());
-    let tickets = merge_into(cursors, &mut sink, metrics, &fms)?;
+    let ranges = vec![MergeRange {
+        rows: counts.tickets() as usize,
+        cursors,
+    }];
+    let (sink, tickets) = merge_into::<S>(fleet, ranges, metrics, &fms)?;
     drop(merge_span);
     drop(files);
     if let Some(peak) = dcf_obs::peak_rss_bytes() {
@@ -533,30 +588,43 @@ fn run<S: Sink>(
         shards: plan.shards(),
         bytes_spilled,
     };
-    sink.finish(fleet, info, merged)
+    sink.finish(info, merged)
 }
 
-/// Wraps per-thread chunks, each sorted, as merge cursors in chunk order,
-/// so ties go to the lowest chunk: the order a stable sort of the
-/// concatenation would give.
-fn sorted_cursors(chunks: Vec<Vec<SpillRecord>>) -> Vec<SpillCursor> {
+/// Wraps sorted per-thread chunks (or stretches of them) as merge
+/// cursors in chunk order, so ties go to the lowest chunk: the order a
+/// stable sort of the concatenation would give.
+fn sorted_cursors<'a>(chunks: impl IntoIterator<Item = &'a [SpillRecord]>) -> Vec<SpillCursor<'a>> {
     (0..)
         .zip(chunks)
         .map(|(i, chunk)| SpillCursor::from_sorted(i, chunk))
         .collect()
 }
 
-/// Merges `cursors` into `sink` and records the ticket totals.
+/// A one-shard run's sorted chunks as up to `parts` merge ranges, one
+/// per engine thread ([`split_by_time`]).
+fn time_ranges(chunks: &[Vec<SpillRecord>], parts: usize) -> Vec<MergeRange<'_>> {
+    let runs: Vec<&[SpillRecord]> = chunks.iter().map(Vec::as_slice).collect();
+    split_by_time(&runs, parts)
+        .into_iter()
+        .map(|stretches| MergeRange {
+            rows: stretches.iter().map(|s| s.len()).sum(),
+            cursors: sorted_cursors(stretches),
+        })
+        .collect()
+}
+
+/// Merges `ranges` into a new `S` and records the ticket totals.
 fn merge_into<S: Sink>(
-    cursors: Vec<SpillCursor>,
-    sink: &mut S,
+    fleet: &Fleet,
+    ranges: Vec<MergeRange<'_>>,
     metrics: &MetricsRegistry,
     fms: &FmsMetrics,
-) -> Result<u64, SimError> {
-    let tickets = merge_cursors(cursors, |r| sink.push(r)).map_err(SimError::Trace)?;
+) -> Result<(S, u64), SimError> {
+    let (sink, tickets) = S::merge(fleet, ranges).map_err(SimError::Trace)?;
     metrics.add("sim.tickets.total", tickets);
     fms.tickets_issued.add(tickets);
-    Ok(tickets)
+    Ok((sink, tickets))
 }
 
 /// How many shard workers a request resolves to: `0` asks for the
@@ -633,7 +701,10 @@ fn run_one_shard(
     let path = spill_dir.join(format!("shard-{shard:04}.dcfspill"));
     let mut writer = ShardSpillWriter::new(&path, shard, plan.shards(), range.start, range.end);
     // The spill file holds this shard's records in final global order.
-    merge_cursors(sorted_cursors(chunks), |r| writer.push(&r)).map_err(SimError::Trace)?;
+    merge_cursors(sorted_cursors(chunks.iter().map(Vec::as_slice)), |r| {
+        writer.push(&r)
+    })
+    .map_err(SimError::Trace)?;
     let bytes = writer.finish().map_err(SimError::Trace)?;
     drop(spill_span);
     Ok(ShardDone {

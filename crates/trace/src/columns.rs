@@ -154,6 +154,33 @@ impl ColumnsBuilder {
         c.detail.push(detail);
     }
 
+    /// Appends `other`'s rows after this builder's, interning its details
+    /// in its first-appearance order, so the result equals pushing
+    /// `other`'s rows here one by one. A producer that fills consecutive
+    /// stretches of rows on several threads builds each into its own
+    /// builder and appends them in order.
+    pub fn append(&mut self, other: FotColumns) {
+        let remap: Vec<u32> = other.dict.iter().map(|d| self.intern(d)).collect();
+        let c = &mut self.cols;
+        c.id.extend_from_slice(&other.id);
+        c.server.extend_from_slice(&other.server);
+        c.data_center.extend_from_slice(&other.data_center);
+        c.product_line.extend_from_slice(&other.product_line);
+        c.class.extend_from_slice(&other.class);
+        c.device_slot.extend_from_slice(&other.device_slot);
+        c.failure_type.extend_from_slice(&other.failure_type);
+        c.error_day.extend_from_slice(&other.error_day);
+        c.error_sod.extend_from_slice(&other.error_sod);
+        c.rack_position.extend_from_slice(&other.rack_position);
+        c.category.extend_from_slice(&other.category);
+        c.op_day.extend_from_slice(&other.op_day);
+        c.op_sod.extend_from_slice(&other.op_sod);
+        c.operator.extend_from_slice(&other.operator);
+        c.action.extend_from_slice(&other.action);
+        c.detail
+            .extend(other.detail.iter().map(|&d| remap[d as usize]));
+    }
+
     /// The filled columns.
     pub fn finish(self) -> FotColumns {
         self.cols
@@ -378,10 +405,92 @@ impl FotColumns {
     /// * rows are strictly ascending in `(error_time, id)` and ticket ids
     ///   are unique.
     ///
+    /// One fused, branch-light pass decides whether the store is valid;
+    /// only a store it rejects takes the column-by-column pass that names
+    /// the first violation.
+    ///
     /// # Errors
     ///
     /// The first violation, as a [`TraceError`].
     pub(crate) fn validate(
+        &self,
+        servers: usize,
+        data_centers: usize,
+        product_lines: usize,
+    ) -> Result<(), TraceError> {
+        match self.scan(servers, data_centers, product_lines) {
+            Scan::Valid => Ok(()),
+            Scan::IdsUnordered => self.unique_ids(),
+            Scan::Invalid => self.first_violation(servers, data_centers, product_lines),
+        }
+    }
+
+    /// Every check of [`FotColumns::validate`] but id uniqueness, folded
+    /// into one loop that records only whether all of them pass. Ids
+    /// that strictly increase are unique, so the uniqueness sort is
+    /// needed only when they do not.
+    fn scan(&self, servers: usize, data_centers: usize, product_lines: usize) -> Scan {
+        let n = self.len();
+        let (id, server, data_center, product_line) = (
+            &self.id[..n],
+            &self.server[..n],
+            &self.data_center[..n],
+            &self.product_line[..n],
+        );
+        let (class, failure_type, category, detail) = (
+            &self.class[..n],
+            &self.failure_type[..n],
+            &self.category[..n],
+            &self.detail[..n],
+        );
+        let (error_day, error_sod, op_day, op_sod, operator, action) = (
+            &self.error_day[..n],
+            &self.error_sod[..n],
+            &self.op_day[..n],
+            &self.op_sod[..n],
+            &self.operator[..n],
+            &self.action[..n],
+        );
+        let error_tag = category_tag(FotCategory::Error);
+        let mut ok = true;
+        let mut ids_rise = true;
+        let (mut prev_secs, mut prev_id) = (0, 0);
+        for i in 0..n {
+            let secs = u64::from(error_day[i]) * SECS_PER_DAY + u64::from(error_sod[i]);
+            let op = u64::from(op_day[i]) * SECS_PER_DAY + u64::from(op_sod[i]);
+            let has_response = op_day[i] != NO_RESPONSE_DAY;
+            let response = (u64::from(op_sod[i]) < SECS_PER_DAY)
+                & action_from_tag(action[i]).is_some()
+                & (op >= secs);
+            let no_response =
+                (op_sod[i] == 0) & (operator[i] == NO_OPERATOR) & (action[i] == NO_ACTION);
+            ok &= ((server[i] as usize) < servers)
+                & ((data_center[i] as usize) < data_centers)
+                & ((product_line[i] as usize) < product_lines)
+                & ((class[i] as usize) < ComponentClass::ALL.len())
+                & ((failure_type[i] as usize) < FailureType::ALL.len())
+                & ((category[i] as usize) < FotCategory::ALL.len())
+                & ((detail[i] as usize) < self.dict.len())
+                & (u64::from(error_sod[i]) < SECS_PER_DAY)
+                & ((category[i] != error_tag) == has_response)
+                & ((has_response & response) | (!has_response & no_response));
+            // Rows strictly ascend in `(error_time, id)`.
+            let first = i == 0;
+            let id_rises = id[i] > prev_id;
+            ok &= first | (secs > prev_secs) | ((secs == prev_secs) & id_rises);
+            ids_rise &= first | id_rises;
+            (prev_secs, prev_id) = (secs, id[i]);
+        }
+        match (ok, ids_rise) {
+            (false, _) => Scan::Invalid,
+            (true, false) => Scan::IdsUnordered,
+            (true, true) => Scan::Valid,
+        }
+    }
+
+    /// [`FotColumns::validate`]'s checks one column or row at a time, in
+    /// the order that decides which violation is reported first.
+    fn first_violation(
         &self,
         servers: usize,
         data_centers: usize,
@@ -448,8 +557,11 @@ impl FotColumns {
                 }
             }
         }
-        // Engine traces number tickets in row order, so this sort is a
-        // single pass over already-sorted ids.
+        self.unique_ids()
+    }
+
+    /// Fails on the smallest ticket id that repeats.
+    fn unique_ids(&self) -> Result<(), TraceError> {
         let mut ids = self.id.clone();
         ids.sort_unstable();
         if let Some(w) = ids.windows(2).find(|w| w[0] == w[1]) {
@@ -459,6 +571,17 @@ impl FotColumns {
         }
         Ok(())
     }
+}
+
+/// What [`FotColumns::scan`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scan {
+    /// Every row is valid and ids strictly increase.
+    Valid,
+    /// Every row is valid, but ids must still be checked for repeats.
+    IdsUnordered,
+    /// Some row is invalid.
+    Invalid,
 }
 
 /// Fails with the first row of `column` whose value is not below `bound`.
@@ -616,6 +739,56 @@ mod tests {
         let tail = cols.select(|i| i >= 1);
         assert_eq!(tail, build(&sample_rows()[1..]));
         assert_eq!(tail.dict(), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn appended_stretches_equal_one_builder() {
+        let rows = sample_rows();
+        let whole = build(&rows);
+        for at in 0..=rows.len() {
+            let mut head = ColumnsBuilder::default();
+            for f in &rows[..at] {
+                head.push(f);
+            }
+            head.append(build(&rows[at..]));
+            assert_eq!(head.finish(), whole, "split at row {at}");
+        }
+    }
+
+    #[test]
+    fn fused_scan_rejects_what_the_full_pass_rejects() {
+        let cols = build(&sample_rows());
+        assert_eq!(cols.scan(3, 1, 1), Scan::Valid);
+        // Row 1 is the one `Error` row (no response); the others respond.
+        let mutations: [fn(&mut FotColumns); 16] = [
+            |c| c.server[1] = 3,
+            |c| c.data_center[1] = 1,
+            |c| c.product_line[2] = 1,
+            |c| c.class[0] = ComponentClass::ALL.len() as u8,
+            |c| c.failure_type[0] = FailureType::ALL.len() as u8,
+            |c| c.category[3] = FotCategory::ALL.len() as u8,
+            |c| c.category[1] = category_tag(FotCategory::Fixing),
+            |c| c.detail[2] = 3,
+            |c| c.error_sod[0] = SECS_PER_DAY as u32,
+            |c| c.op_sod[0] = SECS_PER_DAY as u32,
+            |c| c.op_day[0] = 0,
+            |c| c.action[2] = NO_ACTION,
+            |c| c.op_day[1] = 9,
+            |c| c.operator[1] = 0,
+            |c| c.error_day.swap(2, 3),
+            |c| c.id[2] = c.id[1],
+        ];
+        for (k, mutate) in mutations.iter().enumerate() {
+            let mut bad = cols.clone();
+            mutate(&mut bad);
+            assert_ne!(bad.scan(3, 1, 1), Scan::Valid, "mutation {k}");
+            assert!(bad.validate(3, 1, 1).is_err(), "mutation {k}");
+        }
+        // Unique ids out of order leave only the uniqueness sort to run.
+        let mut swapped = cols.clone();
+        swapped.id.swap(0, 3);
+        assert_eq!(swapped.scan(3, 1, 1), Scan::IdsUnordered);
+        assert!(swapped.validate(3, 1, 1).is_ok());
     }
 
     #[test]

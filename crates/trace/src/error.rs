@@ -43,6 +43,12 @@ pub enum TraceError {
         /// The value found.
         value: u64,
     },
+    /// A snapshot's stored hostname differs from the one its server's
+    /// placement derives ([`crate::ServerMeta::hostname`]).
+    HostnameMismatch {
+        /// The server whose stored hostname disagrees.
+        server: ServerId,
+    },
     /// Ticket rows are not in `(error_time, id)` order.
     UnsortedFots {
         /// The first ticket that sorts before its predecessor.
@@ -84,6 +90,9 @@ impl std::fmt::Display for TraceError {
             }
             TraceError::InvalidColumn { row, column, value } => {
                 write!(f, "ticket row {row}: invalid {column} {value}")
+            }
+            TraceError::HostnameMismatch { server } => {
+                write!(f, "{server} hostname does not match its placement")
             }
             TraceError::UnsortedFots { fot } => {
                 write!(f, "{fot} is out of (error_time, id) order")

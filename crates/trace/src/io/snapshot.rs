@@ -71,7 +71,10 @@ impl PutLe for Vec<u8> {
 
 #[derive(Default)]
 struct DictWriter {
-    strings: Vec<String>,
+    /// The interned strings' bytes, back to back, and where each ends:
+    /// one allocation per string (the map's key), not two.
+    bytes: Vec<u8>,
+    ends: Vec<usize>,
     ids: HashMap<String, u32>,
 }
 
@@ -80,8 +83,9 @@ impl DictWriter {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
-        let id = self.strings.len() as u32;
-        self.strings.push(s.to_owned());
+        let id = self.ends.len() as u32;
+        self.bytes.extend_from_slice(s.as_bytes());
+        self.ends.push(self.bytes.len());
         self.ids.insert(s.to_owned(), id);
         id
     }
@@ -142,10 +146,15 @@ pub fn snapshot_to_bytes(trace: &Trace) -> Vec<u8> {
         .iter()
         .map(|p| dict.intern(&p.name))
         .collect();
+    let mut name = Vec::with_capacity(22);
     let hostnames: Vec<u32> = trace
         .servers()
         .iter()
-        .map(|s| dict.intern(&s.hostname))
+        .map(|s| {
+            name.clear();
+            s.write_hostname(&mut name);
+            dict.intern(std::str::from_utf8(&name).expect("hostnames are ASCII"))
+        })
         .collect();
     // The column dictionary is in first-appearance order, so interning it
     // in id order interns the details in row order.
@@ -155,10 +164,12 @@ pub fn snapshot_to_bytes(trace: &Trace) -> Vec<u8> {
     out.extend_from_slice(MAGIC);
     out.put_u32(VERSION);
 
-    out.put_u32(dict.strings.len() as u32);
-    for s in &dict.strings {
-        out.put_u32(s.len() as u32);
-        out.extend_from_slice(s.as_bytes());
+    out.put_u32(dict.ends.len() as u32);
+    let mut start = 0;
+    for &end in &dict.ends {
+        out.put_u32((end - start) as u32);
+        out.extend_from_slice(&dict.bytes[start..end]);
+        start = end;
     }
 
     let info = trace.info();
@@ -424,9 +435,10 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
 
     let n_servers = r.u32()? as usize;
     let mut servers = Vec::with_capacity(n_servers.min(1 << 22));
+    let mut derived = Vec::with_capacity(22);
     for _ in 0..n_servers {
         let id = ServerId::new(r.u32()?);
-        let hostname = dict.get(r.u32()?)?.to_owned();
+        let hostname = dict.get(r.u32()?)?;
         let data_center = DataCenterId::new(r.u16()?);
         let product_line = ProductLineId::new(r.u16()?);
         let rack = RackId::new(r.u32()?);
@@ -434,9 +446,8 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
         let generation = r.u8()?;
         let deploy_time = SimTime::from_secs(r.u64()?);
         let warranty = SimDuration::from_secs(r.u64()?);
-        servers.push(ServerMeta {
+        let server = ServerMeta {
             id,
-            hostname,
             data_center,
             product_line,
             rack,
@@ -452,7 +463,15 @@ pub fn snapshot_from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
             psu_count: r.u8()?,
             has_raid_card: r.u8()? != 0,
             has_flash_card: r.u8()? != 0,
-        });
+        };
+        // Hostnames are derived from the placement, so a stored name is
+        // only a check on it.
+        derived.clear();
+        server.write_hostname(&mut derived);
+        if hostname.as_bytes() != derived {
+            return Err(TraceError::HostnameMismatch { server: id });
+        }
+        servers.push(server);
     }
 
     let n = r.u32()? as usize;

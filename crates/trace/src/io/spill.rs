@@ -35,11 +35,13 @@
 //! [`merge_spills`] (or [`merge_cursors`] over eagerly opened
 //! [`SpillCursor`]s) holds one chunk per shard and emits records in
 //! `(error_time, server, class, slot)` order with ties going to the
-//! lowest shard index. A [`SpillCursor`] can also wrap an already sorted
-//! in-memory chunk ([`SpillCursor::from_sorted`]), which is how the
-//! engine merges its per-thread chunks: [`merge_cursors`] is the one
-//! k-way merge, and the one owner of its tie-break rule.
+//! lowest shard index. A [`SpillCursor`] can also borrow an already
+//! sorted in-memory chunk ([`SpillCursor::from_sorted`]), which is how the
+//! engine merges its per-thread chunks, one [`split_by_time`] range per
+//! thread: [`merge_cursors`] is the one k-way merge, and the one owner of
+//! its tie-break rule.
 
+use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -565,28 +567,32 @@ pub const MERGE_CHUNK_ROWS: usize = 8 * 1024;
 /// spill lands and calls [`prefetch`](SpillCursor::prefetch) so the
 /// first chunk's decode overlaps the shards still simulating.
 #[derive(Debug)]
-pub struct SpillCursor {
+pub struct SpillCursor<'a> {
     shard_index: u32,
     reader: Option<ShardSpillReader>,
-    buf: Vec<SpillRecord>,
+    /// The reader's current chunk, or the borrowed in-memory records.
+    buf: Cow<'a, [SpillRecord]>,
     pos: usize,
 }
 
-impl SpillCursor {
+impl SpillCursor<'static> {
     /// Wraps an opened reader with an empty head buffer.
     pub fn new(reader: ShardSpillReader) -> Self {
         Self {
             shard_index: reader.shard_index(),
             reader: Some(reader),
-            buf: Vec::new(),
+            buf: Cow::Owned(Vec::new()),
             pos: 0,
         }
     }
+}
 
+impl<'a> SpillCursor<'a> {
     /// Wraps `records`, already sorted by [`SpillRecord::key`], as the
     /// source with merge index `index` (ties go to the lowest index, as
-    /// with shard indices).
-    pub fn from_sorted(index: u32, records: Vec<SpillRecord>) -> Self {
+    /// with shard indices). The records are borrowed, so any sub-slice of
+    /// a sorted chunk merges without a copy.
+    pub fn from_sorted(index: u32, records: &'a [SpillRecord]) -> Self {
         debug_assert!(
             records.windows(2).all(|w| w[0].key() <= w[1].key()),
             "in-memory merge chunks must be sorted by key"
@@ -594,7 +600,7 @@ impl SpillCursor {
         Self {
             shard_index: index,
             reader: None,
-            buf: records,
+            buf: Cow::Borrowed(records),
             pos: 0,
         }
     }
@@ -618,7 +624,7 @@ impl SpillCursor {
     fn head(&mut self) -> Result<Option<&SpillRecord>, TraceError> {
         if self.pos == self.buf.len() {
             if let Some(reader) = &mut self.reader {
-                self.buf = reader.read_chunk(MERGE_CHUNK_ROWS)?;
+                self.buf = Cow::Owned(reader.read_chunk(MERGE_CHUNK_ROWS)?);
                 self.pos = 0;
             }
         }
@@ -699,7 +705,7 @@ pub fn merge_spills(
 ///
 /// Propagates reader errors ([`TraceError::Io`] / [`TraceError::Snapshot`]).
 pub fn merge_cursors(
-    mut cursors: Vec<SpillCursor>,
+    mut cursors: Vec<SpillCursor<'_>>,
     mut emit: impl FnMut(SpillRecord),
 ) -> Result<u64, TraceError> {
     cursors.sort_by_key(SpillCursor::shard_index);
@@ -731,6 +737,43 @@ pub fn merge_cursors(
         emitted += 1;
     }
     Ok(emitted)
+}
+
+/// Splits sorted record runs into up to `parts` consecutive error-time
+/// ranges of about equal size, so that several threads can merge one
+/// range each. Range `k` holds each run's stretch of it, in run order.
+///
+/// The boundaries are error times at even steps through the longest
+/// run, and every run splits at its first record at or after each
+/// boundary (`partition_point`). So records with equal error times
+/// always share a range, every record of a range sorts before every
+/// record of the next, and merging each range's stretches with
+/// [`merge_cursors`] (as [`SpillCursor::from_sorted`] in run order) and
+/// concatenating the ranges reproduces the merge of the whole runs.
+pub fn split_by_time<'a>(runs: &[&'a [SpillRecord]], parts: usize) -> Vec<Vec<&'a [SpillRecord]>> {
+    let longest = runs.iter().copied().max_by_key(|r| r.len()).unwrap_or(&[]);
+    let parts = parts.clamp(1, longest.len().max(1));
+    let mut starts = vec![0; runs.len()];
+    (1..=parts)
+        .map(|k| {
+            let ends: Vec<usize> = if k == parts {
+                runs.iter().map(|r| r.len()).collect()
+            } else {
+                let t = longest[k * longest.len() / parts].error_time;
+                runs.iter()
+                    .map(|r| r.partition_point(|rec| rec.error_time < t))
+                    .collect()
+            };
+            let range = runs
+                .iter()
+                .zip(&starts)
+                .zip(&ends)
+                .map(|((r, &s), &e)| &r[s..e])
+                .collect();
+            starts = ends;
+            range
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -908,10 +951,11 @@ mod tests {
         w.finish().unwrap();
         // Equal keys in cursors 0 and 1: the lower index comes out first.
         let tie = rec(4, 100, 0, true);
+        let (low, high) = ([tie, rec(9, 300, 0, false)], [rec(1, 200, 0, false)]);
         let cursors = vec![
-            SpillCursor::from_sorted(2, vec![rec(1, 200, 0, false)]),
+            SpillCursor::from_sorted(2, &high),
             SpillCursor::new(ShardSpillReader::open(&path).unwrap()),
-            SpillCursor::from_sorted(0, vec![tie, rec(9, 300, 0, false)]),
+            SpillCursor::from_sorted(0, &low),
         ];
         let mut merged = Vec::new();
         let n = merge_cursors(cursors, |r| merged.push(r)).unwrap();

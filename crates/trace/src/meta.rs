@@ -13,12 +13,14 @@ use crate::{
 };
 
 /// Snapshot of one server's identity, placement, and hardware inventory.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A small `Copy` record: the hostname is not stored but derived from the
+/// placement ([`ServerMeta::hostname`]), so a fleet of them is one flat
+/// allocation that copies and frees in one step.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerMeta {
     /// Dense server id.
     pub id: ServerId,
-    /// Hostname, e.g. `dc03-r0012-u22-s004711`.
-    pub hostname: String,
     /// Hosting data center.
     pub data_center: DataCenterId,
     /// Owning product line.
@@ -53,6 +55,28 @@ pub struct ServerMeta {
 }
 
 impl ServerMeta {
+    /// Appends the server's hostname, `dcNN-rNNNN-uNN-sNNNNNN` (data
+    /// center, rack, slot position and server id, each zero-padded to its
+    /// width), to `buf` without going through `format!`.
+    pub fn write_hostname(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(b"dc");
+        push_padded(buf, u64::from(self.data_center.raw()), 2);
+        buf.extend_from_slice(b"-r");
+        push_padded(buf, u64::from(self.rack.raw()), 4);
+        buf.extend_from_slice(b"-u");
+        push_padded(buf, u64::from(self.position.raw()), 2);
+        buf.extend_from_slice(b"-s");
+        push_padded(buf, u64::from(self.id.raw()), 6);
+    }
+
+    /// The server's hostname, e.g. `dc03-r0012-u22-s004711`; see
+    /// [`ServerMeta::write_hostname`].
+    pub fn hostname(&self) -> String {
+        let mut buf = Vec::with_capacity(22);
+        self.write_hostname(&mut buf);
+        String::from_utf8(buf).expect("hostnames are ASCII")
+    }
+
     /// The server's warranty expiry instant.
     pub fn warranty_end(&self) -> SimTime {
         self.deploy_time + self.warranty
@@ -87,6 +111,23 @@ impl ServerMeta {
             ComponentClass::Miscellaneous => 1,
         }
     }
+}
+
+/// Zero-padded decimal append, byte-identical to `{v:0width$}` formatting
+/// (values wider than `width` print all their digits).
+fn push_padded(buf: &mut Vec<u8>, mut v: u64, width: usize) {
+    let mut tmp = [b'0'; 20];
+    let mut i = tmp.len();
+    loop {
+        i -= 1;
+        tmp[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    i = i.min(tmp.len() - width);
+    buf.extend_from_slice(&tmp[i..]);
 }
 
 /// Snapshot of one data center.
@@ -161,7 +202,6 @@ mod tests {
     fn sample_server() -> ServerMeta {
         ServerMeta {
             id: ServerId::new(1),
-            hostname: "dc01-r0001-u05-s000001".into(),
             data_center: DataCenterId::new(1),
             product_line: ProductLineId::new(1),
             rack: RackId::new(1),
@@ -177,6 +217,29 @@ mod tests {
             psu_count: 2,
             has_raid_card: true,
             has_flash_card: false,
+        }
+    }
+
+    #[test]
+    fn hostnames_match_format_machinery() {
+        let s = sample_server();
+        assert_eq!(s.hostname(), "dc01-r0001-u05-s000001");
+        for (dc, rack, pos, id) in [
+            (0u16, 0u32, 0u8, 0u32),
+            (7, 4321, 35, 159_999),
+            (123, 99_999, 255, 4_000_000_000),
+        ] {
+            let s = ServerMeta {
+                id: ServerId::new(id),
+                data_center: DataCenterId::new(dc),
+                rack: RackId::new(rack),
+                position: RackPosition::new(pos),
+                ..sample_server()
+            };
+            assert_eq!(
+                s.hostname(),
+                format!("dc{dc:02}-r{rack:04}-u{pos:02}-s{id:06}"),
+            );
         }
     }
 

@@ -67,7 +67,6 @@ impl TraceInfo {
 /// };
 /// let server = ServerMeta {
 ///     id: ServerId::new(0),
-///     hostname: "dc00-r0000-u01-s000000".into(),
 ///     data_center: DataCenterId::new(0),
 ///     product_line: ProductLineId::new(0),
 ///     rack: RackId::new(0),
@@ -416,7 +415,6 @@ pub(crate) mod tests {
         let servers = (0..3)
             .map(|i| ServerMeta {
                 id: ServerId::new(i),
-                hostname: format!("dc01-r0001-u{:02}-s{:06}", i + 1, i),
                 data_center: DataCenterId::new(0),
                 product_line: ProductLineId::new(0),
                 rack: RackId::new(0),

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "server {} ({}) filed {} failure tickets",
         busiest.id,
-        busiest.hostname,
+        busiest.hostname(),
         contexts.len()
     );
     if let Some(last) = contexts.last() {

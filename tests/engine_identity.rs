@@ -13,10 +13,13 @@
 
 use dcfail::obs::MetricsRegistry;
 use dcfail::sim::{simulate, simulate_sharded, RunOptions, Scenario};
-use dcfail::trace::{io, Trace};
+use dcfail::trace::io::spill::{merge_cursors, split_by_time, SpillCursor, SpillRecord};
+use dcfail::trace::{io, ComponentClass, FailureType, FotCategory, ServerId, SimTime, Trace};
 
 const SEEDS: [u64; 3] = [1, 7, 42];
-const THREADS: [usize; 4] = [1, 2, 4, 8];
+/// Engine thread counts; 3 splits the assembly merge unevenly, and 0 asks
+/// for the machine's parallelism.
+const THREADS: [usize; 6] = [1, 2, 3, 4, 8, 0];
 
 fn small_trace(seed: u64, threads: usize) -> Trace {
     Scenario::small()
@@ -32,11 +35,15 @@ fn traces_are_byte_identical_across_thread_counts() {
         let reference_digest = io::fots_digest(reference.fots());
         for threads in &THREADS[1..] {
             let trace = small_trace(seed, *threads);
+            // Column equality covers the detail dictionary: each thread's
+            // merge range interns its own, and the join must restore the
+            // one-builder first-appearance order.
             assert_eq!(
-                trace.fots(),
-                reference.fots(),
+                trace.columns(),
+                reference.columns(),
                 "seed {seed}: trace diverged at {threads} engine threads"
             );
+            assert_eq!(trace.columns().dict(), reference.columns().dict());
             assert_eq!(
                 io::fots_digest(trace.fots()),
                 reference_digest,
@@ -274,4 +281,81 @@ fn ticket_counters_match_the_trace() {
             );
         }
     }
+}
+
+/// Merges `runs` as the engine does: one cursor per run, in run order.
+fn merged(runs: &[&[SpillRecord]]) -> Vec<SpillRecord> {
+    let cursors = (0..)
+        .zip(runs)
+        .map(|(i, run)| SpillCursor::from_sorted(i, run))
+        .collect();
+    let mut out = Vec::new();
+    merge_cursors(cursors, |r| out.push(r)).expect("in-memory merge");
+    out
+}
+
+/// The assembly merge splits its sorted chunks into error-time ranges,
+/// one per engine thread. Here every split boundary falls on an error
+/// time that several chunks share, including records whose full merge
+/// keys tie across chunks: each such time must land whole in one range,
+/// and the ranges merged one after another must give the whole merge.
+#[test]
+fn time_split_keeps_shared_error_times_in_one_range() {
+    let rec = |server: u32, secs: u64| SpillRecord {
+        server: ServerId::new(server),
+        class: ComponentClass::Hdd,
+        slot: 0,
+        ftype: FailureType::SmartFail,
+        error_time: SimTime::from_secs(secs),
+        category: FotCategory::Error,
+        response: None,
+    };
+    // Chunk 0 is the longest, so its records at 1/3 and 2/3 of its length
+    // (times 20 and 30) are the boundaries at three parts; both times
+    // also occur in chunks 1 and 2, and (5, 20) occurs in two chunks.
+    let chunks = [
+        vec![
+            rec(0, 10),
+            rec(0, 20),
+            rec(1, 20),
+            rec(2, 20),
+            rec(0, 30),
+            rec(1, 30),
+        ],
+        vec![rec(5, 20), rec(5, 30), rec(6, 30)],
+        vec![rec(5, 20), rec(9, 25), rec(9, 30), rec(8, 40)],
+    ];
+    for chunk in &chunks {
+        let mut sorted = chunk.clone();
+        sorted.sort_by_key(SpillRecord::key);
+        assert_eq!(&sorted, chunk, "test chunks must be sorted by key");
+    }
+    let runs: Vec<&[SpillRecord]> = chunks.iter().map(Vec::as_slice).collect();
+    let whole = merged(&runs);
+    for parts in 1..=8 {
+        let ranges = split_by_time(&runs, parts);
+        assert!(!ranges.is_empty() && ranges.len() <= parts);
+        let pieces: Vec<Vec<SpillRecord>> = ranges.iter().map(|r| merged(r)).collect();
+        assert_eq!(pieces.concat(), whole, "{parts} parts");
+        // No error time spans two ranges.
+        for pair in pieces.windows(2) {
+            if let (Some(last), Some(next)) = (pair[0].last(), pair[1].first()) {
+                assert!(last.error_time < next.error_time, "{parts} parts");
+            }
+        }
+    }
+    // At three parts the boundaries are the shared times 20 and 30.
+    let times = |range: &Vec<&[SpillRecord]>| -> Vec<u64> {
+        let mut t: Vec<u64> = merged(range)
+            .iter()
+            .map(|r| r.error_time.as_secs())
+            .collect();
+        t.dedup();
+        t
+    };
+    let three = split_by_time(&runs, 3);
+    assert_eq!(
+        three.iter().map(times).collect::<Vec<_>>(),
+        vec![vec![10], vec![20, 25], vec![30, 40]]
+    );
 }
