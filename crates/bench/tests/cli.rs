@@ -1,7 +1,7 @@
 //! Drives the `reproduce` binary: output-mode flag conflicts, the
-//! thread-count byte-identity of `--score`, the experiment table, the
-//! `export` CSV, the `replay` feed from either trace source, and a
-//! service that runs out of file descriptors.
+//! thread-count byte-identity of `--score` and of the sharded digest, the
+//! experiment table, the `export` CSV, the `replay` feed from either
+//! trace source, and a service that runs out of file descriptors.
 
 use std::process::{Command, Output};
 
@@ -151,6 +151,37 @@ fn score_is_byte_identical_across_thread_counts() {
     let text = String::from_utf8(serial.stdout).expect("utf-8 stdout");
     assert!(text.contains("reproduction agreement"), "{text}");
     assert_eq!(text.as_bytes(), parallel.stdout.as_slice());
+}
+
+/// The `--digest` a medium seed-1 run writes with `flags` added.
+fn medium_digest(name: &str, flags: &[&str]) -> String {
+    let path = temp_path(name);
+    let mut args = vec![
+        "--scenario",
+        "medium",
+        "--experiment",
+        "none",
+        "--digest",
+        &path,
+    ];
+    args.extend_from_slice(flags);
+    let out = reproduce(&args);
+    assert!(out.status.success(), "{flags:?} failed");
+    let digest = std::fs::read_to_string(&path).expect("digest written");
+    let _ = std::fs::remove_file(&path);
+    digest
+}
+
+/// CI's inline-vs-pipelined merge gate: a 4-shard medium run digests on
+/// the merging thread at `--threads 1` and on a second thread at
+/// `--threads 2`, and both equal the unsharded engine's digest.
+#[test]
+fn sharded_digest_is_byte_identical_inline_and_pipelined() {
+    let inline = medium_digest("s4-t1", &["--shards", "4", "--threads", "1"]);
+    let pipelined = medium_digest("s4-t2", &["--shards", "4", "--threads", "2"]);
+    let unsharded = medium_digest("s1-t1", &["--threads", "1"]);
+    assert_eq!(inline, pipelined);
+    assert_eq!(inline, unsharded);
 }
 
 #[test]

@@ -213,7 +213,7 @@ impl<'a> Spatial<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_support::medium_trace;
+    use crate::test_support::{medium_trace, paper_trace};
 
     #[test]
     fn positions_and_populations_are_consistent() {
@@ -247,14 +247,16 @@ mod tests {
 
     #[test]
     fn dc_a_flags_its_hot_positions() {
-        let trace = medium_trace();
+        // The builder gives DC 0 hot spots at positions 22 and 35 (1.33× on
+        // background hazards), sized against the paper's 160k-server fleet.
+        // At 20k servers that boost sits inside the position noise, so the
+        // check runs at paper scale; there the 2σ anomaly flag is still
+        // noisy (batch events dilute the position signal), so assert the
+        // robust form: both hot positions rank in the top 5 failure ratios
+        // across the DC's ~40 populated positions.
+        let trace = paper_trace();
         let results = Spatial::new(&trace).by_data_center(200);
         let dc_a = &results[0];
-        // The builder gives DC 0 hot spots at positions 22 and 35 (1.33× on
-        // background hazards). At 20k servers the 2σ anomaly flag is
-        // fluctuation-dominated — batch events dilute the position signal —
-        // so assert the robust form: both hot positions rank in the top 5
-        // failure ratios across the DC's ~40 populated positions.
         let mut ranked: Vec<_> = dc_a
             .positions
             .iter()

@@ -7,6 +7,7 @@ use dcf_trace::Trace;
 
 static SMALL: OnceLock<Trace> = OnceLock::new();
 static MEDIUM: OnceLock<Trace> = OnceLock::new();
+static PAPER: OnceLock<Trace> = OnceLock::new();
 
 /// A small (2k-server, 360-day) calibrated trace, deterministic across runs.
 pub(crate) fn synthetic_trace() -> Trace {
@@ -29,6 +30,19 @@ pub(crate) fn medium_trace() -> Trace {
                 .seed(0xDCF)
                 .simulate(&dcf_sim::RunOptions::default())
                 .expect("medium scenario runs")
+        })
+        .clone()
+}
+
+/// A paper-scale (160k-server) trace, for effects the builder sizes
+/// against the paper's fleet and that drown in a smaller one's noise.
+pub(crate) fn paper_trace() -> Trace {
+    PAPER
+        .get_or_init(|| {
+            dcf_sim::Scenario::paper()
+                .seed(0xDCF)
+                .simulate(&dcf_sim::RunOptions::default())
+                .expect("paper scenario runs")
         })
         .clone()
 }

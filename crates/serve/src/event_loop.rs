@@ -669,7 +669,10 @@ impl EventLoop {
         let streaming: Vec<u64> = self
             .conns
             .iter()
-            .filter(|(_, c)| c.state == ConnState::Writing && c.streaming())
+            // A stream waiting for its socket frames in `flush`.
+            .filter(|(_, c)| {
+                c.state == ConnState::Writing && c.streaming() && c.interest != WRITE_ONLY
+            })
             .map(|(&t, _)| t)
             .collect();
         let now = Instant::now();
@@ -690,8 +693,15 @@ impl EventLoop {
         }
     }
 
-    /// Writes as much of the pending response as the socket accepts.
+    /// Writes as much of the pending response as the socket accepts. A
+    /// replay stream whose buffer drains gets at most one more batch of
+    /// due lines per call (its write budget, [`STREAM_BACKPRESSURE_BYTES`]
+    /// plus one line): a fast reader of a long stream then yields the
+    /// loop between batches instead of holding it for the whole stream,
+    /// and the level-triggered poller reports the socket writable again
+    /// on the next turn.
     fn flush(&mut self, token: u64) {
+        let mut framed = false;
         loop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 return;
@@ -701,9 +711,15 @@ impl EventLoop {
             }
             if conn.write_pos >= conn.write_buf.len() {
                 if let Some(stream) = conn.replay.as_mut().filter(|s| !s.finished) {
+                    if framed {
+                        // Budget spent: the rest waits for the next turn.
+                        self.set_interest(token, WRITE_ONLY);
+                        return;
+                    }
                     // Buffer drained: frame the next due lines now rather
                     // than at the next poll.
                     if stream.frame_due(&mut conn.write_buf, &mut conn.write_pos, Instant::now()) {
+                        framed = true;
                         continue;
                     }
                     // Nothing due yet; park with read interest so a peer
@@ -848,6 +864,91 @@ mod tests {
     use super::*;
     use dcf_core::replay::{replay, ReplayConfig};
 
+    /// A medium trace's artifacts and default replay outcome.
+    fn medium_replay() -> (Arc<RunArtifacts>, Arc<ReplayOutcome>) {
+        let trace = dcf_sim::Scenario::medium()
+            .seed(1)
+            .simulate(&dcf_sim::RunOptions::default())
+            .expect("medium scenario runs");
+        let artifacts = Arc::new(RunArtifacts::new(trace));
+        let outcome = Arc::new(replay(&artifacts.trace, &ReplayConfig::default()));
+        (artifacts, outcome)
+    }
+
+    /// One `flush` of a speed-0 replay whose buffer has drained frames
+    /// one batch of due lines, not the whole stream, though the loopback
+    /// socket would take more: the rest waits for the next writable turn.
+    #[test]
+    fn one_flush_frames_at_most_one_batch() {
+        use crate::server::LoopShared;
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Mutex;
+
+        let (waker, waker_rx) = Waker::pair().expect("waker");
+        let shared = Arc::new(Shared {
+            cache: crate::cache::ResponseCache::new(1),
+            metrics: dcf_obs::MetricsRegistry::disabled(),
+            compute_delay: Duration::ZERO,
+            catalog: None,
+            loops: vec![LoopShared {
+                completions: Mutex::new(Vec::new()),
+                waker,
+                inbox: Mutex::new(Vec::new()),
+            }],
+            stop: AtomicBool::new(false),
+        });
+        let poller = Poller::new(None).expect("poller");
+        let queue = Arc::new(BoundedQueue::new(1));
+        let mut event_loop = EventLoop::new(
+            0,
+            poller,
+            None,
+            waker_rx,
+            queue,
+            shared,
+            8,
+            Duration::from_secs(5),
+        )
+        .expect("event loop");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        event_loop.adopt_stream(listener.accept().expect("accept").0);
+        let token = FIRST_CONN_TOKEN;
+
+        let (artifacts, outcome) = medium_replay();
+        let conn = event_loop.conns.get_mut(&token).expect("adopted");
+        conn.state = ConnState::Writing;
+        conn.replay = Some(Box::new(ReplayStream::new(artifacts, outcome, 0.0)));
+        event_loop.flush(token);
+
+        let conn = &event_loop.conns[&token];
+        assert!(conn.streaming(), "one flush framed the whole stream");
+        assert_eq!(
+            conn.write_pos,
+            conn.write_buf.len(),
+            "the batch was not written"
+        );
+        assert_eq!(conn.interest, WRITE_ONLY);
+        client.set_nonblocking(true).unwrap();
+        let mut wire = Vec::new();
+        let mut chunk = [0u8; 64 * 1024];
+        loop {
+            match client.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => wire.extend_from_slice(&chunk[..n]),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+        // The batch stops at the first line that reaches the budget, and
+        // a line is far under 4 kB.
+        assert!(
+            wire.len() < STREAM_BACKPRESSURE_BYTES + 4096,
+            "one flush wrote {} bytes",
+            wire.len()
+        );
+    }
+
     /// The payloads of a chunked body, checking each chunk's framing and
     /// that it ends at the terminal chunk.
     fn dechunk(mut wire: &[u8]) -> Vec<Vec<u8>> {
@@ -878,12 +979,7 @@ mod tests {
     /// the `for_each_line` lines and then the summary, one per chunk.
     #[test]
     fn framing_stops_at_the_backpressure_cap() {
-        let trace = dcf_sim::Scenario::medium()
-            .seed(1)
-            .simulate(&dcf_sim::RunOptions::default())
-            .expect("medium scenario runs");
-        let artifacts = Arc::new(RunArtifacts::new(trace));
-        let outcome = Arc::new(replay(&artifacts.trace, &ReplayConfig::default()));
+        let (artifacts, outcome) = medium_replay();
         let mut lines = Vec::new();
         outcome
             .for_each_line(&artifacts.trace, |_, line| {

@@ -18,7 +18,11 @@
 //! coordinating thread opens and prefetches the moment its shard lands,
 //! overlapping the shards still simulating; the spills then merge into the
 //! sink, and every spill the run wrote is removed, on error paths too.
-//! SCALING.md lists the `engine.shard.*` spans and gauges of such a run.
+//! The digest sink's merge runs as a two-stage pipeline at two or more
+//! engine threads: the calling thread decodes and merges records into
+//! batches, and a second thread stamps and digests them. SCALING.md lists
+//! the `engine.shard.*` and `engine.merge.*` spans, counters and gauges of
+//! such a run.
 //!
 //! Per-server RNG streams are seeded from `(seed, server id)` alone and
 //! the global phase runs once, so the merged stream is **byte-identical**
@@ -29,6 +33,7 @@ use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
+use std::time::Instant;
 
 use dcf_failmodel::types::detail_str;
 use dcf_fleet::{Fleet, FleetBuilder};
@@ -246,9 +251,14 @@ struct MergeRange<'a> {
 trait Sink: Sized {
     type Output;
     /// Merges `ranges`, consecutive stretches of the global order, into
-    /// a sink over `fleet`; ticket ids follow merge order. Returns the
-    /// sink and the number of records merged.
-    fn merge(fleet: &Fleet, ranges: Vec<MergeRange<'_>>) -> Result<(Self, u64), TraceError>;
+    /// a sink over `fleet` on up to `threads` threads; ticket ids follow
+    /// merge order. Returns the sink and the number of records merged.
+    fn merge(
+        fleet: &Fleet,
+        ranges: Vec<MergeRange<'_>>,
+        threads: usize,
+        metrics: &MetricsRegistry,
+    ) -> Result<(Self, u64), TraceError>;
     /// The run's result.
     fn finish(self, info: TraceInfo, merged: Merged) -> Result<Self::Output, SimError>;
 }
@@ -312,7 +322,12 @@ struct FotSink {
 impl Sink for FotSink {
     type Output = Trace;
 
-    fn merge(fleet: &Fleet, ranges: Vec<MergeRange<'_>>) -> Result<(Self, u64), TraceError> {
+    fn merge(
+        fleet: &Fleet,
+        ranges: Vec<MergeRange<'_>>,
+        _: usize,
+        _: &MetricsRegistry,
+    ) -> Result<(Self, u64), TraceError> {
         let tickets = &Tickets::new(fleet);
         let total: usize = ranges.iter().map(|r| r.rows).sum();
         let mut first_id = 0u64;
@@ -375,32 +390,60 @@ fn fill_range(
     Ok(columns)
 }
 
+/// Records per batch that the merge hands the digest: enough that a
+/// hand-off costs little per record, few enough that the batch pool
+/// stays in cache.
+const DIGEST_BATCH: usize = 4096;
+
+/// Batches in a pipelined digest's pool: one filling, one digesting and
+/// two queued. The pool bounds the records in flight.
+const DIGEST_BATCHES: usize = 4;
+
 /// Streams the digest and category tallies without assembling a trace.
-/// `ChunkedFnv` is sequential, so the ranges merge one after another on
-/// the calling thread.
+/// `ChunkedFnv` is sequential, so the ranges merge one after another, in
+/// order, into batches of records ([`merge_batches`]). At two or more
+/// engine threads a scoped digesting thread consumes the batches while
+/// the calling thread decodes and merges the next ones
+/// ([`digest_beside`]); at one thread the calling thread consumes each
+/// batch itself. Either way [`DigestSink::consume`] sees the same records
+/// in the same order.
 struct DigestSink {
     digester: FotsDigester,
     category_counts: [u64; 3],
 }
 
+impl DigestSink {
+    /// Stamps, digests and tallies `batch` in order, numbering tickets
+    /// from the count digested so far, and leaves `batch` empty.
+    fn consume(&mut self, tickets: &Tickets, batch: &mut Vec<SpillRecord>) {
+        for r in batch.drain(..) {
+            self.digester.push(&tickets.stamp(self.digester.count(), r));
+            self.category_counts[category_tag(r.category) as usize] += 1;
+        }
+    }
+}
+
 impl Sink for DigestSink {
     type Output = ShardedRun;
 
-    fn merge(fleet: &Fleet, ranges: Vec<MergeRange<'_>>) -> Result<(Self, u64), TraceError> {
-        let tickets = Tickets::new(fleet);
+    fn merge(
+        fleet: &Fleet,
+        ranges: Vec<MergeRange<'_>>,
+        threads: usize,
+        metrics: &MetricsRegistry,
+    ) -> Result<(Self, u64), TraceError> {
+        let tickets = &Tickets::new(fleet);
         let mut sink = DigestSink {
             digester: FotsDigester::new(),
             category_counts: [0; 3],
         };
-        let mut id = 0u64;
-        for range in ranges {
-            merge_cursors(range.cursors, |r| {
-                sink.digester.push(&tickets.stamp(id, r));
-                id += 1;
-                sink.category_counts[category_tag(r.category) as usize] += 1;
-            })?;
+        if threads > 1 {
+            sink = digest_beside(sink, tickets, ranges, metrics)?;
+        } else {
+            merge_batches(ranges, |batch| sink.consume(tickets, batch))?;
         }
-        Ok((sink, id))
+        let merged = sink.digester.count();
+        Ok((sink, merged))
     }
 
     fn finish(self, _: TraceInfo, merged: Merged) -> Result<ShardedRun, SimError> {
@@ -412,6 +455,80 @@ impl Sink for DigestSink {
             bytes_spilled: merged.bytes_spilled,
         })
     }
+}
+
+/// Merges `ranges` in order into batches of up to [`DIGEST_BATCH`]
+/// records and hands each full batch, then the last one, to `hand_off`,
+/// which leaves an empty batch behind.
+fn merge_batches(
+    ranges: Vec<MergeRange<'_>>,
+    mut hand_off: impl FnMut(&mut Vec<SpillRecord>),
+) -> Result<(), TraceError> {
+    let mut batch = Vec::with_capacity(DIGEST_BATCH);
+    for range in ranges {
+        merge_cursors(range.cursors, |r| {
+            batch.push(r);
+            if batch.len() == DIGEST_BATCH {
+                hand_off(&mut batch);
+            }
+        })?;
+    }
+    if !batch.is_empty() {
+        hand_off(&mut batch);
+    }
+    Ok(())
+}
+
+/// Runs [`merge_batches`] on the calling thread and `sink`'s
+/// [`DigestSink::consume`] on a scoped digesting thread. A fixed pool of
+/// [`DIGEST_BATCHES`] batches circulates between the two over bounded
+/// channels, so the digesting thread allocates nothing: its span and
+/// idle counter are registered here, and a bounded channel sends without
+/// allocating. The thread's `engine.merge.digest` span covers its life
+/// and `engine.merge.digest_idle_us` counts the time it waited for a
+/// batch, so an idle count near zero means digesting bounds the merge.
+fn digest_beside(
+    mut sink: DigestSink,
+    tickets: &Tickets,
+    ranges: Vec<MergeRange<'_>>,
+    metrics: &MetricsRegistry,
+) -> Result<DigestSink, TraceError> {
+    let (full_tx, full_rx) = mpsc::sync_channel::<Vec<SpillRecord>>(DIGEST_BATCHES);
+    let (empty_tx, empty_rx) = mpsc::sync_channel::<Vec<SpillRecord>>(DIGEST_BATCHES);
+    for _ in 1..DIGEST_BATCHES {
+        empty_tx
+            .send(Vec::with_capacity(DIGEST_BATCH))
+            .expect("the pool fits its channel");
+    }
+    let span = metrics.worker_phase("engine.merge.digest");
+    let idle = metrics.counter("engine.merge.digest_idle_us");
+    std::thread::scope(|scope| {
+        let digesting = scope.spawn(move || {
+            let _span = span;
+            loop {
+                let waited = Instant::now();
+                let Ok(mut batch) = full_rx.recv() else { break };
+                idle.add(waited.elapsed().as_micros() as u64);
+                sink.consume(tickets, &mut batch);
+                // The receiver outlives this thread and the channel holds
+                // the whole pool, so this neither fails nor blocks.
+                empty_tx.send(batch).expect("the pool fits its channel");
+            }
+            sink
+        });
+        let merged = merge_batches(ranges, |batch| {
+            // Either send fails only if the digesting thread panicked;
+            // its join below reports that.
+            if full_tx.send(std::mem::take(batch)).is_ok() {
+                if let Ok(empty) = empty_rx.recv() {
+                    *batch = empty;
+                }
+            }
+        });
+        drop(full_tx);
+        let sink = digesting.join().expect("digest worker panicked");
+        merged.map(|()| sink)
+    })
 }
 
 /// The engine driver behind all four entry points: builds the fleet when
@@ -462,8 +579,13 @@ fn run<S: Sink>(
         drop(span);
         publish_server_counts(metrics, &fms, &counts);
         let _span = metrics.phase("engine.assembly");
-        let (sink, tickets) =
-            merge_into::<S>(fleet, time_ranges(&chunks, n_threads), metrics, &fms)?;
+        let (sink, tickets) = merge_into::<S>(
+            fleet,
+            time_ranges(&chunks, n_threads),
+            n_threads,
+            metrics,
+            &fms,
+        )?;
         let merged = Merged {
             tickets,
             shards: 1,
@@ -577,7 +699,7 @@ fn run<S: Sink>(
         rows: counts.tickets() as usize,
         cursors,
     }];
-    let (sink, tickets) = merge_into::<S>(fleet, ranges, metrics, &fms)?;
+    let (sink, tickets) = merge_into::<S>(fleet, ranges, n_threads, metrics, &fms)?;
     drop(merge_span);
     drop(files);
     if let Some(peak) = dcf_obs::peak_rss_bytes() {
@@ -614,14 +736,16 @@ fn time_ranges(chunks: &[Vec<SpillRecord>], parts: usize) -> Vec<MergeRange<'_>>
         .collect()
 }
 
-/// Merges `ranges` into a new `S` and records the ticket totals.
+/// Merges `ranges` into a new `S` on up to `threads` threads and records
+/// the ticket totals.
 fn merge_into<S: Sink>(
     fleet: &Fleet,
     ranges: Vec<MergeRange<'_>>,
+    threads: usize,
     metrics: &MetricsRegistry,
     fms: &FmsMetrics,
 ) -> Result<(S, u64), SimError> {
-    let (sink, tickets) = S::merge(fleet, ranges).map_err(SimError::Trace)?;
+    let (sink, tickets) = S::merge(fleet, ranges, threads, metrics).map_err(SimError::Trace)?;
     metrics.add("sim.tickets.total", tickets);
     fms.tickets_issued.add(tickets);
     Ok((sink, tickets))
@@ -803,6 +927,79 @@ mod tests {
         assert_eq!(simulate_spans, 2);
         #[cfg(target_os = "linux")]
         assert!(report.gauge("mem.peak_rss_bytes").unwrap_or(0.0) > 0.0);
+    }
+
+    /// A spill cut off inside a block fails the digest merge with a typed
+    /// error, inline and pipelined, after full batches have already gone
+    /// to the digest: no panic, and no digesting thread left waiting.
+    #[test]
+    fn truncated_spill_fails_the_digest_merge() {
+        use dcf_trace::io::spill::{DELTA_BLOCK_ROWS, MERGE_CHUNK_ROWS};
+        use dcf_trace::{ComponentClass, FotCategory, ServerId, SimTime};
+
+        let fleet = FleetBuilder::new(Scenario::small().config.fleet)
+            .seed(1)
+            .build()
+            .unwrap();
+        let servers = fleet.servers().len() as u32;
+        let path = std::env::temp_dir().join(format!(
+            "dcf-truncated-digest-{}.dcfspill",
+            std::process::id()
+        ));
+        let rows = 4 * DELTA_BLOCK_ROWS;
+        let mut writer = ShardSpillWriter::new(&path, 0, 1, 0, servers);
+        for i in 0..rows {
+            writer.push(&SpillRecord {
+                server: ServerId::new(i % servers),
+                class: ComponentClass::Hdd,
+                slot: 0,
+                ftype: FailureType::SmartFail,
+                error_time: SimTime::from_secs(u64::from(i) * 60),
+                category: FotCategory::Error,
+                response: None,
+            });
+        }
+        writer.finish().unwrap();
+        // Five eighths of four equal blocks ends inside the third, so
+        // the first merge chunk (two blocks, two digest batches) decodes
+        // before the error.
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() * 5 / 8]).unwrap();
+        let mut reader = ShardSpillReader::open(&path).unwrap();
+        assert_eq!(
+            reader.read_chunk(MERGE_CHUNK_ROWS).unwrap().len(),
+            2 * DIGEST_BATCH
+        );
+        assert!(reader.read_chunk(MERGE_CHUNK_ROWS).is_err());
+
+        let fleet = std::sync::Arc::new(fleet);
+        for threads in [1, 2] {
+            let cursor = SpillCursor::new(ShardSpillReader::open(&path).unwrap());
+            let fleet = std::sync::Arc::clone(&fleet);
+            let (done_tx, done_rx) = mpsc::channel();
+            // Not scoped, so that a hung merge fails the test rather
+            // than hanging it.
+            std::thread::spawn(move || {
+                let ranges = vec![MergeRange {
+                    rows: rows as usize,
+                    cursors: vec![cursor],
+                }];
+                let merged = DigestSink::merge(&fleet, ranges, threads, &MetricsRegistry::new());
+                done_tx.send(merged.map(|(_, n)| n)).ok();
+            });
+            let merged = match done_rx.recv_timeout(std::time::Duration::from_secs(30)) {
+                Ok(merged) => merged,
+                Err(mpsc::RecvTimeoutError::Timeout) => panic!("{threads} threads: merge hung"),
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    panic!("{threads} threads: merge panicked")
+                }
+            };
+            assert!(
+                matches!(merged, Err(TraceError::Snapshot { .. })),
+                "{threads} threads: {merged:?}"
+            );
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -81,6 +81,31 @@ fn sharded_digests_match_the_unsharded_trace() {
     }
 }
 
+/// The medium scenario (30,209 tickets at seed 1) spans several of the
+/// digest sink's record batches, which the small scenario's 750 tickets
+/// never fill: recycled batches, the last partial batch and the
+/// digesting thread's hand-offs all reach the digest, the ticket count
+/// and the category tallies, which must equal the materialized trace's
+/// at every shard count, inline (one thread) and pipelined (two).
+#[test]
+fn medium_sharded_digests_cross_batch_boundaries() {
+    let scenario = Scenario::medium().seed(1);
+    let trace = simulate(&scenario.config, &RunOptions::new().threads(2)).expect("simulation runs");
+    let reference_digest = io::fots_digest(trace.fots());
+    let reference_counts = trace.category_counts().map(|c| c as u64);
+    for shards in [1u32, 3, 8] {
+        for threads in [1usize, 2] {
+            let options = RunOptions::new().threads(threads).shards(shards);
+            let run =
+                simulate_sharded(&scenario.config, &options).expect("sharded simulation runs");
+            let context = format!("{shards} shards, {threads} threads");
+            assert_eq!(run.digest, reference_digest, "{context}");
+            assert_eq!(run.tickets, trace.len() as u64, "{context}");
+            assert_eq!(run.category_counts, reference_counts, "{context}");
+        }
+    }
+}
+
 /// The pipelined-execution matrix: `shard_workers` (how many shards are in
 /// flight at once) crossed with shard count and seed. The worker pool
 /// changes only the order shards are *simulated* in — the merge still
