@@ -29,7 +29,7 @@
 //! at any shard, worker, and thread count; `tests/engine_identity.rs`
 //! gates it.
 
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -40,7 +40,7 @@ use dcf_fleet::{Fleet, FleetBuilder};
 use dcf_fms::FmsMetrics;
 use dcf_obs::MetricsRegistry;
 use dcf_trace::io::spill::{
-    merge_cursors, split_by_time, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
+    merge_cursors, split_by_time, try_merge_cursors, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
 };
 use dcf_trace::io::FotsDigester;
 use dcf_trace::{
@@ -440,7 +440,10 @@ impl Sink for DigestSink {
         if threads > 1 {
             sink = digest_beside(sink, tickets, ranges, metrics)?;
         } else {
-            merge_batches(ranges, |batch| sink.consume(tickets, batch))?;
+            merge_batches(ranges, |batch| {
+                sink.consume(tickets, batch);
+                true
+            })?;
         }
         let merged = sink.digester.count();
         Ok((sink, merged))
@@ -459,19 +462,27 @@ impl Sink for DigestSink {
 
 /// Merges `ranges` in order into batches of up to [`DIGEST_BATCH`]
 /// records and hands each full batch, then the last one, to `hand_off`,
-/// which leaves an empty batch behind.
+/// which leaves an empty batch behind. A hand-off that returns `false`
+/// (nothing will consume later batches) stops the merge there, with the
+/// rest of the records unread.
 fn merge_batches(
     ranges: Vec<MergeRange<'_>>,
-    mut hand_off: impl FnMut(&mut Vec<SpillRecord>),
+    mut hand_off: impl FnMut(&mut Vec<SpillRecord>) -> bool,
 ) -> Result<(), TraceError> {
     let mut batch = Vec::with_capacity(DIGEST_BATCH);
+    let mut open = true;
     for range in ranges {
-        merge_cursors(range.cursors, |r| {
+        try_merge_cursors(range.cursors, |r| {
             batch.push(r);
-            if batch.len() == DIGEST_BATCH {
-                hand_off(&mut batch);
+            if batch.len() == DIGEST_BATCH && !hand_off(&mut batch) {
+                open = false;
+                return ControlFlow::Break(());
             }
+            ControlFlow::Continue(())
         })?;
+        if !open {
+            return Ok(());
+        }
     }
     if !batch.is_empty() {
         hand_off(&mut batch);
@@ -517,13 +528,10 @@ fn digest_beside(
             sink
         });
         let merged = merge_batches(ranges, |batch| {
-            // Either send fails only if the digesting thread panicked;
-            // its join below reports that.
-            if full_tx.send(std::mem::take(batch)).is_ok() {
-                if let Ok(empty) = empty_rx.recv() {
-                    *batch = empty;
-                }
-            }
+            // Either end closes only if the digesting thread panicked:
+            // stop merging, and its join below reports the panic.
+            full_tx.send(std::mem::take(batch)).is_ok()
+                && empty_rx.recv().map(|empty| *batch = empty).is_ok()
         });
         drop(full_tx);
         let sink = digesting.join().expect("digest worker panicked");
@@ -1000,6 +1008,38 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_closed_hand_off_stops_the_merge() {
+        use dcf_trace::{ComponentClass, FotCategory, ServerId, SimTime};
+
+        let records: Vec<SpillRecord> = (0..3 * DIGEST_BATCH as u64)
+            .map(|i| SpillRecord {
+                server: ServerId::new(0),
+                class: ComponentClass::Hdd,
+                slot: 0,
+                ftype: FailureType::SmartFail,
+                error_time: SimTime::from_secs(i * 60),
+                category: FotCategory::Error,
+                response: None,
+            })
+            .collect();
+        let range = |records| MergeRange {
+            rows: DIGEST_BATCH,
+            cursors: vec![SpillCursor::from_sorted(0, records)],
+        };
+        // The consumer goes away after the first batch: the merge hands
+        // off nothing more, though two ranges with more records remain.
+        let (first, rest) = records.split_at(DIGEST_BATCH + 1);
+        let mut hand_offs = 0;
+        merge_batches(vec![range(first), range(rest)], |batch| {
+            hand_offs += 1;
+            batch.clear();
+            false
+        })
+        .unwrap();
+        assert_eq!(hand_offs, 1);
     }
 
     #[test]

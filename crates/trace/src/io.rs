@@ -329,11 +329,8 @@ pub struct FotsDigester {
     hash: ChunkedFnv,
     /// Tickets pushed so far.
     count: u64,
-    /// Encoded rows not yet absorbed. Rows collect here and the hash
-    /// absorbs them [`FotsDigester::FLUSH_BYTES`] at a time, whole words
-    /// only, so pushing a ticket allocates nothing and the hash runs its
-    /// word loop instead of carrying a partial word across every row.
-    rows: Vec<u8>,
+    /// Reusable row buffer so pushing a ticket allocates nothing.
+    row: Vec<u8>,
 }
 
 impl Default for FotsDigester {
@@ -343,35 +340,22 @@ impl Default for FotsDigester {
 }
 
 impl FotsDigester {
-    /// Encoded bytes that trigger an absorb; a multiple of the hash's
-    /// eight-byte word.
-    const FLUSH_BYTES: usize = 4096;
-
-    /// Room for a full buffer plus one row (rows are under 256 bytes).
-    const CAPACITY: usize = Self::FLUSH_BYTES + 256;
-
     /// Starts an empty digest (equal to `fots_digest([])`).
     pub fn new() -> Self {
         Self {
             hash: ChunkedFnv::new(),
             count: 0,
-            rows: Vec::with_capacity(Self::CAPACITY),
+            row: Vec::with_capacity(128),
         }
     }
 
     /// Absorbs one ticket. The sharded merge pushes views it stamps
     /// straight from engine records, so digesting allocates nothing.
     pub fn push(&mut self, fot: &Fot<'_>) {
-        append_canonical(fot, &mut self.rows);
+        self.row.clear();
+        append_canonical(fot, &mut self.row);
+        self.hash.absorb(&self.row);
         self.count += 1;
-        if self.rows.len() >= Self::FLUSH_BYTES {
-            // Absorb whole words and keep the tail, so the hash never
-            // carries a partial word between flushes.
-            let whole = self.rows.len() & !7;
-            self.hash.absorb(&self.rows[..whole]);
-            self.rows.copy_within(whole.., 0);
-            self.rows.truncate(self.rows.len() - whole);
-        }
     }
 
     /// Number of tickets absorbed so far.
@@ -381,9 +365,7 @@ impl FotsDigester {
 
     /// The digest of everything pushed so far.
     pub fn digest(&self) -> u64 {
-        let mut hash = self.hash;
-        hash.absorb(&self.rows);
-        hash.finish()
+        self.hash.finish()
     }
 }
 

@@ -44,6 +44,7 @@
 use std::borrow::Cow;
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 
 use crate::columns::{action_from_tag, action_tag, category_tag};
@@ -705,8 +706,26 @@ pub fn merge_spills(
 ///
 /// Propagates reader errors ([`TraceError::Io`] / [`TraceError::Snapshot`]).
 pub fn merge_cursors(
-    mut cursors: Vec<SpillCursor<'_>>,
+    cursors: Vec<SpillCursor<'_>>,
     mut emit: impl FnMut(SpillRecord),
+) -> Result<u64, TraceError> {
+    try_merge_cursors(cursors, |r| {
+        emit(r);
+        ControlFlow::Continue(())
+    })
+}
+
+/// [`merge_cursors`] that stops as soon as `emit` breaks, leaving the
+/// rest of the cursors unread, and returns the records emitted (the one
+/// that broke included). A consumer that can fail part-way stops the
+/// merge this way instead of decoding records nobody will read.
+///
+/// # Errors
+///
+/// Propagates reader errors met before `emit` breaks.
+pub fn try_merge_cursors(
+    mut cursors: Vec<SpillCursor<'_>>,
+    mut emit: impl FnMut(SpillRecord) -> ControlFlow<()>,
 ) -> Result<u64, TraceError> {
     cursors.sort_by_key(SpillCursor::shard_index);
 
@@ -733,8 +752,10 @@ pub fn merge_cursors(
         let rec = cursor.buf[cursor.pos];
         cursor.pos += 1;
         heads[i] = cursor.head()?.map(SpillRecord::key);
-        emit(rec);
         emitted += 1;
+        if emit(rec).is_break() {
+            break;
+        }
     }
     Ok(emitted)
 }
