@@ -40,7 +40,8 @@ use dcf_fleet::{Fleet, FleetBuilder};
 use dcf_fms::FmsMetrics;
 use dcf_obs::MetricsRegistry;
 use dcf_trace::io::spill::{
-    merge_cursors, split_by_time, try_merge_cursors, ShardSpillReader, ShardSpillWriter, SpillCursor, SpillRecord,
+    merge_cursors, split_by_time, try_merge_cursors, ShardSpillReader, ShardSpillWriter,
+    SpillCursor, SpillRecord,
 };
 use dcf_trace::io::FotsDigester;
 use dcf_trace::{
